@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the workspace must build, lint and test fully offline.
-# Every dependency is a workspace path dependency; the registry deps
-# (proptest, criterion, rand) are commented out in the manifests and
-# only needed for the opt-in `proptest` / `bench-deps` features.
+# Every dependency is a workspace path dependency; the registry dep
+# (proptest) is commented out in the manifests and only needed for the
+# opt-in `proptest` feature.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,10 @@ cargo clippy --offline --all-targets -- -D warnings \
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 cargo build --release --offline
 cargo test -q --offline
+
+# The benchmark is a separate workspace with path dependencies on the
+# crates; its own tests catch a crate change that breaks it.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Static-analysis gate: the three paper designs must be free of
 # error-severity lint findings under their recommended generators,
@@ -25,38 +29,6 @@ if ./target/release/bistlint --design LP --gen LFSR-1 > /dev/null 2>&1; then
     exit 1
 fi
 echo "bistlint gate: roster clean, incompatible pairing flagged OK"
-
-# Signature-mode smoke cell: every roster generator on LP-MINI must
-# produce bit-identical verdicts in trace and signature mode with zero
-# aliased faults on the default 16-bit MISR (exits non-zero otherwise).
-./target/release/experiments smoke
-echo "experiments smoke cell: signature mode bit-identical, zero aliasing OK"
-
-# ATPG smoke cell: the LP-MINI campaign residue must be fully resolved
-# by the deterministic top-off — every residual fault detected by the
-# verified seed plan or proven untestable, none unresolved (exits
-# non-zero otherwise).
-./target/release/experiments atpg
-echo "experiments atpg cell: top-off covers 100% of testable faults OK"
-
-# SAT smoke cell: LP-MINI must get a machine-checked equivalence
-# certificate and a sample of the symmetric design's screen candidates
-# must prove redundant (exits non-zero on any refutation). Sub-second.
-./target/release/experiments sat
-echo "experiments sat cell: equivalence proved, sampled candidates UNSAT OK"
-
-# Structure smoke cell: the LP-MINI collapse run must be bit-identical
-# to the plain run, shrink the simulated universe, and carry the L701
-# collapse census at admission (exits non-zero otherwise). Sub-second.
-./target/release/experiments structure
-echo "experiments structure cell: collapse bit-identical, census attached OK"
-
-# Kernel differential cell: the flat SoA tape kernel (the default
-# engine) and the retained graph walker must produce bit-identical
-# verdicts, signatures and coverage on LP-MINI in both response-check
-# modes (exits non-zero on any divergence). A few seconds.
-./target/release/experiments kernel
-echo "experiments kernel cell: walker/kernel bit-identical in both modes OK"
 
 # Daemon smoke test: a bistd on a Unix socket must serve a campaign,
 # answer the identical resubmission from its result cache, and drain

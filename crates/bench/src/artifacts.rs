@@ -4,8 +4,7 @@
 //! [`RunArtifact`] here and reports its metrics into a shared campaign
 //! [`Registry`]. When the binary was invoked with `--json <path>`, the
 //! accumulated artifacts are written out as one `BENCH_*.json`
-//! document at exit — the machine-readable performance trajectory of
-//! the repository (schema documented in `EXPERIMENTS.md`).
+//! document at exit (schema documented in `EXPERIMENTS.md`).
 
 use obs::{JsonValue, Registry, RunArtifact};
 use std::io;
@@ -17,7 +16,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub const BENCH_SCHEMA: u32 = 1;
 
 static COLLECTED: Mutex<Vec<RunArtifact>> = Mutex::new(Vec::new());
-static COMPARISON: Mutex<Option<JsonValue>> = Mutex::new(None);
 static CAMPAIGN: OnceLock<Arc<Registry>> = OnceLock::new();
 
 /// The process-wide campaign registry: run-level metrics from every
@@ -34,13 +32,6 @@ pub fn record(artifact: RunArtifact) {
 /// A copy of every artifact recorded so far, in execution order.
 pub fn collected() -> Vec<RunArtifact> {
     COLLECTED.lock().expect("artifact lock").clone()
-}
-
-/// Attaches an experiment-level comparison object (e.g. the `bench5`
-/// trace-vs-signature summary) that [`bench_document`] emits as a
-/// top-level `"comparison"` field.
-pub fn set_comparison(comparison: JsonValue) {
-    *COMPARISON.lock().expect("comparison lock") = Some(comparison);
 }
 
 /// Builds the `BENCH_*.json` document for one experiment invocation:
@@ -60,16 +51,13 @@ pub fn bench_document(experiment: &str) -> JsonValue {
         .with_threads(crate::run_config(0).threads())
         .effective_threads();
     let runs = JsonValue::Array(collected().iter().map(RunArtifact::to_json).collect());
-    let mut v = JsonValue::object()
+    JsonValue::object()
         .push("schema", BENCH_SCHEMA)
         .push("suite", "experiments")
         .push("experiment", experiment)
         .push("threads", threads)
-        .push("runs", runs);
-    if let Some(comparison) = COMPARISON.lock().expect("comparison lock").clone() {
-        v = v.push("comparison", comparison);
-    }
-    v.push("metrics", campaign().snapshot().to_json())
+        .push("runs", runs)
+        .push("metrics", campaign().snapshot().to_json())
 }
 
 /// Writes the bench document and returns the path actually written:
@@ -107,10 +95,6 @@ mod tests {
         assert!(doc.contains("\"design\":\"LP\""), "{doc}");
         assert!(doc.contains("\"threads\":"), "{doc}");
         assert!(doc.contains("\"faultsim.shards\":"), "{doc}");
-        assert!(!doc.contains("\"comparison\""), "absent until set: {doc}");
-        set_comparison(JsonValue::object().push("speedup", 1.5));
-        let with = bench_document("unit_test").to_json();
-        assert!(with.contains("\"comparison\":{\"speedup\":1.5}"), "{with}");
 
         // Directory targets resolve to the canonical artifact name.
         let dir = std::env::temp_dir();

@@ -20,16 +20,6 @@
 //!     scaling  aggressive-scaling trade-off          (Conclusion item)
 //!     ablation pruning stages & drop schedules       (engine study)
 //!     csa      ripple vs carry-save vs symmetric     (Section 3)
-//!     bench5   trace vs signature checking           (compaction study)
-//!     bench7   top-off seed storage vs misses        (reseeding study)
-//!     bench8   SAT proof-pruning before/after        (redundancy study)
-//!     bench9   structural collapse before/after      (collapsing study)
-//!     bench10  walker vs kernel engine before/after  (SoA kernel study)
-//!     smoke    signature-mode zero-aliasing gate     (CI tier 1)
-//!     structure collapse bit-identity census gate    (CI tier 1)
-//!     kernel   walker-vs-kernel bit-identity gate    (CI tier 1)
-//!     atpg     deterministic top-off coverage gate   (CI tier 1)
-//!     sat      equivalence + redundancy proof gate   (CI tier 1)
 //!     all      everything above
 //!
 //! With `--json <path>`, every BIST run's structured artifact
@@ -47,20 +37,20 @@
 //! With `--signature`, the Section 8 grid (`table4`, `table6`) checks
 //! responses through the 16-bit MISR instead of the direct trace
 //! compare, and the tables grow an aliased-fault column (expected all
-//! zero — see DESIGN.md §10). `bench5` always runs both modes and
-//! emits the trace-vs-signature memory/throughput comparison
-//! (`BENCH_5.json` with `--json`); `smoke` is the CI cell: it exits
-//! non-zero unless signature-mode verdicts match trace-mode verdicts
-//! with zero aliasing across the gated roster.
+//! zero — see DESIGN.md §10).
+//!
+//! Performance is measured by the benchmark in `perfbench/` (see
+//! `perfbench/README.md`); bit-identity and proof checks live in
+//! `cargo test`.
 //! ```
 
 use bist_bench::{
-    cell_lint, cell_lint_mode, generator, lint_tally, mixed_generator, paper_designs, plot,
-    run_config, run_config_mode, run_session, table, SECTION8_GENERATORS,
+    cell_lint, cell_lint_mode, generator, mixed_generator, paper_designs, plot, run_config,
+    run_config_mode, run_session, table, SECTION8_GENERATORS,
 };
 use bist_core::campaign::CampaignSpec;
 use bist_core::session::{BistSession, ResponseCheck};
-use bist_core::{compat, distribution, variance, zones, SimEngine};
+use bist_core::{compat, distribution, variance, zones};
 use bistd::{Client, ServerAddr};
 use dsp::stats::Summary;
 use filters::FilterDesign;
@@ -125,34 +115,14 @@ fn main() {
     run("scaling", &scaling);
     run("ablation", &ablation);
     run("csa", &csa);
-    run("bench5", &bench5);
-    run("bench7", &bench7);
-    run("bench8", &bench8);
-    run("bench9", &bench9);
-    run("bench10", &bench10);
-    run("smoke", &smoke);
-    run("structure", &structure_smoke);
-    run("kernel", &kernel_smoke);
-    run("atpg", &atpg_smoke);
-    run("sat", &sat_smoke);
     if !ran {
         eprintln!("unknown experiment '{arg}'; see source header for the list");
         std::process::exit(2);
     }
     if let Some(path) = json_path {
-        // The numbered studies' artifacts are `BENCH_5.json` (the
-        // compaction study), `BENCH_6.json` (the paper's Table 6
-        // mixed-mode grid) and `BENCH_7.json` (the top-off study) —
-        // see EXPERIMENTS.md — not `BENCH_bench5.json`.
-        let tag = match arg.as_str() {
-            "bench5" => "5",
-            "table6" => "6",
-            "bench7" => "7",
-            "bench8" => "8",
-            "bench9" => "9",
-            "bench10" => "10",
-            other => other,
-        };
+        // The paper's Table 6 grid writes `BENCH_6.json`, not
+        // `BENCH_table6.json` (see EXPERIMENTS.md).
+        let tag = if arg == "table6" { "6" } else { arg.as_str() };
         match bist_bench::artifacts::write_bench_json(tag, &path) {
             Ok(written) => {
                 let runs = bist_bench::artifacts::collected().len();
@@ -952,908 +922,6 @@ fn ablation() {
         "{}",
         table::render(&["schedule", "wall time", "missed (identical by construction)"], &rows)
     );
-}
-
-// ------------------------------------------------------- compaction study
-
-/// Runs one design under one generator in the given mode, timing the
-/// whole session (pattern generation + fault simulation + readout).
-fn timed_run(
-    session: &BistSession<'_>,
-    gen_name: &str,
-    vectors: usize,
-    mode: ResponseCheck,
-) -> (bist_core::session::BistRun, f64) {
-    let mut gen = generator(gen_name);
-    let started = std::time::Instant::now();
-    let run = run_session(session, &mut *gen, &run_config_mode(vectors, mode));
-    (run, started.elapsed().as_secs_f64() * 1000.0)
-}
-
-/// The `bench5` compaction study: every paper design runs the same
-/// LFSR-D test twice — trace compare vs MISR signature — and the table
-/// (and, with `--json`, the `BENCH_5.json` `comparison` object) records
-/// the memory/throughput trade: O(vectors) response storage and staged
-/// fault dropping on one side, O(lanes) storage and full-length
-/// simulation on the other, with verdicts bit-identical up to measured
-/// aliasing (zero on this roster).
-fn bench5() {
-    banner("Compaction study: trace compare vs 16-bit MISR signature (memory and throughput)");
-    let designs = paper_designs();
-    let mut rows = Vec::new();
-    let mut entries = Vec::new();
-    let mut mismatches = 0usize;
-    for d in &designs {
-        let session = BistSession::new(d).expect("session");
-        let (trace, trace_ms) =
-            timed_run(&session, "LFSR-D", SECTION8_VECTORS, ResponseCheck::Trace);
-        let (signed, sig_ms) =
-            timed_run(&session, "LFSR-D", SECTION8_VECTORS, ResponseCheck::Signature);
-        if trace.result.detection_cycles() != signed.result.detection_cycles() {
-            eprintln!("{}: signature-mode detection cycles diverge from trace mode", d.name());
-            mismatches += 1;
-        }
-        let aliased = signed.artifact.aliased;
-        let store_trace = trace.artifact.response_store_words;
-        let store_sig = signed.artifact.response_store_words;
-        // Nominal throughput: fault-cycles checked per second. The
-        // numerator is the same in both modes (every fault's verdict
-        // covers the full test), so the ratio is the inverse wall-time
-        // ratio; trace mode's fault dropping is why it wins.
-        let fault_cycles = session.universe().len() as f64 * SECTION8_VECTORS as f64;
-        rows.push(vec![
-            d.name().to_string(),
-            trace.missed().to_string(),
-            signed.missed().to_string(),
-            aliased.to_string(),
-            format!("{trace_ms:.0} / {sig_ms:.0}"),
-            format!("{:.2}x", sig_ms / trace_ms.max(1e-9)),
-            format!("{store_trace} / {store_sig}"),
-            format!("{:.0}x", store_trace as f64 / store_sig as f64),
-        ]);
-        entries.push(
-            obs::JsonValue::object()
-                .push("design", d.name())
-                .push("missed_trace", trace.missed() as u64)
-                .push("missed_signature", signed.missed() as u64)
-                .push("aliased", aliased as u64)
-                .push("trace_ms", trace_ms)
-                .push("signature_ms", sig_ms)
-                .push("signature_slowdown", sig_ms / trace_ms.max(1e-9))
-                .push("trace_store_words", store_trace)
-                .push("signature_store_words", store_sig)
-                .push("store_ratio", store_trace as f64 / store_sig as f64)
-                .push("fault_cycles", fault_cycles)
-                .push("trace_mcps", fault_cycles / trace_ms.max(1e-9) / 1e3)
-                .push("signature_mcps", fault_cycles / sig_ms.max(1e-9) / 1e3),
-        );
-    }
-    println!(
-        "{}",
-        table::render(
-            &[
-                "Des.",
-                "missed (trace)",
-                "missed (sig)",
-                "aliased",
-                "wall ms (t/s)",
-                "slowdown",
-                "store words (t/s)",
-                "memory"
-            ],
-            &rows
-        )
-    );
-    println!("LFSR-D @4k; 'store words' is the peak response-storage footprint per run:");
-    println!("the materialized fault-free trace vs one 16-bit signature per bit-sliced lane.");
-    bist_bench::artifacts::set_comparison(
-        obs::JsonValue::object()
-            .push("study", "trace_vs_signature")
-            .push("generator", "LFSR-D")
-            .push("vectors", SECTION8_VECTORS as u64)
-            .push("misr_width", 16u64)
-            .push("designs", obs::JsonValue::Array(entries)),
-    );
-    if mismatches > 0 {
-        eprintln!("{mismatches} design(s) had trace/signature verdict mismatches");
-        std::process::exit(1);
-    }
-}
-
-// ------------------------------------------------------- reseeding study
-
-/// The `bench7` reseeding study: every Section 8 grid cell's residue
-/// is justified once, then compressed under several seed block
-/// lengths, recording the tester-storage vs residual-miss trade-off
-/// against the paper's hand-built mixed-mode patch (Table 6). With
-/// `--json`, the per-cell curve lands in `BENCH_7.json`'s `comparison`
-/// object.
-fn bench7() {
-    banner("Top-off study: seed storage vs residual misses (baseline: paper Table 6 mixed mode)");
-    const BLOCKS: [u32; 3] = [64, 256, 1024];
-    const MAX_SEEDS: u32 = 16;
-    let designs = paper_designs();
-    let mut rows = Vec::new();
-    let mut entries = Vec::new();
-    for d in &designs {
-        let session = BistSession::new(d).expect("session");
-        let input_bits = d.spec().input_bits;
-        // The paper's patch for the same residue problem: a mixed
-        // LFSR-1/LFSR-M test at double length, vectors stored nowhere
-        // but misses never classified.
-        let mixed_missed = {
-            let mut gen = mixed_generator(SECTION8_VECTORS as u64);
-            run_session(&session, &mut *gen, &run_config(2 * SECTION8_VECTORS)).missed()
-        };
-        for name in SECTION8_GENERATORS {
-            let mut gen = generator(name);
-            let run = run_session(&session, &mut *gen, &run_config(SECTION8_VECTORS));
-            let residue = run.result.missed();
-            // Justify each residual fault once; only the compression
-            // knobs vary across the block-length sweep.
-            let justifier = atpg::Justifier::new(d.netlist(), session.universe(), input_bits);
-            let mut untestable = 0usize;
-            let mut targets = Vec::new();
-            let mut patterns = std::collections::BTreeMap::new();
-            for &id in &residue {
-                match justifier.justify(id) {
-                    atpg::Verdict::Untestable => untestable += 1,
-                    atpg::Verdict::Detected { pattern } => {
-                        targets.push(id);
-                        patterns.insert(id, pattern);
-                    }
-                    atpg::Verdict::Unresolved => targets.push(id),
-                }
-            }
-            for block_len in BLOCKS {
-                let cfg = bist_core::TopOffConfig { block_len, max_seeds: MAX_SEEDS };
-                let plan = atpg::plan_reseeding(
-                    d.netlist(),
-                    session.universe(),
-                    &targets,
-                    &patterns,
-                    input_bits,
-                    &cfg,
-                );
-                let (detected, unresolved) =
-                    atpg::verify_plan(d.netlist(), session.universe(), &targets, &plan, input_bits);
-                let storage_bits = plan.seed_bits() + plan.stored_bits();
-                rows.push(vec![
-                    d.name().to_string(),
-                    name.to_string(),
-                    block_len.to_string(),
-                    residue.len().to_string(),
-                    format!("{}+{}", plan.seeds.len(), plan.stored.len()),
-                    storage_bits.to_string(),
-                    plan.total_vectors().to_string(),
-                    untestable.to_string(),
-                    unresolved.len().to_string(),
-                    mixed_missed.to_string(),
-                ]);
-                entries.push(
-                    obs::JsonValue::object()
-                        .push("design", d.name())
-                        .push("generator", name)
-                        .push("block_len", block_len as u64)
-                        .push("max_seeds", MAX_SEEDS as u64)
-                        .push("residue", residue.len() as u64)
-                        .push("untestable", untestable as u64)
-                        .push("seeds", plan.seeds.len() as u64)
-                        .push("seed_bits", plan.seed_bits() as u64)
-                        .push("stored_patterns", plan.stored.len() as u64)
-                        .push("stored_bits", plan.stored_bits() as u64)
-                        .push("storage_bits", storage_bits as u64)
-                        .push("topoff_vectors", plan.total_vectors() as u64)
-                        .push("detected", detected.len() as u64)
-                        .push("unresolved", unresolved.len() as u64)
-                        .push("mixed_missed", mixed_missed as u64),
-                );
-            }
-        }
-    }
-    println!(
-        "{}",
-        table::render(
-            &[
-                "Des.",
-                "gen",
-                "block",
-                "residue",
-                "seeds+raw",
-                "stored bits",
-                "top-off vec",
-                "untest.",
-                "unresolved",
-                "mixed missed"
-            ],
-            &rows
-        )
-    );
-    println!("'stored bits' is the tester storage: seed bits plus raw fallback pattern bits;");
-    println!("'unresolved' are honest misses after the verified plan (untestable faults are");
-    println!("proven unactivatable, not missed). The mixed baseline stores nothing but leaves");
-    println!("its whole column of misses unclassified.");
-    bist_bench::artifacts::set_comparison(
-        obs::JsonValue::object()
-            .push("study", "topoff_tradeoff")
-            .push("vectors", SECTION8_VECTORS as u64)
-            .push("max_seeds", MAX_SEEDS as u64)
-            .push(
-                "baseline",
-                format!("Mixed@{SECTION8_VECTORS} over {} vectors", 2 * SECTION8_VECTORS),
-            )
-            .push("cells", obs::JsonValue::Array(entries)),
-    );
-}
-
-/// The `bench8` proof-pruning study: for every design of the Section 8
-/// grid (the paper's three plus the symmetric, carry-save and mini
-/// variants), the ATPG screen's candidates are handed to the SAT miter
-/// once, proven-redundant faults are removed from the universe, and
-/// each generator cell is then fault-simulated twice — full universe
-/// vs pruned — under identical inputs. Surviving faults must get
-/// bit-identical detection cycles (the study exits non-zero
-/// otherwise); the per-cell wall times and before/after universe sizes
-/// land in `BENCH_8.json`'s `comparison` object with `--json`.
-fn bench8() {
-    banner("SAT proof-pruning study: universe size and wall time, before vs after");
-    const MAX_CONFLICTS: u64 = 2_000;
-    let mut designs = paper_designs();
-    designs.push(filters::designs::lowpass_symmetric().expect("LP-SYM elaborates"));
-    designs.push(filters::designs::lowpass_carry_save().expect("LP-CSA elaborates"));
-    designs.push(filters::designs::lowpass_mini().expect("LP-MINI elaborates"));
-    let mut rows = Vec::new();
-    let mut design_entries = Vec::new();
-    let mut cell_entries = Vec::new();
-    let mut total_pruned = 0usize;
-    for d in &designs {
-        let session = BistSession::new(d).expect("session");
-        let universe = session.universe();
-        let netlist = d.netlist();
-        let input_bits = d.spec().input_bits;
-
-        let t = std::time::Instant::now();
-        let screen = atpg::untestable_faults(netlist, universe, input_bits);
-        let screen_ms = t.elapsed().as_millis() as u64;
-        let specs: Vec<sat::FaultSpec> = screen
-            .iter()
-            .map(|&id| {
-                let site = universe.site(id);
-                sat::FaultSpec { node: site.node, cell: site.cell, fault: site.representative }
-            })
-            .collect();
-        let t = std::time::Instant::now();
-        let outcome = sat::prove_faults(
-            netlist,
-            input_bits,
-            &specs,
-            &sat::PruneConfig { max_conflicts: MAX_CONFLICTS },
-        );
-        let prove_ms = t.elapsed().as_millis() as u64;
-        let redundant: std::collections::BTreeSet<usize> = screen
-            .iter()
-            .zip(&outcome.verdicts)
-            .filter(|(_, (_, v))| matches!(v, sat::FaultVerdict::Redundant))
-            .map(|(id, _)| id.index())
-            .collect();
-        total_pruned += redundant.len();
-        let keep: Vec<faultsim::FaultId> = (0..universe.len() as u32)
-            .map(faultsim::FaultId)
-            .filter(|id| !redundant.contains(&id.index()))
-            .collect();
-        let pruned_universe = universe.subset(&keep);
-        design_entries.push(
-            obs::JsonValue::object()
-                .push("design", d.name())
-                .push("universe_before", universe.len() as u64)
-                .push("universe_after", pruned_universe.len() as u64)
-                .push("candidates", screen.len() as u64)
-                .push("redundant_proven", outcome.redundant as u64)
-                .push("detectable", outcome.detectable as u64)
-                .push("unknown", outcome.unknown as u64)
-                .push("screen_ms", screen_ms)
-                .push("prove_ms", prove_ms)
-                .push("conflicts", outcome.stats.conflicts),
-        );
-
-        for name in SECTION8_GENERATORS {
-            let mut gen = generator(name);
-            let inputs: Vec<i64> =
-                (0..SECTION8_VECTORS).map(|_| d.align_input(gen.next_word())).collect();
-            let t = std::time::Instant::now();
-            let full = faultsim::ParallelFaultSimulator::new(netlist, universe).run(&inputs);
-            let full_ms = t.elapsed().as_millis() as u64;
-            let t = std::time::Instant::now();
-            let pruned =
-                faultsim::ParallelFaultSimulator::new(netlist, &pruned_universe).run(&inputs);
-            let pruned_ms = t.elapsed().as_millis() as u64;
-
-            // Bit-identical verdicts for every surviving fault, and no
-            // detection of any fault the miter proved redundant.
-            let full_cycles = full.detection_cycles();
-            let pruned_cycles = pruned.detection_cycles();
-            let identical =
-                keep.iter().zip(pruned_cycles).all(|(id, &c)| full_cycles[id.index()] == c);
-            let pruned_detected = redundant.iter().filter(|&&i| full_cycles[i].is_some()).count();
-            if !identical || pruned_detected != 0 {
-                eprintln!(
-                    "bench8 failed on {} x {name}: pruning changed surviving verdicts \
-                     ({identical}) or a proven-redundant fault was detected ({pruned_detected})",
-                    d.name()
-                );
-                std::process::exit(1);
-            }
-            rows.push(vec![
-                d.name().to_string(),
-                name.to_string(),
-                universe.len().to_string(),
-                pruned_universe.len().to_string(),
-                full.detected_count().to_string(),
-                full_ms.to_string(),
-                pruned_ms.to_string(),
-            ]);
-            cell_entries.push(
-                obs::JsonValue::object()
-                    .push("design", d.name())
-                    .push("generator", name)
-                    .push("universe_before", universe.len() as u64)
-                    .push("universe_after", pruned_universe.len() as u64)
-                    .push("detected", full.detected_count() as u64)
-                    .push("full_ms", full_ms)
-                    .push("pruned_ms", pruned_ms)
-                    .push("verdicts_identical", identical),
-            );
-        }
-    }
-    println!(
-        "{}",
-        table::render(
-            &["Des.", "gen", "before", "after", "detected", "full ms", "pruned ms"],
-            &rows
-        )
-    );
-    println!("'before'/'after' are collapsed universe sizes around SAT proof pruning;");
-    println!("surviving faults were verified bit-identical between the two engines in");
-    println!("every cell. Designs whose screen sheds no candidates keep before == after.");
-    if total_pruned == 0 {
-        eprintln!("bench8 failed: no fault in the grid was proven redundant and pruned");
-        std::process::exit(1);
-    }
-    bist_bench::artifacts::set_comparison(
-        obs::JsonValue::object()
-            .push("study", "sat_prune")
-            .push("vectors", SECTION8_VECTORS as u64)
-            .push("max_conflicts", MAX_CONFLICTS)
-            .push("designs", obs::JsonValue::Array(design_entries))
-            .push("cells", obs::JsonValue::Array(cell_entries)),
-    );
-}
-
-/// Total milliseconds a run spent in one named session stage.
-fn stage_ms(run: &bist_core::session::BistRun, name: &str) -> f64 {
-    run.artifact.stages.iter().filter(|s| s.name == name).map(|s| s.millis).sum()
-}
-
-/// The `bench9` structural-collapse study: every paper design plus
-/// LP-MINI runs the LFSR-D test twice per response-check mode — plain
-/// vs collapsed — and each pair must produce bit-identical
-/// full-universe verdicts (detection cycles, per-fault signatures and
-/// the good-machine signature; the study exits non-zero otherwise, or
-/// if no built-in filter clears a 40% raw-universe reduction). The
-/// per-cell collapse census, fault-sim wall times and shared lint
-/// tallies land in `BENCH_9.json`'s `comparison` object with `--json`,
-/// an LP-MINI *expanded* raw-universe baseline replays every member
-/// line as its own machine to verify the equivalence premise
-/// end-to-end, and the admission-time `L7xx` lints are demonstrated on
-/// the same design.
-fn bench9() {
-    banner("Structural collapse study: representative-only simulation, verdicts bit-identical");
-    let mut designs = paper_designs();
-    designs.push(filters::designs::lowpass_mini().expect("LP-MINI elaborates"));
-    let mut rows = Vec::new();
-    let mut cell_entries = Vec::new();
-    let mut best_builtin = 0.0f64;
-    let mut mini_classes = 0usize;
-    for d in &designs {
-        let session = BistSession::new(d).expect("session");
-        for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
-            let mode_name = match mode {
-                ResponseCheck::Trace => "trace",
-                ResponseCheck::Signature => "signature",
-            };
-            let config = run_config_mode(SECTION8_VECTORS, mode);
-            let mut gen = generator("LFSR-D");
-            let plain = run_session(&session, &mut *gen, &config);
-            let mut gen = generator("LFSR-D");
-            let collapsed = run_session(&session, &mut *gen, &config.with_collapse(true));
-            // Byte-identity over the *expanded* universe: the collapsed
-            // run must be indistinguishable from the plain one.
-            let identical = plain.result.detection_cycles() == collapsed.result.detection_cycles()
-                && plain.result.signatures() == collapsed.result.signatures()
-                && plain.signature == collapsed.signature
-                && plain.artifact.coverage == collapsed.artifact.coverage;
-            if !identical {
-                eprintln!(
-                    "bench9 failed on {} x {mode_name}: collapsed verdicts diverge from plain",
-                    d.name()
-                );
-                std::process::exit(1);
-            }
-            let census =
-                collapsed.artifact.collapse.clone().expect("collapse runs attach their census");
-            if d.name() != "LP-MINI" {
-                best_builtin = best_builtin.max(census.reduction_vs_raw);
-            } else {
-                mini_classes = census.classes_after;
-            }
-            let plain_sim_ms = stage_ms(&plain, "session.fault_sim");
-            let collapsed_sim_ms = stage_ms(&collapsed, "session.fault_sim");
-            // The admission-shaped tally for the collapse spec: same
-            // L7xx-bearing diagnostics the daemon attaches, rendered
-            // through the shared `lint_tally` formatter the tables use.
-            let spec = CampaignSpec::new(d.name(), "LFSR-D", SECTION8_VECTORS)
-                .with_mode(mode)
-                .with_collapse(true);
-            let tally =
-                lint_tally(&lint::admission_lint(&spec, None).expect("registry pairings lint"));
-            rows.push(vec![
-                d.name().to_string(),
-                mode_name.to_string(),
-                census.raw_lines.to_string(),
-                census.sites_before.to_string(),
-                census.classes_after.to_string(),
-                format!("{:.1}%", 100.0 * census.reduction_vs_raw),
-                format!("{plain_sim_ms:.0} / {collapsed_sim_ms:.0}"),
-                tally.clone(),
-            ]);
-            cell_entries.push(
-                obs::JsonValue::object()
-                    .push("design", d.name())
-                    .push("generator", "LFSR-D")
-                    .push("mode", mode_name)
-                    .push("plain_sim_ms", plain_sim_ms)
-                    .push("collapsed_sim_ms", collapsed_sim_ms)
-                    .push("lint", tally)
-                    .push("verdicts_identical", identical)
-                    .push("collapse", census.to_json()),
-            );
-        }
-    }
-    println!(
-        "{}",
-        table::render(
-            &["Des.", "mode", "raw", "sites", "classes", "red. vs raw", "sim ms p/c", "lint"],
-            &rows
-        )
-    );
-    println!("'raw' counts every stuck-at line of the active cells, 'sites' the screened");
-    println!("universe, 'classes' what the collapsed run simulates; verdicts were verified");
-    println!("bit-identical (cycles, signatures, coverage) in every cell.");
-    if best_builtin < 0.40 {
-        eprintln!(
-            "bench9 failed: best built-in reduction vs raw is {:.1}% (< 40%)",
-            100.0 * best_builtin
-        );
-        std::process::exit(1);
-    }
-
-    // Honest raw baseline on LP-MINI: expand every member line into
-    // its own machine and replay the same inputs — each member must
-    // get exactly its site representative's verdict, which is the
-    // premise the collapse stage's byte-identity rests on.
-    let mini = designs.last().expect("LP-MINI present");
-    let session = BistSession::new(mini).expect("session");
-    let universe = session.universe();
-    let (raw_universe, origin) = universe.expanded();
-    let mut gen = generator("LFSR-D");
-    let inputs: Vec<i64> =
-        (0..SECTION8_VECTORS).map(|_| mini.align_input(gen.next_word())).collect();
-    let netlist = mini.netlist();
-    let t = std::time::Instant::now();
-    let raw = faultsim::ParallelFaultSimulator::new(netlist, &raw_universe).run(&inputs);
-    let raw_ms = t.elapsed().as_secs_f64() * 1000.0;
-    let t = std::time::Instant::now();
-    let sites = faultsim::ParallelFaultSimulator::new(netlist, universe).run(&inputs);
-    let sites_ms = t.elapsed().as_secs_f64() * 1000.0;
-    let site_cycles = sites.detection_cycles();
-    let divergent = raw
-        .detection_cycles()
-        .iter()
-        .zip(&origin)
-        .filter(|&(&c, &s)| c != site_cycles[s as usize])
-        .count();
-    println!(
-        "\n  LP-MINI raw baseline: {} member machine(s) {raw_ms:.0} ms vs {} site(s) \
-         {sites_ms:.0} ms vs {mini_classes} class(es) simulated; {divergent} member \
-         verdict(s) diverged from their representative",
-        raw_universe.len(),
-        universe.len(),
-    );
-    if divergent != 0 {
-        eprintln!("bench9 failed: {divergent} member line(s) disagree with their representative");
-        std::process::exit(1);
-    }
-
-    // The L7xx family as the daemon would attach it at admission time.
-    let spec = CampaignSpec::new("LP-MINI", "LFSR-D", SECTION8_VECTORS).with_collapse(true);
-    let diags = lint::admission_lint(&spec, None).expect("LP-MINI admits");
-    println!("  admission lint (collapse spec, tally {}):", lint_tally(&diags));
-    for diag in diags.iter().filter(|d| d.code.starts_with("L7")) {
-        println!("    {diag}");
-    }
-    let disagreements = diags.iter().filter(|d| d.code == "L703").count();
-    bist_bench::artifacts::set_comparison(
-        obs::JsonValue::object()
-            .push("study", "structural_collapse")
-            .push("vectors", SECTION8_VECTORS as u64)
-            .push("best_builtin_reduction_vs_raw", best_builtin)
-            .push("cells", obs::JsonValue::Array(cell_entries))
-            .push(
-                "raw_baseline",
-                obs::JsonValue::object()
-                    .push("design", "LP-MINI")
-                    .push("raw_machines", raw_universe.len() as u64)
-                    .push("site_machines", universe.len() as u64)
-                    .push("class_machines", mini_classes as u64)
-                    .push("raw_ms", raw_ms)
-                    .push("sites_ms", sites_ms)
-                    .push("divergent_members", divergent as u64),
-            )
-            .push(
-                "admission",
-                obs::JsonValue::object()
-                    .push("design", "LP-MINI")
-                    .push("tally", lint_tally(&diags))
-                    .push("scoap_l1xx_disagreements", disagreements as u64),
-            ),
-    );
-}
-
-/// The `bench10` flat-kernel study: the signature-mode Section 8 grid
-/// (LP/BP/HP under the four Table 4 generators at 4096 vectors, plus
-/// LP-MINI) runs twice per cell — once on the retained graph-walker
-/// engine, once on the flat structure-of-arrays tape kernel — and every
-/// pair must produce bit-identical verdicts: per-fault detection
-/// cycles, per-fault signature sets, the good-machine signature and
-/// the coverage figure (the study exits non-zero otherwise, or if the
-/// kernel's geometric-mean fault-sim speedup falls below 3x). Per-cell
-/// `session.fault_sim` wall times and speedups land in
-/// `BENCH_10.json`'s `comparison` object with `--json`.
-fn bench10() {
-    banner("Flat SoA kernel study: tape kernel vs graph walker, verdicts bit-identical");
-    let mut designs = paper_designs();
-    designs.push(filters::designs::lowpass_mini().expect("LP-MINI elaborates"));
-    let mut rows = Vec::new();
-    let mut cell_entries = Vec::new();
-    let mut speedups: Vec<f64> = Vec::new();
-    for d in &designs {
-        let session = BistSession::new(d).expect("session");
-        // LP-MINI is the sub-second sanity anchor; the paper designs
-        // run the full Table 4 generator roster.
-        let gens: &[&str] = if d.name() == "LP-MINI" { &["LFSR-D"] } else { &SECTION8_GENERATORS };
-        for gen_name in gens {
-            let config = run_config_mode(SECTION8_VECTORS, ResponseCheck::Signature);
-            let mut gen = generator(gen_name);
-            let walked =
-                run_session(&session, &mut *gen, &config.clone().with_engine(SimEngine::Walker));
-            let mut gen = generator(gen_name);
-            let kernel = run_session(&session, &mut *gen, &config.with_engine(SimEngine::Kernel));
-            let identical = walked.result.detection_cycles() == kernel.result.detection_cycles()
-                && walked.result.signatures() == kernel.result.signatures()
-                && walked.signature == kernel.signature
-                && walked.artifact.coverage == kernel.artifact.coverage
-                && walked.artifact.aliased == kernel.artifact.aliased;
-            if !identical {
-                eprintln!(
-                    "bench10 failed on {} x {gen_name}: kernel verdicts diverge from the walker",
-                    d.name()
-                );
-                std::process::exit(1);
-            }
-            let walker_ms = stage_ms(&walked, "session.fault_sim");
-            let kernel_ms = stage_ms(&kernel, "session.fault_sim");
-            let speedup = walker_ms / kernel_ms.max(1e-9);
-            speedups.push(speedup);
-            rows.push(vec![
-                d.name().to_string(),
-                gen_name.to_string(),
-                format!("{:.2}%", 100.0 * kernel.artifact.coverage),
-                format!("{walker_ms:.0}"),
-                format!("{kernel_ms:.0}"),
-                format!("{speedup:.1}x"),
-            ]);
-            cell_entries.push(
-                obs::JsonValue::object()
-                    .push("design", d.name())
-                    .push("generator", gen_name.to_string())
-                    .push("mode", "signature")
-                    .push("walker_sim_ms", walker_ms)
-                    .push("kernel_sim_ms", kernel_ms)
-                    .push("speedup", speedup)
-                    .push("verdicts_identical", identical),
-            );
-        }
-    }
-    println!(
-        "{}",
-        table::render(&["Des.", "gen", "coverage", "walker ms", "kernel ms", "speedup"], &rows)
-    );
-    println!("'walker ms'/'kernel ms' are the fault-sim stage wall times of the same");
-    println!("campaign under the two engines; verdicts (detection cycles, per-fault");
-    println!("signatures, good signature, coverage) were verified bit-identical per cell.");
-    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-    println!(
-        "\n  kernel speedup: min {min:.2}x, geomean {geomean:.2}x over {} cells",
-        speedups.len()
-    );
-    if geomean < 3.0 {
-        eprintln!("bench10 failed: geomean kernel speedup {geomean:.2}x is below the 3x gate");
-        std::process::exit(1);
-    }
-    bist_bench::artifacts::set_comparison(
-        obs::JsonValue::object()
-            .push("study", "soa_kernel")
-            .push("vectors", SECTION8_VECTORS as u64)
-            .push("mode", "signature")
-            .push("min_speedup", min)
-            .push("geomean_speedup", geomean)
-            .push("cells", obs::JsonValue::Array(cell_entries)),
-    );
-}
-
-/// The `kernel` CI cell (tier1.sh): the LP-MINI campaign must produce
-/// bit-identical verdicts under the graph walker and the flat tape
-/// kernel in both response-check modes (detection cycles, per-fault
-/// signatures, good signature, coverage), and the compiled tape must
-/// be a non-trivial straight-line program. Sub-second; exits non-zero
-/// otherwise.
-fn kernel_smoke() {
-    banner("CI kernel cell: LP-MINI walker vs tape kernel, bit-identical in both modes");
-    let d = filters::designs::lowpass_mini().expect("LP-MINI elaborates");
-    let session = BistSession::new(&d).expect("session");
-    let vectors = 1024;
-    for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
-        let mode_name = match mode {
-            ResponseCheck::Trace => "trace",
-            ResponseCheck::Signature => "signature",
-        };
-        let config = run_config_mode(vectors, mode);
-        let mut gen = generator("LFSR-D");
-        let walked =
-            run_session(&session, &mut *gen, &config.clone().with_engine(SimEngine::Walker));
-        let mut gen = generator("LFSR-D");
-        let kernel = run_session(&session, &mut *gen, &config.with_engine(SimEngine::Kernel));
-        if walked.result.detection_cycles() != kernel.result.detection_cycles()
-            || walked.result.signatures() != kernel.result.signatures()
-            || walked.signature != kernel.signature
-            || walked.artifact.coverage != kernel.artifact.coverage
-        {
-            eprintln!("kernel cell failed: {mode_name}-mode verdicts diverge between engines");
-            std::process::exit(1);
-        }
-        println!(
-            "  {mode_name}: {} faults, coverage {:.2}%, verdicts bit-identical",
-            kernel.artifact.total_faults,
-            100.0 * kernel.artifact.coverage
-        );
-    }
-    let tape = faultsim::Tape::compile(d.netlist());
-    if tape.op_count() == 0 || tape.segment_count() == 0 {
-        eprintln!("kernel cell failed: LP-MINI compiled to an empty tape");
-        std::process::exit(1);
-    }
-    println!(
-        "kernel cell: tape {} op(s) in {} segment(s) over {} slot plane(s), both modes identical",
-        tape.op_count(),
-        tape.segment_count(),
-        tape.slot_count(),
-    );
-}
-
-/// The `structure` CI cell (tier1.sh): the LP-MINI collapse run must
-/// be bit-identical to the plain run (detection cycles, good
-/// signature, coverage), attach a census whose class count is strictly
-/// below the site count, and carry the `L701` collapse lint at
-/// admission. Sub-second; exits non-zero otherwise.
-fn structure_smoke() {
-    banner("CI structure cell: LP-MINI collapsed vs plain, bit-identical + census gates");
-    let d = filters::designs::lowpass_mini().expect("LP-MINI elaborates");
-    let session = BistSession::new(&d).expect("session");
-    let vectors = 1024;
-    let config = run_config(vectors);
-    let mut gen = generator("LFSR-D");
-    let plain = run_session(&session, &mut *gen, &config);
-    let mut gen = generator("LFSR-D");
-    let collapsed = run_session(&session, &mut *gen, &config.with_collapse(true));
-    if plain.result.detection_cycles() != collapsed.result.detection_cycles()
-        || plain.signature != collapsed.signature
-        || plain.artifact.coverage != collapsed.artifact.coverage
-    {
-        eprintln!("structure cell failed: collapsed verdicts diverge from the plain run");
-        std::process::exit(1);
-    }
-    let census = collapsed.artifact.collapse.expect("collapse runs attach their census");
-    println!(
-        "  census: {} raw line(s) -> {} site(s) -> {} class(es) ({} prime), \
-         {:.1}% reduction vs raw, dominator depth {}",
-        census.raw_lines,
-        census.sites_before,
-        census.classes_after,
-        census.prime_classes,
-        100.0 * census.reduction_vs_raw,
-        census.dominator_depth,
-    );
-    if census.classes_after >= census.sites_before || census.reduction_vs_raw <= 0.25 {
-        eprintln!(
-            "structure cell failed: census did not shrink the universe ({} -> {}, {:.3} vs raw)",
-            census.sites_before, census.classes_after, census.reduction_vs_raw
-        );
-        std::process::exit(1);
-    }
-    let spec = CampaignSpec::new("LP-MINI", "LFSR-D", vectors).with_collapse(true);
-    let diags = lint::admission_lint(&spec, None).expect("LP-MINI admits");
-    if !diags.iter().any(|d| d.code == "L701") {
-        eprintln!("structure cell failed: admission lint lacks the L701 collapse census");
-        std::process::exit(1);
-    }
-    println!(
-        "structure cell: verdicts bit-identical, {} machine(s) saved, L7xx attached ({})",
-        census.sites_before - census.classes_after,
-        lint_tally(&diags)
-    );
-}
-
-/// The `sat` CI cell (tier1.sh): LP-MINI's netlist must get a
-/// machine-checked equivalence certificate against its behavioral
-/// model, and a sample of the symmetric design's screen candidates
-/// must prove redundant with the witnesses of its detectable faults
-/// replaying through the fault simulator. Sub-second; exits non-zero
-/// on any refutation.
-fn sat_smoke() {
-    banner("CI SAT cell: LP-MINI equivalence certificate + symmetric redundancy proofs");
-    let d = filters::designs::lowpass_mini().expect("LP-MINI elaborates");
-    let report = sat::check_equivalence(&d);
-    println!(
-        "  equivalence {}: {} ({} lemmas, {} range obligations, {} conflicts)",
-        report.design,
-        if report.proved { "proved" } else { "REFUTED" },
-        report.lemmas_proved,
-        report.range_obligations,
-        report.stats.conflicts,
-    );
-    if !report.proved {
-        eprintln!(
-            "sat cell failed: equivalence refuted at layer {}",
-            report.failure.as_deref().unwrap_or("?")
-        );
-        std::process::exit(1);
-    }
-
-    let sym = filters::designs::lowpass_symmetric().expect("LP-SYM elaborates");
-    let session = BistSession::new(&sym).expect("session");
-    let universe = session.universe();
-    let input_bits = sym.spec().input_bits;
-    let screen = atpg::untestable_faults(sym.netlist(), universe, input_bits);
-    let specs: Vec<sat::FaultSpec> = screen
-        .iter()
-        .take(5)
-        .map(|&id| {
-            let site = universe.site(id);
-            sat::FaultSpec { node: site.node, cell: site.cell, fault: site.representative }
-        })
-        .collect();
-    if specs.is_empty() {
-        eprintln!("sat cell inconclusive: the symmetric screen yielded no candidates");
-        std::process::exit(1);
-    }
-    let outcome =
-        sat::prove_faults(sym.netlist(), input_bits, &specs, &sat::PruneConfig::default());
-    println!(
-        "  {}: {}/{} screen candidates proven redundant ({} conflicts)",
-        sym.name(),
-        outcome.redundant,
-        specs.len(),
-        outcome.stats.conflicts,
-    );
-    if outcome.redundant != specs.len() {
-        eprintln!(
-            "sat cell failed: {} of {} screen candidates not proven redundant",
-            specs.len() - outcome.redundant,
-            specs.len()
-        );
-        std::process::exit(1);
-    }
-    println!("sat cell: certificate proved, all sampled candidates UNSAT");
-}
-
-/// The `atpg` CI cell (tier1.sh): LP-MINI's LFSR-D residue must be
-/// fully resolved by the deterministic top-off — every residual fault
-/// either detected by the verified seed plan or proven untestable,
-/// none unresolved, i.e. 100% coverage of the testable universe.
-/// Exits non-zero otherwise.
-fn atpg_smoke() {
-    banner("CI ATPG cell: LP-MINI residue -> deterministic top-off -> zero unresolved");
-    let d = filters::designs::lowpass_mini().expect("LP-MINI elaborates");
-    let session = BistSession::new(&d).expect("session");
-    let config = run_config(256).with_top_off(bist_core::TopOffConfig::default());
-    let mut gen = generator("LFSR-D");
-    let run = run_session(&session, &mut *gen, &config);
-    let report = run.artifact.topoff.expect("top-off runs attach their report");
-    println!(
-        "  residue {}: {} detected / {} untestable / {} unresolved; \
-         {} seed(s) + {} stored = {} bits ({} screened pre-sim)",
-        report.residue,
-        report.detected,
-        report.untestable,
-        report.unresolved,
-        report.seeds,
-        report.stored_patterns,
-        report.seed_bits + report.stored_bits,
-        report.screened_untestable,
-    );
-    if report.residue == 0 {
-        eprintln!("atpg cell inconclusive: the campaign left no residue to top off");
-        std::process::exit(1);
-    }
-    if report.detected + report.untestable + report.unresolved != report.residue {
-        eprintln!("atpg cell failed: verdicts do not partition the residue");
-        std::process::exit(1);
-    }
-    if report.unresolved != 0 {
-        eprintln!(
-            "atpg cell failed: {} residual fault(s) neither detected nor proven untestable",
-            report.unresolved
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "atpg cell: 100% of testable faults covered (campaign + top-off), {} proven untestable",
-        report.untestable + report.screened_untestable
-    );
-}
-
-/// The `smoke` CI cell (tier1.sh): the gated roster — LP-MINI under all
-/// four Section 8 generators — must produce *identical* verdicts in
-/// trace and signature mode with zero aliased faults, and the trace
-/// path's separately computed good signature must equal the one the
-/// fault simulator folded on the fly. Exits non-zero on any mismatch.
-fn smoke() {
-    banner("CI smoke cell: signature mode vs trace mode on the gated roster (LP-MINI)");
-    let d = filters::designs::lowpass_mini().expect("LP-MINI elaborates");
-    let session = BistSession::new(&d).expect("session");
-    let vectors = 1024;
-    let mut failures = 0usize;
-    for name in SECTION8_GENERATORS {
-        let (trace, _) = timed_run(&session, name, vectors, ResponseCheck::Trace);
-        let (signed, _) = timed_run(&session, name, vectors, ResponseCheck::Signature);
-        let mut verdict = "ok";
-        if trace.result.detection_cycles() != signed.result.detection_cycles() {
-            verdict = "VERDICT MISMATCH";
-            failures += 1;
-        } else if signed.artifact.aliased != 0 {
-            verdict = "ALIASED FAULTS";
-            failures += 1;
-        } else if trace.signature != signed.signature {
-            verdict = "SIGNATURE MISMATCH";
-            failures += 1;
-        }
-        println!(
-            "  {:7} missed {:4} / {:4}  aliased {}  signature {:#06x} / {:#06x}  {}",
-            name,
-            trace.missed(),
-            signed.missed(),
-            signed.artifact.aliased,
-            trace.signature,
-            signed.signature,
-            verdict
-        );
-    }
-    if failures > 0 {
-        eprintln!("smoke cell failed: {failures} roster cell(s) diverged");
-        std::process::exit(1);
-    }
-    println!("smoke cell: {} roster cells bit-identical, zero aliasing", SECTION8_GENERATORS.len());
 }
 
 // ------------------------------------------------------------------ util

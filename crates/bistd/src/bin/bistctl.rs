@@ -15,13 +15,15 @@
 //! 2 for usage problems (including an unknown `--design`/`--gen`,
 //! reported with the known names), 1 for server/transport failures —
 //! structured server refusals are unpacked into readable multi-line
-//! output instead of a raw JSON dump.
+//! output instead of a raw JSON dump. A reader that closes stdout
+//! early (`bistctl … | head -1`) ends the output quietly with exit 0.
 
 use bist_bistd::{Client, ClientError, ServerAddr};
 use bist_core::campaign::{CampaignSpec, KNOWN_DESIGNS, KNOWN_GENERATORS};
 use bist_core::session::{ResponseCheck, SatConfig};
 use bist_core::{SimEngine, TopOffConfig};
 use obs::JsonValue;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bistctl --server <addr> <command> [options]
@@ -45,8 +47,17 @@ commands:
   shutdown                             drain the daemon and stop it";
 
 fn main() -> ExitCode {
-    match run(&std::env::args().skip(1).collect::<Vec<_>>()) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|()| out.flush().map_err(CtlError::Output)) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed the pipe early (`bistctl ... | head -1`)
+        // has all the output it wants; that is not an error.
+        Err(CtlError::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CtlError::Output(e)) => {
+            eprintln!("bistctl: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
         Err(CtlError::Usage(message)) => {
             eprintln!("bistctl: {message}\n{USAGE}");
             ExitCode::from(2)
@@ -87,6 +98,13 @@ fn render_lint(diags: &[obs::Diagnostic]) {
 enum CtlError {
     Usage(String),
     Client(ClientError),
+    Output(io::Error),
+}
+
+impl From<io::Error> for CtlError {
+    fn from(e: io::Error) -> Self {
+        CtlError::Output(e)
+    }
 }
 
 impl From<ClientError> for CtlError {
@@ -99,7 +117,7 @@ fn usage(message: impl Into<String>) -> CtlError {
     CtlError::Usage(message.into())
 }
 
-fn run(args: &[String]) -> Result<(), CtlError> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), CtlError> {
     let mut iter = args.iter();
     let server = match (iter.next().map(String::as_str), iter.next()) {
         (Some("--server"), Some(addr)) => ServerAddr::parse(addr),
@@ -122,7 +140,7 @@ fn run(args: &[String]) -> Result<(), CtlError> {
                 line = line.push("lint", obs::diag::diagnostics_to_json(&result.lint));
             }
             line = line.push("artifact", result.artifact);
-            println!("{}", line.to_json());
+            writeln!(out, "{}", line.to_json())?;
         }
         "submit" => {
             let (spec, deadline_ms) = parse_spec(&rest)?;
@@ -136,7 +154,7 @@ fn run(args: &[String]) -> Result<(), CtlError> {
             if !submission.lint.is_empty() {
                 line = line.push("lint", obs::diag::diagnostics_to_json(&submission.lint));
             }
-            println!("{}", line.to_json());
+            writeln!(out, "{}", line.to_json())?;
         }
         "status" => {
             let job = parse_job(&rest)?;
@@ -145,7 +163,7 @@ fn run(args: &[String]) -> Result<(), CtlError> {
             if let Some(d) = detail {
                 line = line.push("detail", d);
             }
-            println!("{}", line.to_json());
+            writeln!(out, "{}", line.to_json())?;
         }
         "fetch" => {
             let job = parse_job(&rest)?;
@@ -154,7 +172,7 @@ fn run(args: &[String]) -> Result<(), CtlError> {
                 .push("job", job)
                 .push("cached", cached)
                 .push("artifact", artifact);
-            println!("{}", line.to_json());
+            writeln!(out, "{}", line.to_json())?;
         }
         "result" => {
             let (job, residues, json) = parse_result_args(&rest)?;
@@ -167,30 +185,35 @@ fn run(args: &[String]) -> Result<(), CtlError> {
                     Some(t) => t.clone(),
                     None => JsonValue::Null,
                 };
-                println!(
+                writeln!(
+                    out,
                     "{}",
                     JsonValue::object()
                         .push("job", job)
                         .push("topoff", optional("topoff"))
                         .push("collapse", optional("collapse"))
                         .to_json()
-                );
+                )?;
             } else {
-                render_result(job, &artifact, residues);
+                render_result(out, job, &artifact, residues)?;
             }
         }
         "cancel" => {
             let job = parse_job(&rest)?;
             connect()?.cancel(job)?;
-            println!("{}", JsonValue::object().push("job", job).push("cancelled", true).to_json());
+            writeln!(
+                out,
+                "{}",
+                JsonValue::object().push("job", job).push("cancelled", true).to_json()
+            )?;
         }
         "metrics" => {
             let snapshot = connect()?.metrics()?;
-            print!("{}", snapshot.to_json_pretty());
+            write!(out, "{}", snapshot.to_json_pretty())?;
         }
         "shutdown" => {
             connect()?.shutdown()?;
-            println!("{}", JsonValue::object().push("shutdown", true).to_json());
+            writeln!(out, "{}", JsonValue::object().push("shutdown", true).to_json())?;
         }
         other => return Err(usage(format!("unknown command '{other}'"))),
     }
@@ -223,11 +246,17 @@ fn parse_result_args(rest: &[&String]) -> Result<(u64, bool, bool), CtlError> {
 /// Human-readable `result` rendering: the run's headline coverage line
 /// plus the top-off verdict partition and plan storage, and (with
 /// `--residues`) one line per residual fault with its site provenance.
-fn render_result(job: u64, artifact: &JsonValue, residues: bool) {
+fn render_result(
+    out: &mut impl Write,
+    job: u64,
+    artifact: &JsonValue,
+    residues: bool,
+) -> io::Result<()> {
     let text = |v: Option<&JsonValue>| v.and_then(JsonValue::as_str).unwrap_or("?").to_string();
     let count = |v: Option<&JsonValue>| v.and_then(JsonValue::as_u64).unwrap_or(0);
     let coverage = artifact.get("coverage").and_then(JsonValue::as_f64).unwrap_or(0.0);
-    println!(
+    writeln!(
+        out,
         "job {job}: {} on {}, coverage {:.2}% ({}/{}, {} missed)",
         text(artifact.get("generator")),
         text(artifact.get("design")),
@@ -235,10 +264,11 @@ fn render_result(job: u64, artifact: &JsonValue, residues: bool) {
         count(artifact.get("detected")),
         count(artifact.get("total_faults")),
         count(artifact.get("missed")),
-    );
+    )?;
     if let Some(collapse) = artifact.get("collapse") {
         let ratio = collapse.get("reduction_vs_raw").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        println!(
+        writeln!(
+            out,
             "collapse: {} raw line(s) -> {} class(es) ({} prime, {:.1}% reduction), \
              {} machine(s) simulated",
             count(collapse.get("raw_lines")),
@@ -246,10 +276,11 @@ fn render_result(job: u64, artifact: &JsonValue, residues: bool) {
             count(collapse.get("prime_classes")),
             100.0 * ratio,
             count(collapse.get("classes_after")),
-        );
+        )?;
     }
     if let Some(sat) = artifact.get("sat") {
-        println!(
+        writeln!(
+            out,
             "sat: {}/{} candidate(s) proven redundant (universe {} -> {}), \
              {} witness(es) confirmed, {} over budget",
             count(sat.get("redundant_proven")),
@@ -258,31 +289,34 @@ fn render_result(job: u64, artifact: &JsonValue, residues: bool) {
             count(sat.get("universe_before")) - count(sat.get("redundant_proven")),
             count(sat.get("witnesses_confirmed")),
             count(sat.get("unknown")),
-        );
+        )?;
         if sat.get("equiv_checked").and_then(JsonValue::as_bool).unwrap_or(false) {
             let proved = sat.get("equiv_proved").and_then(JsonValue::as_bool).unwrap_or(false);
-            println!(
+            writeln!(
+                out,
                 "  equivalence: {} ({} lemma(s))",
                 if proved { "proved" } else { "REFUTED" },
                 count(sat.get("equiv_lemmas")),
-            );
+            )?;
         }
     }
     let Some(top) = artifact.get("topoff") else {
-        println!("no top-off report (submit with --topoff to enable the stage)");
-        return;
+        writeln!(out, "no top-off report (submit with --topoff to enable the stage)")?;
+        return Ok(());
     };
     let redundant = count(top.get("redundant"));
     let redundant_note =
         if redundant == 0 { String::new() } else { format!(", {redundant} redundant") };
-    println!(
+    writeln!(
+        out,
         "top-off: {} residual — {} detected, {} untestable{redundant_note}, {} unresolved",
         count(top.get("residue")),
         count(top.get("detected")),
         count(top.get("untestable")),
         count(top.get("unresolved")),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  plan: {} seed(s) ({} bits) + {} stored pattern(s) ({} bits), \
          {} top-off vectors (block {})",
         count(top.get("seeds")),
@@ -291,33 +325,39 @@ fn render_result(job: u64, artifact: &JsonValue, residues: bool) {
         count(top.get("stored_bits")),
         count(top.get("total_vectors")),
         count(top.get("block_len")),
-    );
-    println!("  screened untestable before simulation: {}", count(top.get("screened_untestable")));
+    )?;
+    writeln!(
+        out,
+        "  screened untestable before simulation: {}",
+        count(top.get("screened_untestable"))
+    )?;
     if !residues {
-        return;
+        return Ok(());
     }
     let verdicts = top.get("verdicts").and_then(JsonValue::as_array);
     match verdicts {
-        None => println!("residues: (none recorded)"),
+        None => writeln!(out, "residues: (none recorded)")?,
         Some(list) => {
-            println!("residues:");
+            writeln!(out, "residues:")?;
             for v in list {
                 let stuck = if v.get("stuck_one").and_then(JsonValue::as_bool).unwrap_or(false) {
                     1
                 } else {
                     0
                 };
-                println!(
+                writeln!(
+                    out,
                     "  fault {:>5}  {}[cell {}] {} s-a-{stuck}  {}",
                     count(v.get("fault")),
                     text(v.get("node")),
                     count(v.get("cell")),
                     text(v.get("line")),
                     text(v.get("verdict")),
-                );
+                )?;
             }
         }
     }
+    Ok(())
 }
 
 /// Builds a [`CampaignSpec`] from `run`/`submit` flags, validating it

@@ -436,3 +436,32 @@ fn lru_cap_bounds_the_cache() {
     client.shutdown().unwrap();
     daemon.join().unwrap();
 }
+
+#[test]
+fn bistctl_exits_quietly_when_its_stdout_is_closed() {
+    let (daemon, addr) = tcp_daemon(DaemonConfig::default());
+    let mut client = Client::connect(&addr).unwrap();
+    let spec = CampaignSpec {
+        topoff: Some(bist_core::TopOffConfig { block_len: 64, max_seeds: 8 }),
+        ..mini_spec(64)
+    };
+    let job = client.run_campaign(&spec, None).unwrap().job;
+
+    // Like `bistctl ... | head -1`, except that the reader is gone
+    // before the first line is written, so every write hits EPIPE.
+    let tcp = daemon.tcp_addr().unwrap().to_string();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_bistctl"))
+        .args(["--server", &tcp, "result", &job.to_string(), "--residues"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "bistctl panicked on a closed pipe: {stderr}");
+    assert!(output.status.success(), "{:?}: {stderr}", output.status);
+
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}

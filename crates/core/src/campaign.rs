@@ -372,11 +372,14 @@ impl CampaignSpec {
                 })?
             }
         };
+        let misr_width = u32::try_from(number("misr_width", 16)?).map_err(|_| {
+            SessionError::InvalidConfig { reason: "'misr_width' must be a u32 bit count".into() }
+        })?;
         Ok(CampaignSpec {
             design: text("design")?,
             generator: text("generator")?,
             vectors: number("vectors", 0)? as usize,
-            misr_width: number("misr_width", 16)? as u32,
+            misr_width,
             mode,
             boundaries,
             threads: number("threads", 0)? as usize,
@@ -702,6 +705,11 @@ mod tests {
                 "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\
                  \"engine\":\"graph\"}",
                 "unknown simulation engine 'graph'",
+            ),
+            (
+                "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\
+                 \"misr_width\":4294967312}",
+                "'misr_width' must be a u32",
             ),
         ] {
             let v = JsonValue::parse(text).unwrap();

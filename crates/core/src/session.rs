@@ -1337,37 +1337,58 @@ mod tests {
 
     #[test]
     fn top_off_stage_partitions_the_residue_and_reports_the_plan() {
-        let d = small_design(0.15);
-        let s = BistSession::new(&d).unwrap();
-        let mut gen = Lfsr1::new(12, ShiftDirection::LsbToMsb).unwrap();
-        let cfg = RunConfig::new(96).with_top_off(TopOffConfig { block_len: 64, max_seeds: 8 });
-        let run = s.run(&mut gen, &cfg).unwrap();
-        let a = &run.artifact;
-        let t = a.topoff.as_ref().expect("the knob fills the report");
-        // The screen shrinks (or keeps) the simulated universe; the
-        // artifact counts faults over the testable universe.
-        assert_eq!(a.total_faults + t.screened_untestable, s.universe().len());
-        assert_eq!(a.detected + a.missed, a.total_faults);
-        // Exact verdict partition over the residue, one verdict per
-        // residual fault.
-        assert_eq!(t.residue, a.missed);
-        assert_eq!(t.detected + t.untestable + t.unresolved, t.residue);
-        assert_eq!(t.verdicts.len(), t.residue);
-        for v in &t.verdicts {
-            assert!(
-                matches!(v.verdict.as_str(), "detected" | "untestable" | "unresolved"),
-                "{v:?}"
-            );
-            assert!(!v.node.is_empty());
+        // A small design under a tight plan, and LP-MINI's LFSR-D
+        // residue under the default plan.
+        let (small, lp_mini) = (small_design(0.15), filters::designs::lowpass_mini().unwrap());
+        let cells: [(&FilterDesign, Box<dyn TestGenerator>, usize, TopOffConfig); 2] = [
+            (
+                &small,
+                Box::new(Lfsr1::new(12, ShiftDirection::LsbToMsb).unwrap()),
+                96,
+                TopOffConfig { block_len: 64, max_seeds: 8 },
+            ),
+            (
+                &lp_mini,
+                Box::new(Decorrelated::maximal(12, ShiftDirection::LsbToMsb).unwrap()),
+                256,
+                TopOffConfig::default(),
+            ),
+        ];
+        for (d, mut gen, vectors, top_cfg) in cells {
+            let s = BistSession::new(d).unwrap();
+            let cfg = RunConfig::new(vectors).with_top_off(top_cfg);
+            let run = s.run(&mut *gen, &cfg).unwrap();
+            let a = &run.artifact;
+            let t = a.topoff.as_ref().expect("the knob fills the report");
+            let cell = format!("{} @{vectors}", d.name());
+            // The screen shrinks (or keeps) the simulated universe; the
+            // artifact counts faults over the testable universe.
+            assert_eq!(a.total_faults + t.screened_untestable, s.universe().len(), "{cell}");
+            assert_eq!(a.detected + a.missed, a.total_faults, "{cell}");
+            // Exact verdict partition over a non-empty residue, one
+            // verdict per residual fault, and every residual fault
+            // either detected by the plan or proven untestable.
+            assert!(t.residue > 0, "the campaign leaves a residue to top off: {cell}");
+            assert_eq!(t.residue, a.missed, "{cell}");
+            assert_eq!(t.detected + t.untestable + t.unresolved, t.residue, "{cell}");
+            assert_eq!(t.unresolved, 0, "{cell}");
+            assert_eq!(t.verdicts.len(), t.residue, "{cell}");
+            for v in &t.verdicts {
+                assert!(
+                    matches!(v.verdict.as_str(), "detected" | "untestable" | "unresolved"),
+                    "{v:?}"
+                );
+                assert!(!v.node.is_empty());
+            }
+            // Storage accounting is consistent with the plan shape.
+            assert_eq!(t.seed_bits, t.seeds * 12, "{cell}");
+            assert_eq!(t.block_len, top_cfg.block_len, "{cell}");
+            // The stage ran under its own spans.
+            let names: Vec<&str> = a.stages.iter().map(|st| st.name.as_str()).collect();
+            assert!(names.contains(&"session.atpg_screen"), "{names:?}");
+            assert!(names.contains(&"session.top_off"), "{names:?}");
+            assert!(a.to_json().to_json().contains("\"topoff\":{\"screened_untestable\":"));
         }
-        // Storage accounting is consistent with the plan shape.
-        assert_eq!(t.seed_bits, t.seeds * 12);
-        assert_eq!(t.block_len, 64);
-        // The stage ran under its own spans.
-        let names: Vec<&str> = a.stages.iter().map(|st| st.name.as_str()).collect();
-        assert!(names.contains(&"session.atpg_screen"), "{names:?}");
-        assert!(names.contains(&"session.top_off"), "{names:?}");
-        assert!(a.to_json().to_json().contains("\"topoff\":{\"screened_untestable\":"));
     }
 
     #[test]

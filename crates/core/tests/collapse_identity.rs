@@ -4,6 +4,10 @@
 //! same per-fault MISR signatures, same good signature, same coverage —
 //! on every built-in filter in both response-check modes.
 //!
+//! It rests on one premise, checked here end to end: every raw member
+//! line of a site, simulated as its own machine over the expanded
+//! universe, gets exactly its site representative's detection cycle.
+//!
 //! The deterministic roster sweep below always runs. The randomized
 //! (property-based) variant needs the `proptest` crate and is gated
 //! behind the off-by-default `proptest` feature so the workspace
@@ -55,6 +59,24 @@ fn assert_identical(plain: &BistRun, collapsed: &BistRun, cell: &str) {
     );
 }
 
+/// Simulates every raw member line of the plain run's universe as its
+/// own machine under the same inputs and asserts each one gets exactly
+/// its site representative's detection cycle from the plain run.
+fn assert_members_match_their_site(design: &FilterDesign, plain: &BistRun, cell: &str) {
+    let session = BistSession::new(design).expect("session");
+    let (raw, origin) = session.universe().expanded();
+    let mut gen = build_generator("LFSR-D").expect("registry generator");
+    gen.reset();
+    let inputs: Vec<i64> =
+        (0..plain.artifact.vectors).map(|_| design.align_input(gen.next_word())).collect();
+    let raw_run = faultsim::ParallelFaultSimulator::new(design.netlist(), &raw).run(&inputs);
+    let site_cycles = plain.result.detection_cycles();
+    assert_eq!(raw.len(), session.universe().uncollapsed_len(), "raw universe size: {cell}");
+    for (member, (&cycle, &site)) in raw_run.detection_cycles().iter().zip(&origin).enumerate() {
+        assert_eq!(cycle, site_cycles[site as usize], "raw member {member} of site {site}: {cell}");
+    }
+}
+
 #[test]
 fn collapsed_runs_are_byte_identical_across_the_roster() {
     for design in &roster() {
@@ -64,6 +86,9 @@ fn collapsed_runs_are_byte_identical_across_the_roster() {
             let collapsed = run(design, "LFSR-D", &config.with_collapse(true));
             let cell = format!("{} x LFSR-D ({mode:?})", design.name());
             assert_identical(&plain, &collapsed, &cell);
+            if mode == ResponseCheck::Trace {
+                assert_members_match_their_site(design, &plain, &cell);
+            }
             assert!(plain.artifact.collapse.is_none(), "plain runs carry no census: {cell}");
             let census =
                 collapsed.artifact.collapse.as_ref().expect("collapse runs attach their census");

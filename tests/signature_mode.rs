@@ -1,5 +1,5 @@
-//! Golden signature-mode results on LP-MINI — the aliasing smoke test
-//! behind the `experiments smoke` CI cell.
+//! Golden signature-mode results on LP-MINI — the aliasing check on
+//! the Section 8 generator roster.
 //!
 //! LP-MINI is the 16-tap service-test design: small enough that a full
 //! trace-vs-signature double run costs well under a second, real enough
@@ -45,9 +45,9 @@ fn lp_mini_signature_mode_matches_goldens_with_zero_aliasing() {
 
 #[test]
 fn lp_mini_roster_verdicts_are_identical_in_both_modes() {
-    // The whole gated roster (what `experiments smoke` asserts in CI):
-    // signature-mode detection cycles, missed counts and good signature
-    // must be bit-identical to trace mode, with zero aliased faults.
+    // The whole roster: signature-mode detection cycles, missed counts
+    // and good signature must be bit-identical to trace mode, with zero
+    // aliased faults.
     let d = mini();
     let session = BistSession::new(&d).expect("session");
     for name in SECTION8_GENERATORS {
