@@ -51,6 +51,9 @@ cold="$(smoke_run)"
 warm="$(smoke_run)"
 echo "$cold" | grep -q '"cached":false' || { echo "cold run unexpectedly cached: $cold"; exit 1; }
 echo "$warm" | grep -q '"cached":true' || { echo "warm run missed the cache: $warm"; exit 1; }
+# A default spec keeps its historical cache key byte for byte.
+key='"key":"design=LP-MINI;generator=LFSR-D;vectors=64;misr=16;mode=trace;schedule=64,256,1024;threads=0;topoff=off"'
+echo "$cold" | grep -qF "$key" || { echo "cold run has the wrong cache key: $cold"; exit 1; }
 ./target/release/bistctl --server "unix:$sock" shutdown > /dev/null
 wait "$bistd_pid"
 echo "bistd smoke test: cache hit + graceful shutdown OK"

@@ -21,7 +21,7 @@
 use bist_bistd::{Client, ClientError, ServerAddr};
 use bist_core::campaign::{CampaignSpec, KNOWN_DESIGNS, KNOWN_GENERATORS};
 use bist_core::session::{ResponseCheck, SatConfig};
-use bist_core::{SimEngine, TopOffConfig};
+use bist_core::TopOffConfig;
 use obs::JsonValue;
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -32,8 +32,7 @@ commands:
   run      --design <name> --gen <name> --vectors <n>
            [--misr <bits>] [--mode trace|signature] [--threads <n>]
            [--boundaries <c1,c2,...>] [--topoff <block>,<seeds>]
-           [--sat <conflicts>[,noequiv]] [--collapse] [--engine kernel|walker]
-           [--deadline-ms <ms>]
+           [--sat <conflicts>[,noequiv]] [--collapse] [--deadline-ms <ms>]
                                         submit and wait; prints result JSON
   submit   (same options as run)       submit without waiting; prints job JSON
   status   <job>                       print a job's state
@@ -367,7 +366,6 @@ fn parse_spec(rest: &[&String]) -> Result<(CampaignSpec, Option<u64>), CtlError>
     let (mut misr, mut threads, mut boundaries, mut deadline_ms) = (None, None, None, None);
     let (mut topoff, mut sat) = (None, None);
     let mut collapse = false;
-    let mut engine = None;
     let mut iter = rest.iter();
     while let Some(flag) = iter.next() {
         // Valueless switches come before the flag/value pairing.
@@ -387,11 +385,6 @@ fn parse_spec(rest: &[&String]) -> Result<(CampaignSpec, Option<u64>), CtlError>
                 })?);
             }
             "--threads" => threads = Some(num(flag, value)?),
-            "--engine" => {
-                engine = Some(SimEngine::parse(value).ok_or_else(|| {
-                    usage(format!("--engine: '{value}' is not 'kernel' or 'walker'"))
-                })?);
-            }
             "--deadline-ms" => deadline_ms = Some(num::<u64>(flag, value)?),
             "--boundaries" => {
                 let cycles: Result<Vec<u32>, _> =
@@ -443,9 +436,6 @@ fn parse_spec(rest: &[&String]) -> Result<(CampaignSpec, Option<u64>), CtlError>
     spec.topoff = topoff;
     spec.sat = sat;
     spec.collapse = collapse;
-    if let Some(e) = engine {
-        spec.engine = e;
-    }
     spec.validate().map_err(|e| {
         usage(format!(
             "{e}\n  known designs: {}\n  known generators: {}, or Mixed@<n>",

@@ -179,31 +179,17 @@ fn collapse_specs_round_trip_through_the_daemon() {
 }
 
 #[test]
-fn engine_specs_round_trip_through_the_daemon() {
-    let (daemon, addr) = tcp_daemon(DaemonConfig::default());
-    let mut client = Client::connect(&addr).unwrap();
-
-    // The walker is the non-default engine, so it shows up in the cache
-    // key — after every other stage suffix.
-    let spec = CampaignSpec { engine: bist_core::SimEngine::Walker, ..mini_spec(64) };
-    let walked = client.run_campaign(&spec, None).unwrap();
-    assert!(walked.key.ends_with(";engine=walker"), "{}", walked.key);
-
-    // The default kernel engine stays out of the key (old cache entries
-    // keep their addresses) and produces bit-identical verdicts.
-    let kernel = client.run_campaign(&mini_spec(64), None).unwrap();
-    assert!(!kernel.cached);
-    assert!(!kernel.key.contains("engine"), "{}", kernel.key);
-    for field in ["detected", "missed", "coverage", "signature", "total_faults"] {
-        assert_eq!(
-            walked.artifact.get(field).map(JsonValue::to_json),
-            kernel.artifact.get(field).map(JsonValue::to_json),
-            "{field} must not depend on the engine"
-        );
-    }
-
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
+fn bistctl_rejects_the_retired_engine_flag() {
+    // `--engine` is not a campaign option: it is refused as unknown,
+    // before any connection is attempted.
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_bistctl"))
+        .args(["--server", "127.0.0.1:1", "run", "--design", "LP-MINI", "--gen", "LFSR-D"])
+        .args(["--vectors", "64", "--engine", "walker"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option '--engine'"), "{stderr}");
 }
 
 /// Rebuilds a JSON value with every `ms` object entry dropped, so two

@@ -11,9 +11,11 @@
 //! generators through the same registry, so a cached artifact is
 //! interchangeable with a fresh run.
 
-use crate::session::{BistRun, BistSession, ResponseCheck, RunConfig, SatConfig, SessionError};
+use crate::session::{
+    check_vector_count, BistRun, BistSession, ResponseCheck, RunConfig, SatConfig, SessionError,
+};
 use atpg::TopOffConfig;
-use faultsim::{CancelToken, SimEngine, StageSchedule};
+use faultsim::{CancelToken, StageSchedule};
 use filters::FilterDesign;
 use obs::JsonValue;
 use std::fmt::Write as _;
@@ -63,10 +65,6 @@ pub struct CampaignSpec {
     /// equivalence-class representatives and expand verdicts back
     /// (results stay byte-identical); `false` = disabled.
     pub collapse: bool,
-    /// Fault-simulation execution engine: the compiled tape kernel
-    /// (default) or the graph walker retained for differential runs.
-    /// Results are bit-identical under either engine.
-    pub engine: SimEngine,
 }
 
 impl CampaignSpec {
@@ -85,7 +83,6 @@ impl CampaignSpec {
             topoff: None,
             sat: None,
             collapse: false,
-            engine: SimEngine::default(),
         }
     }
 
@@ -113,13 +110,6 @@ impl CampaignSpec {
     /// (builder-style convenience).
     pub fn with_collapse(mut self, collapse: bool) -> Self {
         self.collapse = collapse;
-        self
-    }
-
-    /// The same spec under a specific fault-simulation engine
-    /// (builder-style convenience).
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -153,6 +143,7 @@ impl CampaignSpec {
         if self.vectors == 0 {
             return Err(SessionError::InvalidConfig { reason: "vectors must be positive".into() });
         }
+        check_vector_count(self.vectors)?;
         if let Some(b) = &self.boundaries {
             if !b.windows(2).all(|w| w[0] < w[1]) {
                 return Err(SessionError::InvalidConfig {
@@ -221,13 +212,6 @@ impl CampaignSpec {
         if self.collapse {
             out.push_str(";collapse=on");
         }
-        // The engine suffix appears only for the non-default walker:
-        // kernel results are bit-identical to historical walker runs,
-        // so default specs keep their exact pre-kernel cache keys,
-        // while an explicit walker request gets its own key.
-        if self.engine == SimEngine::Walker {
-            out.push_str(";engine=walker");
-        }
         out
     }
 
@@ -258,15 +242,13 @@ impl CampaignSpec {
         if self.collapse {
             v = v.push("collapse", true);
         }
-        if self.engine == SimEngine::Walker {
-            v = v.push("engine", self.engine.as_str());
-        }
         v
     }
 
     /// Reads a spec back from its wire form. Missing optional fields
     /// (`misr_width`, `mode`, `boundaries`, `threads`) take the
-    /// defaults.
+    /// defaults; unknown fields (such as the retired `engine`) are
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -359,19 +341,6 @@ impl CampaignSpec {
                 reason: "'collapse' must be a boolean".into(),
             })?,
         };
-        // Missing or null means the default kernel, so pre-kernel peers
-        // and cache spills keep parsing.
-        let engine = match v.get("engine") {
-            None | Some(JsonValue::Null) => SimEngine::default(),
-            Some(e) => {
-                let name = e.as_str().ok_or_else(|| SessionError::InvalidConfig {
-                    reason: "'engine' must be a string".into(),
-                })?;
-                SimEngine::parse(name).ok_or_else(|| SessionError::InvalidConfig {
-                    reason: format!("unknown simulation engine '{name}'"),
-                })?
-            }
-        };
         let misr_width = u32::try_from(number("misr_width", 16)?).map_err(|_| {
             SessionError::InvalidConfig { reason: "'misr_width' must be a u32 bit count".into() }
         })?;
@@ -386,7 +355,6 @@ impl CampaignSpec {
             topoff,
             sat,
             collapse,
-            engine,
         })
     }
 
@@ -427,7 +395,6 @@ impl CampaignSpec {
             config = config.with_sat_prune(*s);
         }
         config = config.with_collapse(self.collapse);
-        config = config.with_engine(self.engine);
         if let Some(token) = cancel {
             config = config.with_cancel(token);
         }
@@ -558,7 +525,6 @@ mod tests {
             base.clone().with_topoff(TopOffConfig::default()),
             base.clone().with_sat(SatConfig::default()),
             base.clone().with_collapse(true),
-            base.clone().with_engine(SimEngine::Walker),
         ] {
             assert_ne!(base.canonical(), changed.canonical(), "{changed:?}");
         }
@@ -589,16 +555,6 @@ mod tests {
             all.canonical()
         );
         assert!(!base.canonical().contains("collapse"), "{}", base.canonical());
-        // The engine suffix appears only for the non-default walker
-        // (kernel runs are bit-identical, so default specs keep their
-        // exact pre-kernel cache keys) and sits last.
-        let walked = all.with_engine(SimEngine::Walker);
-        assert!(
-            walked.canonical().ends_with(";collapse=on;engine=walker"),
-            "{}",
-            walked.canonical()
-        );
-        assert!(!base.canonical().contains("engine"), "{}", base.canonical());
     }
 
     #[test]
@@ -614,11 +570,9 @@ mod tests {
             topoff: Some(TopOffConfig { block_len: 128, max_seeds: 4 }),
             sat: Some(SatConfig { max_conflicts: 5000, equiv: true }),
             collapse: true,
-            engine: SimEngine::Walker,
         };
         assert_eq!(CampaignSpec::from_json(&full.to_json()).unwrap(), full);
         assert!(full.to_json().to_json().contains("\"collapse\":true"));
-        assert!(full.to_json().to_json().contains("\"engine\":\"walker\""));
         assert!(full
             .to_json()
             .to_json()
@@ -637,28 +591,27 @@ mod tests {
         assert_eq!(spec.topoff, None);
         assert_eq!(spec.sat, None);
         assert!(!spec.collapse);
-        assert_eq!(spec.engine, SimEngine::Kernel);
         assert!(!spec.to_json().to_json().contains("topoff"), "absent knob stays off the wire");
         assert!(!spec.to_json().to_json().contains("sat"), "absent knob stays off the wire");
         assert!(!spec.to_json().to_json().contains("collapse"), "absent knob stays off the wire");
-        assert!(!spec.to_json().to_json().contains("engine"), "default engine stays off the wire");
+        assert!(!spec.to_json().to_json().contains("engine"), "no engine on the wire");
         // A pre-collapse peer may spell the knob as an explicit null.
         let nulled = JsonValue::parse(
             "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"collapse\":null}",
         )
         .unwrap();
         assert!(!CampaignSpec::from_json(&nulled).unwrap().collapse);
-        // Same for a pre-kernel peer and the engine knob.
-        let nulled = JsonValue::parse(
-            "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":null}",
-        )
-        .unwrap();
-        assert_eq!(CampaignSpec::from_json(&nulled).unwrap().engine, SimEngine::Kernel);
-        let walker = JsonValue::parse(
-            "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":\"walker\"}",
-        )
-        .unwrap();
-        assert_eq!(CampaignSpec::from_json(&walker).unwrap().engine, SimEngine::Walker);
+        // Older peers and cache spills may still carry the retired
+        // engine knob: it is ignored like any unknown field, so the
+        // spec and its cache key equal the bare spec's.
+        for engine in ["null", "\"walker\"", "\"kernel\""] {
+            let text = format!(
+                "{{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":{engine}}}"
+            );
+            let parsed = CampaignSpec::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+            assert_eq!(parsed, spec, "{text}");
+            assert_eq!(parsed.canonical(), spec.canonical(), "{text}");
+        }
     }
 
     #[test]
@@ -698,15 +651,6 @@ mod tests {
                 "'collapse' must be a boolean",
             ),
             (
-                "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":7}",
-                "'engine' must be a string",
-            ),
-            (
-                "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\
-                 \"engine\":\"graph\"}",
-                "unknown simulation engine 'graph'",
-            ),
-            (
                 "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\
                  \"misr_width\":4294967312}",
                 "'misr_width' must be a u32",
@@ -730,6 +674,11 @@ mod tests {
         assert!(err.to_string().contains("unknown generator"), "{err}");
         let err = CampaignSpec::new("LP", "LFSR-D", 0).validate().unwrap_err();
         assert!(err.to_string().contains("vectors"), "{err}");
+        // Past the simulator's u32 cycle counter: rejected at admission.
+        let err = CampaignSpec::new("LP", "LFSR-D", u32::MAX as usize + 65).validate().unwrap_err();
+        assert!(matches!(err, SessionError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("vectors"), "{err}");
+        assert!(CampaignSpec::new("LP", "LFSR-D", u32::MAX as usize).validate().is_ok());
         let bad = CampaignSpec {
             boundaries: Some(vec![64, 64]),
             ..CampaignSpec::new("LP", "LFSR-D", 128)
@@ -782,25 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn walker_and_kernel_runs_are_byte_identical() {
-        // The retained walker is the differential oracle for the
-        // compiled kernel: whole-artifact equality in both response
-        // modes on the miniature design.
-        for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
-            let base = CampaignSpec { threads: 1, ..CampaignSpec::new("LP-MINI", "LFSR-D", 96) }
-                .with_mode(mode);
-            let kernel = base.clone().with_engine(SimEngine::Kernel).run(None).unwrap();
-            let walker = base.with_engine(SimEngine::Walker).run(None).unwrap();
-            assert_eq!(kernel.signature, walker.signature);
-            assert_eq!(kernel.missed(), walker.missed());
-            assert_eq!(kernel.artifact.coverage, walker.artifact.coverage);
-            assert_eq!(kernel.artifact.detected, walker.artifact.detected);
-            assert_eq!(kernel.artifact.signature, walker.artifact.signature);
-            assert_eq!(kernel.artifact.aliased, walker.artifact.aliased);
-        }
-    }
-
-    #[test]
     fn run_linted_attaches_diagnostics_to_the_artifact() {
         let spec = CampaignSpec { threads: 1, ..CampaignSpec::new("LP-MINI", "LFSR-D", 32) };
         let diags = vec![obs::Diagnostic::new(
@@ -830,7 +760,6 @@ mod tests {
             topoff: Some(TopOffConfig { block_len: 64, max_seeds: 2 }),
             sat: Some(SatConfig { max_conflicts: 999, equiv: false }),
             collapse: true,
-            engine: SimEngine::Walker,
         };
         let config = spec.run_config(Some(CancelToken::new()));
         assert_eq!(config.vectors(), 777);
@@ -842,12 +771,10 @@ mod tests {
         assert_eq!(config.top_off(), Some(&TopOffConfig { block_len: 64, max_seeds: 2 }));
         assert_eq!(config.sat_prune(), Some(&SatConfig { max_conflicts: 999, equiv: false }));
         assert!(config.collapse());
-        assert_eq!(config.engine(), SimEngine::Walker);
         // Without the knobs the config leaves every stage off.
         let plain = CampaignSpec::new("LP", "LFSR-D", 64).run_config(None);
         assert_eq!(plain.top_off(), None);
         assert_eq!(plain.sat_prune(), None);
         assert!(!plain.collapse());
-        assert_eq!(plain.engine(), SimEngine::Kernel);
     }
 }

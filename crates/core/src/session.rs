@@ -217,7 +217,6 @@ pub struct RunConfig {
     top_off: Option<TopOffConfig>,
     sat: Option<SatConfig>,
     collapse: bool,
-    engine: SimEngine,
 }
 
 impl RunConfig {
@@ -237,7 +236,6 @@ impl RunConfig {
             top_off: None,
             sat: None,
             collapse: false,
-            engine: SimEngine::default(),
         }
     }
 
@@ -392,18 +390,12 @@ impl RunConfig {
         self.collapse
     }
 
-    /// Selects the fault-simulation execution engine (default:
-    /// [`SimEngine::Kernel`], the compiled straight-line tape). The
-    /// walker is retained for differential testing; results are
-    /// bit-identical under either engine.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The selected fault-simulation execution engine.
+    /// The fault-simulation engine a session runs: always
+    /// [`SimEngine::Kernel`]. The graph-walker reference is reachable
+    /// only through [`faultsim::SimOptions`], for differential tests.
+    /// Kept as an accessor because `perfbench/src/replay.rs` reads it.
     pub fn engine(&self) -> SimEngine {
-        self.engine
+        SimEngine::Kernel
     }
 }
 
@@ -412,6 +404,17 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig::new(4096)
     }
+}
+
+/// Rejects a test longer than the fault simulator's `u32` cycle
+/// counter, before any pattern is generated.
+pub(crate) fn check_vector_count(vectors: usize) -> Result<(), SessionError> {
+    if u32::try_from(vectors).is_err() {
+        return Err(SessionError::InvalidConfig {
+            reason: format!("vectors = {vectors} exceeds the u32 cycle counter ({})", u32::MAX),
+        });
+    }
+    Ok(())
 }
 
 /// A reusable fault-simulation context for one filter design.
@@ -489,7 +492,8 @@ impl<'d> BistSession<'d> {
     /// # Errors
     ///
     /// * [`SessionError::InvalidConfig`] if the generator's word width
-    ///   does not match the design's input width.
+    ///   does not match the design's input width, or the test is longer
+    ///   than `u32::MAX` vectors.
     /// * [`SessionError::Tpg`] if no primitive polynomial is tabulated
     ///   for [`RunConfig::misr_width`].
     pub fn run(
@@ -509,6 +513,7 @@ impl<'d> BistSession<'d> {
                 ),
             });
         }
+        check_vector_count(config.vectors())?;
         let mut misr = Misr::new(config.misr_width())?;
         let cancelled = |token: &CancelToken| SessionError::Cancelled {
             deadline_exceeded: token.deadline_exceeded(),
@@ -631,7 +636,6 @@ impl<'d> BistSession<'d> {
         let mut options = SimOptions::new()
             .with_schedule(config.schedule().clone())
             .with_threads(config.threads())
-            .with_engine(config.engine())
             .with_metrics(Arc::clone(&registry));
         if let Some(token) = config.cancel() {
             options = options.with_cancel(token.clone());
@@ -1134,6 +1138,18 @@ mod tests {
         let err = s.run(&mut gen, &RunConfig::new(64)).unwrap_err();
         assert!(matches!(err, SessionError::InvalidConfig { .. }), "{err}");
         assert!(err.to_string().contains("10-bit"), "{err}");
+    }
+
+    #[test]
+    fn vector_count_beyond_the_cycle_counter_is_rejected() {
+        // Rejected before any of the 2^32 + 64 patterns is generated.
+        let d = small_design(0.15);
+        let s = BistSession::new(&d).unwrap();
+        let mut gen = Lfsr1::new(12, ShiftDirection::LsbToMsb).unwrap();
+        let vectors = u32::MAX as usize + 65;
+        let err = s.run(&mut gen, &RunConfig::new(vectors)).unwrap_err();
+        assert!(matches!(err, SessionError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("vectors = 4294967360"), "{err}");
     }
 
     #[test]

@@ -45,9 +45,9 @@
 //! faulted slow path (same [`rtl::fulladder::eval_word`] lane masks,
 //! same per-cell carry chaining). [`KernelSim`] therefore produces the
 //! same output planes, register snapshots, detection masks and MISR
-//! foldings bit-for-bit — the differential tests in this crate and the
-//! `kernel` experiments cell hold the two engines equal on every
-//! built-in design.
+//! foldings bit-for-bit — the differential tests in this crate and
+//! `tests/kernel_parity.rs` hold the two equal on every built-in
+//! design.
 //!
 //! Determinism: compilation and execution are pure functions of the
 //! netlist, the input words and the injected faults — no hashing
@@ -511,8 +511,8 @@ impl Tape {
 /// lanes)])` entries sorted by word index.
 type WordPatches = Vec<(u32, Vec<(FaFault, u64)>)>;
 
-/// A machine executing a [`Tape`]: the walker-compatible engine behind
-/// the parallel fault simulator's default configuration.
+/// A machine executing a [`Tape`]: the engine behind the parallel
+/// fault simulator.
 ///
 /// The API mirrors [`rtl::sim::BitSlicedSim`] (step, fault injection,
 /// output diff, MISR folding, per-lane register snapshots) and is
@@ -1109,19 +1109,8 @@ impl<'t> KernelSim<'t> {
             .collect()
     }
 
-    /// Writes a register-state snapshot into one lane (word 0) — the
-    /// inverse of [`KernelSim::register_state_lane`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match the register count
-    /// or `lane >= 64`.
-    pub fn set_register_state_lane(&mut self, lane: u32, snapshot: &[u64]) {
-        self.set_register_state_lane_in_word(0, lane, snapshot);
-    }
-
-    /// [`KernelSim::set_register_state_lane`] for an arbitrary pattern
-    /// word.
+    /// Writes a register-state snapshot into one lane of one pattern
+    /// word — the inverse of [`KernelSim::register_state_lane_in_word`].
     ///
     /// # Panics
     ///
@@ -1280,7 +1269,7 @@ mod tests {
             kernel.step(raw);
         }
         let snap = kernel.register_state_lane(0);
-        kernel.set_register_state_lane(5, &snap);
+        kernel.set_register_state_lane_in_word(0, 5, &snap);
         assert_eq!(kernel.register_state_lane(5), snap);
         kernel.reset();
         assert!(kernel.register_state_lane(0).iter().all(|&b| b == 0));

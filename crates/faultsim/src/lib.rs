@@ -23,10 +23,11 @@
 //!   reports end-of-test signatures and the exact set of
 //!   compare-detected faults that would escape a signature-only check
 //!   ([`FaultSimResult::aliased`]).
-//! * [`kernel`] — the default execution engine: the netlist compiled
-//!   once into a flat structure-of-arrays op tape ([`Tape`]) run by a
-//!   straight-line machine ([`KernelSim`]) that is bit-identical to the
-//!   graph walker; [`SimEngine`] selects between the two per run.
+//! * [`kernel`] — the execution engine: the netlist compiled once into
+//!   a flat structure-of-arrays op tape ([`Tape`]) run by a
+//!   straight-line machine ([`KernelSim`]). Tests hold it bit-identical
+//!   to an unstaged graph-walker reference, selected with
+//!   `SimOptions::with_engine(SimEngine::Walker)` ([`SimEngine`]).
 //! * [`inject`] — functional simulation of one specific fault, used for
 //!   the paper's Section 5 case study (Fig. 2: a missed fault's spike
 //!   train on a sine response).

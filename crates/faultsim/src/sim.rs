@@ -78,8 +78,7 @@ const LANES_PER_PASS: usize = 63;
 /// Fault shards batched into one kernel machine: the tape executes
 /// this many independent 64-lane pattern words per op, so the
 /// serialized ripple-carry chain of one shard pipelines against its
-/// neighbours' and the per-op decode cost is amortized. The walker
-/// always carries one word.
+/// neighbours' and the per-op decode cost is amortized.
 const KERNEL_WORDS: usize = 16;
 
 /// Staged fault-dropping schedule: simulation restarts lane packing at
@@ -142,42 +141,24 @@ pub struct SignatureConfig {
     pub poly: u64,
 }
 
-/// Which bit-sliced execution engine a run simulates machines with.
+/// Which simulator a [`ParallelFaultSimulator`] run uses.
 ///
-/// Both engines are bit-identical — same detection cycles, signatures
-/// and register snapshots on every design (the differential tests and
-/// the `kernel` experiments cell hold them equal) — so this knob trades
-/// only speed: the compiled tape eliminates per-node dispatch and the
-/// walker's whole-node faulted slow path.
+/// The kernel is the only production engine. The walker is the
+/// differential oracle the tests hold it against: both produce the
+/// same detection cycles and signatures on every design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
-    /// The compiled straight-line tape ([`crate::kernel::KernelSim`]),
-    /// the default since PR 10.
+    /// The staged, sharded scheduler over the compiled straight-line
+    /// tape ([`crate::kernel::KernelSim`]).
     #[default]
     Kernel,
-    /// The original graph walker ([`rtl::sim::BitSlicedSim`]), retained
-    /// for differential testing.
+    /// The unstaged reference: one graph walker
+    /// ([`rtl::sim::BitSlicedSim`]) per 63-fault shard, run from
+    /// cycle 0 on the calling thread. It ignores the stage schedule,
+    /// the thread count and the cancellation token, and shares no code
+    /// with the scheduler, so it also checks staging, repacking and
+    /// merging.
     Walker,
-}
-
-impl SimEngine {
-    /// Canonical lowercase name (`"kernel"` / `"walker"`), used in
-    /// cache keys and on the wire.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SimEngine::Kernel => "kernel",
-            SimEngine::Walker => "walker",
-        }
-    }
-
-    /// Parses a canonical engine name.
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s {
-            "kernel" => Some(SimEngine::Kernel),
-            "walker" => Some(SimEngine::Walker),
-            _ => None,
-        }
-    }
 }
 
 /// Options controlling a fault-simulation run: the fault-dropping
@@ -284,16 +265,12 @@ impl SimOptions {
         self.signature
     }
 
-    /// Selects the execution engine (default: [`SimEngine::Kernel`]).
-    /// Detection results are bit-identical under either engine.
+    /// Selects the simulator (default: [`SimEngine::Kernel`]).
+    /// [`SimEngine::Walker`] is the slow reference for differential
+    /// tests; results are bit-identical under either.
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The selected execution engine.
-    pub fn engine(&self) -> SimEngine {
-        self.engine
     }
 
     /// The configured stage schedule.
@@ -464,108 +441,14 @@ struct ShardOutcome {
     survivors: Vec<(FaultId, MachineState)>,
 }
 
-/// One bit-sliced machine under either execution engine. The two
-/// variants expose identical semantics (the kernel is compiled from the
-/// same netlist the walker interprets and is differentially tested
-/// bit-identical), so shard code is engine-agnostic.
-enum ShardMachine<'a> {
-    Walker(BitSlicedSim<'a>),
-    Kernel(KernelSim<'a>),
-}
-
-impl<'a> ShardMachine<'a> {
-    /// A fresh fault-free machine: a tape-backed kernel carrying
-    /// `words` pattern words when the run compiled a tape, the graph
-    /// walker (always single-word) otherwise.
-    fn new(netlist: &'a Netlist, tape: Option<&'a Tape>, words: usize) -> Self {
-        match tape {
-            Some(t) => ShardMachine::Kernel(KernelSim::with_words(t, words)),
-            None => {
-                debug_assert_eq!(words, 1, "the walker carries exactly one word");
-                ShardMachine::Walker(BitSlicedSim::new(netlist))
-            }
-        }
-    }
-
-    fn step(&mut self, input_raw: i64) {
-        match self {
-            ShardMachine::Walker(s) => s.step(input_raw),
-            ShardMachine::Kernel(s) => s.step(input_raw),
-        }
-    }
-
-    fn set_faults_in_word(&mut self, word: usize, node: rtl::NodeId, faults: Vec<CellFault>) {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.set_faults(node, faults);
-            }
-            ShardMachine::Kernel(s) => s.set_faults_in_word(word, node, faults),
-        }
-    }
-
-    fn fold_outputs(&self, bank: &mut MisrBank) {
-        match self {
-            ShardMachine::Walker(s) => s.fold_outputs(bank),
-            ShardMachine::Kernel(s) => s.fold_outputs(bank),
-        }
-    }
-
-    fn fold_outputs_in_word(&self, word: usize, bank: &mut MisrBank) {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.fold_outputs(bank);
-            }
-            ShardMachine::Kernel(s) => s.fold_outputs_in_word(word, bank),
-        }
-    }
-
-    fn output_diff_lanes_in_word(&self, word: usize, reference_lane: u32) -> u64 {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.output_diff_lanes(reference_lane)
-            }
-            ShardMachine::Kernel(s) => s.output_diff_lanes_in_word(word, reference_lane),
-        }
-    }
-
-    fn register_state_lane(&self, lane: u32) -> Vec<u64> {
-        match self {
-            ShardMachine::Walker(s) => s.register_state_lane(lane),
-            ShardMachine::Kernel(s) => s.register_state_lane(lane),
-        }
-    }
-
-    fn register_state_lane_in_word(&self, word: usize, lane: u32) -> Vec<u64> {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.register_state_lane(lane)
-            }
-            ShardMachine::Kernel(s) => s.register_state_lane_in_word(word, lane),
-        }
-    }
-
-    fn set_register_state_lane_in_word(&mut self, word: usize, lane: u32, snapshot: &[u64]) {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.set_register_state_lane(lane, snapshot);
-            }
-            ShardMachine::Kernel(s) => s.set_register_state_lane_in_word(word, lane, snapshot),
-        }
-    }
-}
-
 /// The staged, sharded, 64-lane parallel fault simulator.
 ///
 /// Two axes of parallelism compose: within one shard, 63 faulty
 /// machines plus the good machine are evaluated word-parallel in the
-/// bit-sliced lanes of a single `u64`; across shards, independent
-/// [`BitSlicedSim`] instances are distributed over a scoped worker pool
-/// (see [`SimOptions::with_threads`]). Per-shard state is merged at
+/// bit-sliced lanes of a single `u64`; across shards, groups of 16
+/// shards share one multi-word [`KernelSim`] machine, and groups are
+/// distributed over a scoped worker pool (see
+/// [`SimOptions::with_threads`]). Per-shard state is merged at
 /// every stage boundary, and results are bit-identical at any thread
 /// count.
 pub struct ParallelFaultSimulator<'a> {
@@ -647,20 +530,23 @@ impl<'a> ParallelFaultSimulator<'a> {
             Self::record_totals(metrics, &result);
             return Ok(result);
         }
+        if self.options.engine == SimEngine::Walker {
+            let result = self.run_reference(inputs);
+            Self::record_totals(metrics, &result);
+            return Ok(result);
+        }
         let threads = self.options.effective_threads().max(1);
 
-        // The kernel engine compiles the netlist once; the immutable
-        // tape is shared by the good machine and every shard on every
-        // thread.
-        let tape = (self.options.engine == SimEngine::Kernel).then(|| Tape::compile(self.netlist));
-        let tape = tape.as_ref();
+        // The netlist is compiled once; the immutable tape is shared by
+        // the good machine and every shard on every thread.
+        let tape = &Tape::compile(self.netlist);
 
         // Good-machine register state at the start of the current stage,
         // and (in signature mode) its response-compacting MISR. All 64
         // lanes of `good_sim` are fault-free copies, so lane 0 of its
         // bank is the fault-free signature — computed by the exact
         // word-parallel code path the shards use.
-        let mut good_sim = ShardMachine::new(self.netlist, tape, 1);
+        let mut good_sim = KernelSim::new(tape);
         let mut good = MachineState { regs: good_sim.register_state_lane(0), misr: 0 };
         let mut good_bank = self.options.signature.map(|cfg| {
             MisrBank::with_polynomial(cfg.width, cfg.poly)
@@ -685,12 +571,7 @@ impl<'a> ParallelFaultSimulator<'a> {
             }
             let stage_span = metrics.map(|m| obs::span!(m, "faultsim.stage{}", stage_index));
             let shards: Vec<&[FaultId]> = active.chunks(LANES_PER_PASS).collect();
-            // The kernel engine batches several shards into one
-            // multi-word machine; the walker runs one shard per
-            // machine. Results are identical either way — each word
-            // carries its own faults, banks and survivor snapshots.
-            let words = if tape.is_some() { KERNEL_WORDS } else { 1 };
-            let groups: Vec<&[&[FaultId]]> = shards.chunks(words).collect();
+            let groups: Vec<&[&[FaultId]]> = shards.chunks(KERNEL_WORDS).collect();
             let workers = threads.min(groups.len());
             if let Some(m) = metrics {
                 m.counter("faultsim.stages").inc();
@@ -807,18 +688,16 @@ impl<'a> ParallelFaultSimulator<'a> {
         }
     }
 
-    /// Simulates a group of shards (up to 63 faults each) over one
-    /// stage on a single machine, starting every lane of every word
-    /// from its stage-entry register state (and, in signature mode, its
-    /// partial MISR state). On the walker a group is always exactly one
-    /// shard; the kernel batches [`KERNEL_WORDS`] shards into one
-    /// multi-word machine so their carry chains pipeline. Each word is
-    /// fully independent of every other word and of every other group,
-    /// so groups can run on any thread in any order.
+    /// Simulates a group of up to [`KERNEL_WORDS`] shards (up to 63
+    /// faults each) over one stage on one multi-word kernel machine,
+    /// starting every lane of every word from its stage-entry register
+    /// state (and, in signature mode, its partial MISR state). Each
+    /// word is fully independent of every other word and of every other
+    /// group, so groups can run on any thread in any order.
     #[allow(clippy::too_many_arguments)]
     fn simulate_shard_group(
         &self,
-        tape: Option<&Tape>,
+        tape: &Tape,
         chunks: &[&[FaultId]],
         good: &MachineState,
         states: &HashMap<FaultId, MachineState>,
@@ -828,7 +707,7 @@ impl<'a> ParallelFaultSimulator<'a> {
     ) -> ShardOutcome {
         let shard_started = self.options.metrics.as_ref().map(|_| Instant::now());
         let words = chunks.len();
-        let mut sim = ShardMachine::new(self.netlist, tape, words);
+        let mut sim = KernelSim::with_words(tape, words);
         let mut banks: Option<Vec<MisrBank>> = self.options.signature.map(|cfg| {
             (0..words)
                 .map(|_| {
@@ -856,31 +735,13 @@ impl<'a> ParallelFaultSimulator<'a> {
                     }
                 }
             }
-            let mut per_node: HashMap<rtl::NodeId, Vec<CellFault>> = HashMap::new();
-            for (slot, &fid) in group.iter().enumerate() {
-                let site = self.universe.site(fid);
-                per_node.entry(site.node).or_default().push(CellFault {
-                    cell: site.cell,
-                    fault: site.representative,
-                    lanes: 1u64 << (slot + 1),
-                });
-            }
-            for (node, faults) in per_node {
+            for (node, faults) in self.shard_faults(group) {
                 sim.set_faults_in_word(word, node, faults);
             }
         }
 
         let mut detections: Vec<(FaultId, u32)> = Vec::new();
-        let mut undetected: Vec<u64> = chunks
-            .iter()
-            .map(|group| {
-                let mut mask = 0u64;
-                for slot in 0..group.len() {
-                    mask |= 1u64 << (slot + 1);
-                }
-                mask
-            })
-            .collect();
+        let mut undetected: Vec<u64> = chunks.iter().map(|group| fault_lanes(group)).collect();
         let mut live = undetected.iter().filter(|&&m| m != 0).count();
         for cycle in start..end {
             sim.step(inputs[cycle as usize]);
@@ -950,6 +811,73 @@ impl<'a> ParallelFaultSimulator<'a> {
         }
         ShardOutcome { detections, survivors }
     }
+
+    /// A shard's faults batched per node, slot `i` on lane `i + 1`.
+    fn shard_faults(&self, shard: &[FaultId]) -> HashMap<rtl::NodeId, Vec<CellFault>> {
+        let mut per_node: HashMap<rtl::NodeId, Vec<CellFault>> = HashMap::new();
+        for (slot, &fid) in shard.iter().enumerate() {
+            let site = self.universe.site(fid);
+            per_node.entry(site.node).or_default().push(CellFault {
+                cell: site.cell,
+                fault: site.representative,
+                lanes: 1u64 << (slot + 1),
+            });
+        }
+        per_node
+    }
+
+    /// The [`SimEngine::Walker`] reference: every 63-fault shard on its
+    /// own graph walker over the whole test, with no stages, repacking
+    /// or merging. In compare mode a shard stops once every lane is
+    /// detected; in signature mode it folds every cycle into a per-lane
+    /// MISR bank and plays the test out.
+    fn run_reference(&self, inputs: &[i64]) -> FaultSimResult {
+        let mut detection: Vec<Option<u32>> = vec![None; self.universe.len()];
+        let mut signatures = self
+            .options
+            .signature
+            .map(|_| SignatureSet { good: 0, per_fault: vec![0; self.universe.len()] });
+        let ids: Vec<FaultId> = self.universe.ids().collect();
+        for shard in ids.chunks(LANES_PER_PASS) {
+            let mut sim = BitSlicedSim::new(self.netlist);
+            for (node, faults) in self.shard_faults(shard) {
+                sim.set_faults(node, faults);
+            }
+            let mut bank = self.options.signature.map(|cfg| {
+                MisrBank::with_polynomial(cfg.width, cfg.poly)
+                    .expect("signature width validated by the session layer")
+            });
+            let mut undetected = fault_lanes(shard);
+            for (cycle, &x) in inputs.iter().enumerate() {
+                sim.step(x);
+                if let Some(bank) = bank.as_mut() {
+                    sim.fold_outputs(bank);
+                }
+                let mut diff = sim.output_diff_lanes(0) & undetected;
+                undetected &= !diff;
+                while diff != 0 {
+                    let lane = diff.trailing_zeros() as usize;
+                    diff &= diff - 1;
+                    detection[shard[lane - 1].index()] = Some(cycle as u32);
+                }
+                if undetected == 0 && bank.is_none() {
+                    break;
+                }
+            }
+            if let (Some(sigs), Some(bank)) = (signatures.as_mut(), bank) {
+                sigs.good = bank.lane_signature(0);
+                for (slot, &fid) in shard.iter().enumerate() {
+                    sigs.per_fault[fid.index()] = bank.lane_signature(slot as u32 + 1);
+                }
+            }
+        }
+        FaultSimResult { detection_cycle: detection, total_cycles: inputs.len() as u32, signatures }
+    }
+}
+
+/// The lanes a shard's faults occupy: lanes `1..=shard.len()`.
+fn fault_lanes(shard: &[FaultId]) -> u64 {
+    ((1u64 << shard.len()) - 1) << 1
 }
 
 #[cfg(test)]
@@ -1150,8 +1078,8 @@ mod tests {
             );
         }
         // The dispatch-latency histogram samples once per machine
-        // dispatch — a group of shards on the kernel, one shard on the
-        // walker — so it tracks the group counter, not the shard one.
+        // dispatch — a group of shards — so it tracks the group
+        // counter, not the shard one.
         assert_eq!(s.histograms["faultsim.shard_ms"].count, s.counters["faultsim.groups"]);
         assert!(s.counters["faultsim.groups"] <= s.counters["faultsim.shards"]);
         assert_eq!(s.histograms["faultsim.merge_ms"].count, stages);
@@ -1435,16 +1363,6 @@ mod tests {
             .with_threads(2);
         assert_eq!(opts.threads(), 2);
         assert_eq!(opts.schedule(), &StageSchedule::with_boundaries(vec![8]));
-    }
-
-    #[test]
-    fn engine_names_round_trip_and_kernel_is_the_default() {
-        assert_eq!(SimOptions::new().engine(), SimEngine::Kernel);
-        for e in [SimEngine::Kernel, SimEngine::Walker] {
-            assert_eq!(SimEngine::parse(e.as_str()), Some(e));
-        }
-        assert_eq!(SimEngine::parse("graph"), None);
-        assert_eq!(SimOptions::new().with_engine(SimEngine::Walker).engine(), SimEngine::Walker);
     }
 
     #[test]
