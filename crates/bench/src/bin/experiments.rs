@@ -263,11 +263,8 @@ fn remote_cell(
 ) -> (usize, usize) {
     let run = Client::connect(server)
         .and_then(|mut client| {
-            let mut spec = CampaignSpec::new(design, gen_name, vectors).with_mode(mode);
-            spec.threads = std::env::var("BIST_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(0);
+            let spec = CampaignSpec::new(design, gen_name, vectors).with_mode(mode);
+            let spec = CampaignSpec { threads: run_config(0).threads(), ..spec };
             client.run_campaign(&spec, None)
         })
         .unwrap_or_else(|e| {
@@ -904,7 +901,7 @@ fn ablation() {
     for (label, boundaries) in [
         ("no dropping stages", vec![]),
         ("drop @64", vec![64]),
-        ("drop @64/256/1024 (default)", vec![64, 256, 1024]),
+        ("drop @64/256/1024 (default)", faultsim::StageSchedule::new().into_boundaries()),
         ("drop @16/64/256/1024", vec![16, 64, 256, 1024]),
     ] {
         let schedule = faultsim::StageSchedule::with_boundaries(boundaries);

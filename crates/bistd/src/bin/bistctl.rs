@@ -26,13 +26,12 @@ use obs::JsonValue;
 use std::io::{self, Write};
 use std::process::ExitCode;
 
+/// The usage text; [`usage_text`] fills `{run_flags}` in from
+/// [`RUN_FLAGS`].
 const USAGE: &str = "usage: bistctl --server <addr> <command> [options]
   <addr> is host:port or unix:<path>
 commands:
-  run      --design <name> --gen <name> --vectors <n>
-           [--misr <bits>] [--mode trace|signature] [--threads <n>]
-           [--boundaries <c1,c2,...>] [--topoff <block>,<seeds>]
-           [--sat <conflicts>[,noequiv]] [--collapse] [--deadline-ms <ms>]
+  run      {run_flags}
                                         submit and wait; prints result JSON
   submit   (same options as run)       submit without waiting; prints job JSON
   status   <job>                       print a job's state
@@ -44,6 +43,78 @@ commands:
   cancel   <job>                       cancel a queued or running job
   metrics                              print the daemon's metric snapshot
   shutdown                             drain the daemon and stop it";
+
+/// What `run` and `submit` send: the campaign and its optional deadline.
+struct Submission {
+    spec: CampaignSpec,
+    deadline_ms: Option<u64>,
+}
+
+/// One `run`/`submit` option: its flag, its value syntax (empty for a
+/// switch), whether it is required, and how its value lands in the
+/// submission. A setter's error text is prefixed with the flag.
+type RunFlag = (&'static str, &'static str, bool, fn(&mut Submission, &str) -> Result<(), String>);
+
+/// Every `run`/`submit` option; a knob without a flag keeps its
+/// [`CampaignSpec::new`] default.
+const RUN_FLAGS: [RunFlag; 11] = [
+    ("--design", "<name>", true, |s, v| parse(v).map(|x| s.spec.design = x)),
+    ("--gen", "<name>", true, |s, v| parse(v).map(|x| s.spec.generator = x)),
+    ("--vectors", "<n>", true, |s, v| parse(v).map(|x| s.spec.vectors = x)),
+    ("--misr", "<bits>", false, |s, v| parse(v).map(|x| s.spec.misr_width = x)),
+    ("--mode", "trace|signature", false, |s, v| {
+        let mode = ResponseCheck::parse(v).ok_or(format!("'{v}' is not 'trace' or 'signature'"));
+        mode.map(|m| s.spec.mode = m)
+    }),
+    ("--threads", "<n>", false, |s, v| parse(v).map(|x| s.spec.threads = x)),
+    ("--boundaries", "<c1,c2,...>", false, |s, v| {
+        v.split(',').map(parse).collect::<Result<_, _>>().map(|c| s.spec.boundaries = Some(c))
+    }),
+    ("--topoff", "<block>,<seeds>", false, |s, v| {
+        let Some((block, seeds)) = v.split_once(',').filter(|(_, seeds)| !seeds.contains(','))
+        else {
+            return Err(format!("'{v}' is not <block_len>,<max_seeds>"));
+        };
+        s.spec.topoff = Some(TopOffConfig { block_len: parse(block)?, max_seeds: parse(seeds)? });
+        Ok(())
+    }),
+    ("--sat", "<conflicts>[,noequiv]", false, |s, v| {
+        let (conflicts, equiv) = match v.split_once(',') {
+            None => (v, true),
+            Some((c, "noequiv")) => (c, false),
+            Some((_, tail)) => {
+                return Err(format!(
+                    "'{tail}' is not 'noequiv' (expected <max_conflicts>[,noequiv])"
+                ))
+            }
+        };
+        s.spec.sat = Some(SatConfig { max_conflicts: parse(conflicts)?, equiv });
+        Ok(())
+    }),
+    ("--collapse", "", false, |s, _| {
+        s.spec.collapse = true;
+        Ok(())
+    }),
+    ("--deadline-ms", "<ms>", false, |s, v| parse(v).map(|x| s.deadline_ms = Some(x))),
+];
+
+/// The usage text, with the `run` options rendered from [`RUN_FLAGS`].
+fn usage_text() -> String {
+    let mut lines: Vec<String> = Vec::new();
+    for (flag, value, required, _) in RUN_FLAGS {
+        let synopsis = format!("{flag} {value}");
+        let synopsis = synopsis.trim_end();
+        let item = if required { synopsis.to_string() } else { format!("[{synopsis}]") };
+        match lines.last_mut() {
+            Some(line) if line.len() + 1 + item.len() <= 68 => {
+                line.push(' ');
+                line.push_str(&item);
+            }
+            _ => lines.push(item),
+        }
+    }
+    USAGE.replace("{run_flags}", &lines.join("\n           "))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,7 +129,7 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         Err(CtlError::Usage(message)) => {
-            eprintln!("bistctl: {message}\n{USAGE}");
+            eprintln!("bistctl: {message}\n{}", usage_text());
             ExitCode::from(2)
         }
         Err(CtlError::Client(ClientError::Server { code, message, retry_after_ms })) => {
@@ -127,7 +198,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CtlError> {
     let connect = || Client::connect(&server).map_err(CtlError::Client);
     match command.as_str() {
         "run" => {
-            let (spec, deadline_ms) = parse_spec(&rest)?;
+            let Submission { spec, deadline_ms } = parse_spec(&rest)?;
             let result = connect()?.run_campaign(&spec, deadline_ms)?;
             render_lint(&result.lint);
             let mut line = JsonValue::object()
@@ -142,7 +213,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CtlError> {
             writeln!(out, "{}", line.to_json())?;
         }
         "submit" => {
-            let (spec, deadline_ms) = parse_spec(&rest)?;
+            let Submission { spec, deadline_ms } = parse_spec(&rest)?;
             let submission = connect()?.submit(&spec, deadline_ms)?;
             render_lint(&submission.lint);
             let mut line = JsonValue::object()
@@ -359,93 +430,99 @@ fn render_result(
     Ok(())
 }
 
-/// Builds a [`CampaignSpec`] from `run`/`submit` flags, validating it
-/// locally so typos fail with the known names instead of a round trip.
-fn parse_spec(rest: &[&String]) -> Result<(CampaignSpec, Option<u64>), CtlError> {
-    let (mut design, mut generator, mut vectors, mut mode) = (None, None, None, None);
-    let (mut misr, mut threads, mut boundaries, mut deadline_ms) = (None, None, None, None);
-    let (mut topoff, mut sat) = (None, None);
-    let mut collapse = false;
+/// Builds a [`Submission`] from `run`/`submit` flags (see
+/// [`RUN_FLAGS`]), validating the spec locally so typos fail with the
+/// known names instead of a round trip.
+fn parse_spec(rest: &[&String]) -> Result<Submission, CtlError> {
+    let mut submission = Submission { spec: CampaignSpec::new("", "", 0), deadline_ms: None };
+    let mut given = Vec::new();
     let mut iter = rest.iter();
     while let Some(flag) = iter.next() {
-        // Valueless switches come before the flag/value pairing.
-        if flag.as_str() == "--collapse" {
-            collapse = true;
-            continue;
-        }
-        let value = iter.next().ok_or_else(|| usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--design" => design = Some(value.to_string()),
-            "--gen" => generator = Some(value.to_string()),
-            "--vectors" => vectors = Some(num(flag, value)?),
-            "--misr" => misr = Some(num::<u32>(flag, value)?),
-            "--mode" => {
-                mode = Some(ResponseCheck::parse(value).ok_or_else(|| {
-                    usage(format!("--mode: '{value}' is not 'trace' or 'signature'"))
-                })?);
-            }
-            "--threads" => threads = Some(num(flag, value)?),
-            "--deadline-ms" => deadline_ms = Some(num::<u64>(flag, value)?),
-            "--boundaries" => {
-                let cycles: Result<Vec<u32>, _> =
-                    value.split(',').map(|c| num(flag, c.trim())).collect();
-                boundaries = Some(cycles?);
-            }
-            "--sat" => {
-                let (conflicts, equiv) = match value.split_once(',') {
-                    None => (value.as_str(), true),
-                    Some((c, "noequiv")) => (c, false),
-                    Some((_, tail)) => {
-                        return Err(usage(format!(
-                            "--sat: '{tail}' is not 'noequiv' (expected \
-                             <max_conflicts>[,noequiv])"
-                        )));
-                    }
-                };
-                sat = Some(SatConfig { max_conflicts: num(flag, conflicts.trim())?, equiv });
-            }
-            "--topoff" => {
-                let parts: Vec<&str> = value.split(',').collect();
-                let [block, seeds] = parts.as_slice() else {
-                    return Err(usage(format!(
-                        "--topoff: '{value}' is not <block_len>,<max_seeds>"
-                    )));
-                };
-                topoff = Some(TopOffConfig {
-                    block_len: num(flag, block.trim())?,
-                    max_seeds: num(flag, seeds.trim())?,
-                });
-            }
-            other => return Err(usage(format!("unknown option '{other}'"))),
-        }
+        let &(_, syntax, _, set) = RUN_FLAGS
+            .iter()
+            .find(|row| row.0 == flag.as_str())
+            .ok_or_else(|| usage(format!("unknown option '{flag}'")))?;
+        let value = if syntax.is_empty() {
+            ""
+        } else {
+            iter.next().ok_or_else(|| usage(format!("{flag} needs a value")))?
+        };
+        set(&mut submission, value).map_err(|e| usage(format!("{flag}: {e}")))?;
+        given.push(flag.as_str());
     }
-    let design = design.ok_or_else(|| usage("--design is required"))?;
-    let generator = generator.ok_or_else(|| usage("--gen is required"))?;
-    let vectors = vectors.ok_or_else(|| usage("--vectors is required"))?;
-    let mut spec = CampaignSpec::new(design, generator, vectors);
-    if let Some(m) = misr {
-        spec.misr_width = m;
+    if let Some((flag, ..)) = RUN_FLAGS.iter().find(|row| row.2 && !given.contains(&row.0)) {
+        return Err(usage(format!("{flag} is required")));
     }
-    if let Some(m) = mode {
-        spec.mode = m;
-    }
-    if let Some(t) = threads {
-        spec.threads = t;
-    }
-    spec.boundaries = boundaries;
-    spec.topoff = topoff;
-    spec.sat = sat;
-    spec.collapse = collapse;
-    spec.validate().map_err(|e| {
+    submission.spec.validate().map_err(|e| {
         usage(format!(
             "{e}\n  known designs: {}\n  known generators: {}, or Mixed@<n>",
             KNOWN_DESIGNS.join(", "),
             KNOWN_GENERATORS.join(", ")
         ))
     })?;
-    Ok((spec, deadline_ms))
+    Ok(submission)
 }
 
-fn num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, CtlError> {
-    text.parse().map_err(|_| usage(format!("{flag}: '{text}' is not a valid number")))
+/// Parses one flag value (a name or a number; only numbers can fail).
+fn parse<T: std::str::FromStr>(text: &str) -> Result<T, String> {
+    text.trim().parse().map_err(|_| format!("'{text}' is not a valid number"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(line: &str) -> Result<Submission, CtlError> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_spec(&args.iter().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn every_run_flag_lands_in_the_spec() {
+        let submission = parse_args(
+            "--design LP-MINI --gen LFSR-D --vectors 1024 --misr 12 --mode signature \
+             --boundaries 16,128,512 --threads 2 --topoff 64,8 --sat 20000 --collapse \
+             --deadline-ms 500",
+        )
+        .ok()
+        .expect("the full flag set parses");
+        let golden = include_str!("../../../core/tests/golden/canonical_keys.txt");
+        assert_eq!(Some(submission.spec.canonical().as_str()), golden.lines().last());
+        assert_eq!(submission.deadline_ms, Some(500));
+        // Flags left out keep the spec defaults.
+        let plain = parse_args("--design LP --gen Ramp --vectors 64").ok().expect("parses");
+        assert_eq!(plain.spec, CampaignSpec::new("LP", "Ramp", 64));
+        assert_eq!(plain.deadline_ms, None);
+    }
+
+    #[test]
+    fn bad_flags_are_usage_errors_naming_the_flag() {
+        let base = "--design LP-MINI --gen LFSR-D --vectors 64";
+        for (line, needle) in [
+            (format!("{base} --topoff 64"), "--topoff"),
+            (format!("{base} --sat 10,foo"), "--sat"),
+            (format!("{base} --misr x"), "--misr"),
+            (format!("{base} --misr 63"), "misr_width"),
+            (format!("{base} --boundaries 64,32"), "boundaries"),
+            (format!("{base} --threads"), "--threads needs a value"),
+            ("--gen LFSR-D --vectors 64".to_string(), "--design is required"),
+            (format!("{base} --engine kernel"), "unknown option '--engine'"),
+        ] {
+            match parse_args(&line) {
+                Err(CtlError::Usage(message)) => {
+                    assert!(message.contains(needle), "{line}: {message}")
+                }
+                _ => panic!("{line}: expected a usage error"),
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_run_flag() {
+        let text = usage_text();
+        for (flag, ..) in RUN_FLAGS {
+            assert!(text.contains(flag), "{flag}");
+        }
+        assert!(!text.contains("{run_flags}"));
+    }
 }

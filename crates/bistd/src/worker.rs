@@ -136,8 +136,9 @@ mod tests {
     #[test]
     fn failures_and_cancellations_are_classified() {
         let Harness { queue, jobs, metrics, handles, .. } = harness(1);
-        // A spec that validates at submit time but fails in the run
-        // (MISR width without a tabulated polynomial).
+        // A spec that skipped admission (pushed straight onto the
+        // queue) and fails in the run: MISR width without a tabulated
+        // polynomial.
         let bad = CampaignSpec { misr_width: 63, ..mini_spec(16) };
         let failed =
             jobs.create(bad.clone(), bad.canonical(), CancelToken::new(), JobState::Queued);
@@ -152,7 +153,7 @@ mod tests {
 
         let record = jobs.wait_terminal(failed, std::time::Duration::from_secs(120)).unwrap();
         assert_eq!(record.state, JobState::Failed);
-        assert!(record.detail.unwrap().contains("test-pattern"), "carries the cause");
+        assert!(record.detail.unwrap().contains("misr_width"), "carries the cause");
         let record = jobs.wait_terminal(cancelled, std::time::Duration::from_secs(120)).unwrap();
         assert_eq!(record.state, JobState::Cancelled);
 

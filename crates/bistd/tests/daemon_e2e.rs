@@ -3,6 +3,7 @@
 
 use bist_bistd::{Client, ClientError, Daemon, DaemonConfig, ServerAddr};
 use bist_core::campaign::CampaignSpec;
+use bist_core::session::ResponseCheck;
 use obs::JsonValue;
 use std::path::PathBuf;
 
@@ -330,6 +331,31 @@ fn unknown_jobs_and_draining_submits_are_structured_errors() {
         ClientError::Server { code, .. } => assert_eq!(code, "shutting_down"),
         other => panic!("{other}"),
     }
+    daemon.join().unwrap();
+}
+
+#[test]
+fn untabulated_misr_widths_are_refused_at_submit() {
+    let (daemon, addr) = tcp_daemon(DaemonConfig::default());
+    let mut client = Client::connect(&addr).unwrap();
+    for spec in [
+        CampaignSpec { misr_width: 63, ..mini_spec(64) },
+        CampaignSpec { misr_width: 0, ..mini_spec(64) }.with_mode(ResponseCheck::Signature),
+    ] {
+        match client.submit(&spec, None).unwrap_err() {
+            ClientError::Server { code, message, .. } => {
+                assert_eq!(code, "bad_request", "{spec:?}");
+                assert!(message.contains("misr_width"), "{message}");
+            }
+            other => panic!("{spec:?}: {other}"),
+        }
+    }
+    // Neither refusal became a job.
+    let metrics = client.metrics().unwrap();
+    let counters = metrics.get("counters").unwrap();
+    assert_eq!(counters.get("bistd.jobs_submitted").and_then(JsonValue::as_u64), None);
+    assert_eq!(counters.get("bistd.bad_requests").and_then(JsonValue::as_u64), Some(2));
+    client.shutdown().unwrap();
     daemon.join().unwrap();
 }
 

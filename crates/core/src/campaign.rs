@@ -11,9 +11,7 @@
 //! generators through the same registry, so a cached artifact is
 //! interchangeable with a fresh run.
 
-use crate::session::{
-    check_vector_count, BistRun, BistSession, ResponseCheck, RunConfig, SatConfig, SessionError,
-};
+use crate::session::{BistRun, BistSession, ResponseCheck, RunConfig, SatConfig, SessionError};
 use atpg::TopOffConfig;
 use faultsim::{CancelToken, StageSchedule};
 use filters::FilterDesign;
@@ -70,7 +68,9 @@ pub struct CampaignSpec {
 impl CampaignSpec {
     /// A spec with the session defaults: 16-bit MISR, trace-mode
     /// response checking, default stage schedule, one worker thread per
-    /// core.
+    /// core, every optional stage off. This is the one place a knob's
+    /// default is written; [`RunConfig::new`] and
+    /// [`CampaignSpec::from_json`] start from it.
     pub fn new(design: impl Into<String>, generator: impl Into<String>, vectors: usize) -> Self {
         CampaignSpec {
             design: design.into(),
@@ -121,49 +121,46 @@ impl CampaignSpec {
     /// [`SessionError::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), SessionError> {
         if !KNOWN_DESIGNS.contains(&self.design.as_str()) {
-            return Err(SessionError::InvalidConfig {
-                reason: format!(
-                    "unknown design '{}' (known: {})",
-                    self.design,
-                    KNOWN_DESIGNS.join(", ")
-                ),
-            });
+            return Err(unknown_design(&self.design));
         }
         if !KNOWN_GENERATORS.contains(&self.generator.as_str())
             && parse_mixed(&self.generator).is_none()
         {
-            return Err(SessionError::InvalidConfig {
-                reason: format!(
-                    "unknown generator '{}' (known: {}, or Mixed@<n>)",
-                    self.generator,
-                    KNOWN_GENERATORS.join(", ")
-                ),
-            });
+            return Err(unknown_generator(&self.generator));
         }
+        self.check_knobs()
+    }
+
+    /// The bounds checks of [`CampaignSpec::validate`] without the
+    /// registry names, which [`BistSession::run`] never reads: it
+    /// applies these same checks to its [`RunConfig`].
+    pub(crate) fn check_knobs(&self) -> Result<(), SessionError> {
         if self.vectors == 0 {
-            return Err(SessionError::InvalidConfig { reason: "vectors must be positive".into() });
+            return Err(invalid("vectors must be positive"));
         }
-        check_vector_count(self.vectors)?;
+        if u32::try_from(self.vectors).is_err() {
+            return Err(invalid(format!(
+                "vectors = {} exceeds the u32 cycle counter ({})",
+                self.vectors,
+                u32::MAX
+            )));
+        }
+        if tpg::polynomials::primitive(self.misr_width).is_err() {
+            return Err(invalid(format!(
+                "misr_width = {} has no tabulated primitive polynomial",
+                self.misr_width
+            )));
+        }
         if let Some(b) = &self.boundaries {
             if !b.windows(2).all(|w| w[0] < w[1]) {
-                return Err(SessionError::InvalidConfig {
-                    reason: "schedule boundaries must be strictly ascending".into(),
-                });
+                return Err(invalid("schedule boundaries must be strictly ascending"));
             }
         }
-        if let Some(t) = &self.topoff {
-            if t.block_len == 0 {
-                return Err(SessionError::InvalidConfig {
-                    reason: "topoff block_len must be positive".into(),
-                });
-            }
+        if self.topoff.is_some_and(|t| t.block_len == 0) {
+            return Err(invalid("topoff block_len must be positive"));
         }
-        if let Some(s) = &self.sat {
-            if s.max_conflicts == 0 {
-                return Err(SessionError::InvalidConfig {
-                    reason: "sat max_conflicts must be positive".into(),
-                });
-            }
+        if self.sat.is_some_and(|s| s.max_conflicts == 0) {
+            return Err(invalid("sat max_conflicts must be positive"));
         }
         Ok(())
     }
@@ -188,12 +185,10 @@ impl CampaignSpec {
             "design={};generator={};vectors={};misr={};mode={};schedule=",
             self.design, self.generator, self.vectors, self.misr_width, self.mode
         );
-        let default_boundaries = vec![64, 256, 1024];
+        let default_boundaries = StageSchedule::new().into_boundaries();
         let boundaries = self.boundaries.as_ref().unwrap_or(&default_boundaries);
-        for (i, b) in boundaries.iter().enumerate() {
-            let _ = write!(out, "{}{b}", if i == 0 { "" } else { "," });
-        }
-        let _ = write!(out, ";threads={}", self.threads);
+        let boundaries: Vec<String> = boundaries.iter().map(u32::to_string).collect();
+        let _ = write!(out, "{};threads={}", boundaries.join(","), self.threads);
         match &self.topoff {
             None => out.push_str(";topoff=off"),
             Some(t) => {
@@ -245,9 +240,10 @@ impl CampaignSpec {
         v
     }
 
-    /// Reads a spec back from its wire form. Missing optional fields
-    /// (`misr_width`, `mode`, `boundaries`, `threads`) take the
-    /// defaults; unknown fields (such as the retired `engine`) are
+    /// Reads a spec back from its wire form. `design`, `generator` and
+    /// `vectors` are required; every other knob starts from
+    /// [`CampaignSpec::new`] and is overridden only when present and
+    /// not `null`. Unknown fields (such as the retired `engine`) are
     /// ignored.
     ///
     /// # Errors
@@ -256,106 +252,72 @@ impl CampaignSpec {
     /// result is *not* yet validated against the registries; call
     /// [`CampaignSpec::validate`] for that).
     pub fn from_json(v: &JsonValue) -> Result<CampaignSpec, SessionError> {
-        let field = |name: &str| {
-            v.get(name).ok_or_else(|| SessionError::InvalidConfig {
-                reason: format!("campaign spec is missing '{name}'"),
-            })
+        // Missing or null means "not given", so older peers and cache
+        // spills that spell an absent knob as null keep parsing.
+        let field = |name: &str| v.get(name).filter(|x| !matches!(x, JsonValue::Null));
+        let required = |name: &str| {
+            field(name).ok_or_else(|| invalid(format!("campaign spec is missing '{name}'")))
         };
         let text = |name: &str| {
-            field(name)?.as_str().map(str::to_string).ok_or_else(|| SessionError::InvalidConfig {
-                reason: format!("'{name}' must be a string"),
-            })
+            required(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| invalid(format!("'{name}' must be a string")))
         };
-        let number = |name: &str, default: u64| match v.get(name) {
-            None => Ok(default),
-            Some(n) => n.as_u64().ok_or_else(|| SessionError::InvalidConfig {
-                reason: format!("'{name}' must be a non-negative integer"),
-            }),
+        let number = |x: &JsonValue, name: &str| {
+            x.as_u64().ok_or_else(|| invalid(format!("'{name}' must be a non-negative integer")))
         };
-        let boundaries = match v.get("boundaries") {
-            None | Some(JsonValue::Null) => None,
-            Some(b) => {
-                let items = b.as_array().ok_or_else(|| SessionError::InvalidConfig {
-                    reason: "'boundaries' must be an array of cycle counts".into(),
-                })?;
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let cycle =
-                        item.as_u64().and_then(|c| u32::try_from(c).ok()).ok_or_else(|| {
-                            SessionError::InvalidConfig {
-                                reason: "'boundaries' entries must be u32 cycle counts".into(),
-                            }
-                        })?;
-                    out.push(cycle);
-                }
-                Some(out)
-            }
-        };
-        let mode = match v.get("mode") {
-            None => ResponseCheck::default(),
-            Some(m) => {
-                let name = m.as_str().ok_or_else(|| SessionError::InvalidConfig {
-                    reason: "'mode' must be a string".into(),
-                })?;
-                ResponseCheck::parse(name).ok_or_else(|| SessionError::InvalidConfig {
-                    reason: format!("unknown response-check mode '{name}'"),
-                })?
-            }
-        };
-        let topoff = match v.get("topoff") {
-            None | Some(JsonValue::Null) => None,
-            Some(t) => {
-                let sub = |name: &str| {
-                    t.get(name).and_then(JsonValue::as_u64).and_then(|n| u32::try_from(n).ok())
-                };
-                let (Some(block_len), Some(max_seeds)) = (sub("block_len"), sub("max_seeds"))
-                else {
-                    return Err(SessionError::InvalidConfig {
-                        reason: "'topoff' must be an object with u32 'block_len' and 'max_seeds'"
-                            .into(),
-                    });
-                };
-                Some(TopOffConfig { block_len, max_seeds })
-            }
-        };
-        let sat = match v.get("sat") {
-            None | Some(JsonValue::Null) => None,
-            Some(s) => {
-                let (Some(max_conflicts), Some(equiv)) = (
-                    s.get("max_conflicts").and_then(JsonValue::as_u64),
-                    s.get("equiv").and_then(JsonValue::as_bool),
-                ) else {
-                    return Err(SessionError::InvalidConfig {
-                        reason: "'sat' must be an object with u64 'max_conflicts' and bool 'equiv'"
-                            .into(),
-                    });
-                };
-                Some(SatConfig { max_conflicts, equiv })
-            }
-        };
-        // Missing or null means off, so pre-collapse peers and cache
-        // spills keep parsing.
-        let collapse = match v.get("collapse") {
-            None | Some(JsonValue::Null) => false,
-            Some(c) => c.as_bool().ok_or_else(|| SessionError::InvalidConfig {
-                reason: "'collapse' must be a boolean".into(),
-            })?,
-        };
-        let misr_width = u32::try_from(number("misr_width", 16)?).map_err(|_| {
-            SessionError::InvalidConfig { reason: "'misr_width' must be a u32 bit count".into() }
-        })?;
-        Ok(CampaignSpec {
-            design: text("design")?,
-            generator: text("generator")?,
-            vectors: number("vectors", 0)? as usize,
-            misr_width,
-            mode,
-            boundaries,
-            threads: number("threads", 0)? as usize,
-            topoff,
-            sat,
-            collapse,
-        })
+        let mut spec = CampaignSpec::new(
+            text("design")?,
+            text("generator")?,
+            number(required("vectors")?, "vectors")? as usize,
+        );
+        let as_u32 = |x: &JsonValue| x.as_u64().and_then(|n| u32::try_from(n).ok());
+        if let Some(w) = field("misr_width") {
+            spec.misr_width =
+                as_u32(w).ok_or_else(|| invalid("'misr_width' must be a u32 bit count"))?;
+        }
+        if let Some(m) = field("mode") {
+            let name = m.as_str().ok_or_else(|| invalid("'mode' must be a string"))?;
+            spec.mode = ResponseCheck::parse(name)
+                .ok_or_else(|| invalid(format!("unknown response-check mode '{name}'")))?;
+        }
+        if let Some(b) = field("boundaries") {
+            let items = b
+                .as_array()
+                .ok_or_else(|| invalid("'boundaries' must be an array of cycle counts"))?;
+            let cycles = items.iter().map(as_u32).collect::<Option<_>>();
+            spec.boundaries = Some(
+                cycles.ok_or_else(|| invalid("'boundaries' entries must be u32 cycle counts"))?,
+            );
+        }
+        if let Some(t) = field("threads") {
+            spec.threads = number(t, "threads")? as usize;
+        }
+        if let Some(t) = field("topoff") {
+            let sub = |name: &str| t.get(name).and_then(as_u32);
+            let (Some(block_len), Some(max_seeds)) = (sub("block_len"), sub("max_seeds")) else {
+                return Err(invalid(
+                    "'topoff' must be an object with u32 'block_len' and 'max_seeds'",
+                ));
+            };
+            spec.topoff = Some(TopOffConfig { block_len, max_seeds });
+        }
+        if let Some(s) = field("sat") {
+            let (Some(max_conflicts), Some(equiv)) = (
+                s.get("max_conflicts").and_then(JsonValue::as_u64),
+                s.get("equiv").and_then(JsonValue::as_bool),
+            ) else {
+                return Err(invalid(
+                    "'sat' must be an object with u64 'max_conflicts' and bool 'equiv'",
+                ));
+            };
+            spec.sat = Some(SatConfig { max_conflicts, equiv });
+        }
+        if let Some(c) = field("collapse") {
+            spec.collapse = c.as_bool().ok_or_else(|| invalid("'collapse' must be a boolean"))?;
+        }
+        Ok(spec)
     }
 
     /// Elaborates the named design.
@@ -378,27 +340,10 @@ impl CampaignSpec {
         build_generator(&self.generator)
     }
 
-    /// The [`RunConfig`] this spec describes, with an optional
-    /// cancellation token attached.
+    /// The [`RunConfig`] this spec describes: a copy of the spec with
+    /// an optional cancellation token attached.
     pub fn run_config(&self, cancel: Option<CancelToken>) -> RunConfig {
-        let mut config = RunConfig::new(self.vectors)
-            .with_misr_width(self.misr_width)
-            .with_response_check(self.mode)
-            .with_threads(self.threads);
-        if let Some(b) = &self.boundaries {
-            config = config.with_schedule(StageSchedule::with_boundaries(b.clone()));
-        }
-        if let Some(t) = &self.topoff {
-            config = config.with_top_off(*t);
-        }
-        if let Some(s) = &self.sat {
-            config = config.with_sat_prune(*s);
-        }
-        config = config.with_collapse(self.collapse);
-        if let Some(token) = cancel {
-            config = config.with_cancel(token);
-        }
-        config
+        RunConfig { spec: self.clone(), metrics: None, cancel, lint: Vec::new() }
     }
 
     /// Validates, elaborates and runs the whole campaign, checking
@@ -441,6 +386,22 @@ impl CampaignSpec {
     }
 }
 
+/// A [`SessionError::InvalidConfig`] with the given reason.
+fn invalid(reason: impl Into<String>) -> SessionError {
+    SessionError::InvalidConfig { reason: reason.into() }
+}
+
+fn unknown_design(name: &str) -> SessionError {
+    invalid(format!("unknown design '{name}' (known: {})", KNOWN_DESIGNS.join(", ")))
+}
+
+fn unknown_generator(name: &str) -> SessionError {
+    invalid(format!(
+        "unknown generator '{name}' (known: {}, or Mixed@<n>)",
+        KNOWN_GENERATORS.join(", ")
+    ))
+}
+
 /// Elaborates a design by registry name (see [`KNOWN_DESIGNS`]).
 ///
 /// # Errors
@@ -455,11 +416,7 @@ pub fn build_design(name: &str) -> Result<FilterDesign, SessionError> {
         "LP-SYM" => filters::designs::lowpass_symmetric()?,
         "LP-CSA" => filters::designs::lowpass_carry_save()?,
         "LP-MINI" => filters::designs::lowpass_mini()?,
-        other => {
-            return Err(SessionError::InvalidConfig {
-                reason: format!("unknown design '{other}' (known: {})", KNOWN_DESIGNS.join(", ")),
-            })
-        }
+        other => return Err(unknown_design(other)),
     };
     Ok(design)
 }
@@ -482,14 +439,7 @@ pub fn build_generator(name: &str) -> Result<Box<dyn TestGenerator>, SessionErro
         "Ideal" => Box::new(tpg::IdealWhite::new(12)?),
         other => match parse_mixed(other) {
             Some(switch_after) => Box::new(tpg::Mixed::lfsr1_then_maxvar(12, switch_after)?),
-            None => {
-                return Err(SessionError::InvalidConfig {
-                    reason: format!(
-                        "unknown generator '{other}' (known: {}, or Mixed@<n>)",
-                        KNOWN_GENERATORS.join(", ")
-                    ),
-                })
-            }
+            None => return Err(unknown_generator(other)),
         },
     };
     Ok(generator)
@@ -655,6 +605,7 @@ mod tests {
                  \"misr_width\":4294967312}",
                 "'misr_width' must be a u32",
             ),
+            ("{\"design\":\"LP\",\"generator\":\"LFSR-1\"}", "campaign spec is missing 'vectors'"),
         ] {
             let v = JsonValue::parse(text).unwrap();
             let err = CampaignSpec::from_json(&v).unwrap_err();
@@ -694,6 +645,17 @@ mod tests {
         assert!(bad.validate().unwrap_err().to_string().contains("max_conflicts"), "{bad:?}");
         let ok = CampaignSpec::new("LP", "LFSR-D", 128).with_sat(SatConfig::default());
         assert!(ok.validate().is_ok());
+        // Only widths with a tabulated primitive polynomial are admitted.
+        for (width, ok) in [(63, false), (0, false), (3, false), (25, false), (4, true), (24, true)]
+        {
+            let spec = CampaignSpec { misr_width: width, ..CampaignSpec::new("LP", "LFSR-D", 128) };
+            match spec.validate() {
+                Err(SessionError::InvalidConfig { reason }) => {
+                    assert!(!ok && reason.contains("misr_width"))
+                }
+                other => assert!(ok && other.is_ok(), "{width}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -750,31 +712,27 @@ mod tests {
     #[test]
     fn run_config_carries_every_spec_field() {
         let spec = CampaignSpec {
-            design: "LP".into(),
-            generator: "LFSR-D".into(),
-            vectors: 777,
             misr_width: 12,
-            mode: ResponseCheck::Signature,
             boundaries: Some(vec![8, 32]),
             threads: 3,
-            topoff: Some(TopOffConfig { block_len: 64, max_seeds: 2 }),
-            sat: Some(SatConfig { max_conflicts: 999, equiv: false }),
-            collapse: true,
-        };
+            ..CampaignSpec::new("LP", "LFSR-D", 777)
+        }
+        .with_mode(ResponseCheck::Signature)
+        .with_topoff(TopOffConfig { block_len: 64, max_seeds: 2 })
+        .with_sat(SatConfig { max_conflicts: 999, equiv: false })
+        .with_collapse(true);
         let config = spec.run_config(Some(CancelToken::new()));
-        assert_eq!(config.vectors(), 777);
-        assert_eq!(config.misr_width(), 12);
-        assert_eq!(config.response_check(), ResponseCheck::Signature);
-        assert_eq!(config.threads(), 3);
-        assert_eq!(config.schedule(), &StageSchedule::with_boundaries(vec![8, 32]));
+        assert_eq!(config.spec, spec);
         assert!(config.cancel().is_some());
-        assert_eq!(config.top_off(), Some(&TopOffConfig { block_len: 64, max_seeds: 2 }));
-        assert_eq!(config.sat_prune(), Some(&SatConfig { max_conflicts: 999, equiv: false }));
+        // The getters read the carried spec.
+        assert_eq!((config.vectors(), config.misr_width(), config.threads()), (777, 12, 3));
+        assert_eq!(config.response_check(), ResponseCheck::Signature);
+        assert_eq!(config.schedule(), StageSchedule::with_boundaries(vec![8, 32]));
+        assert_eq!(config.top_off(), spec.topoff.as_ref());
+        assert_eq!(config.sat_prune(), spec.sat.as_ref());
         assert!(config.collapse());
         // Without the knobs the config leaves every stage off.
         let plain = CampaignSpec::new("LP", "LFSR-D", 64).run_config(None);
-        assert_eq!(plain.top_off(), None);
-        assert_eq!(plain.sat_prune(), None);
-        assert!(!plain.collapse());
+        assert_eq!((plain.top_off(), plain.sat_prune(), plain.collapse()), (None, None, false));
     }
 }

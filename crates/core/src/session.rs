@@ -5,6 +5,7 @@
 //! runs complete test experiments against it — the machinery behind the
 //! paper's Tables 4–6 and Figs. 10–13.
 
+use crate::campaign::CampaignSpec;
 use crate::misr::Misr;
 use atpg::TopOffConfig;
 use faultsim::{
@@ -189,86 +190,70 @@ impl Default for SatConfig {
     }
 }
 
-/// Configuration of one BIST run: test length, MISR width, response
-/// check ([`ResponseCheck`]), the fault simulator's stage schedule and
-/// its worker-thread count.
+/// Configuration of one BIST run: the campaign knobs of a
+/// [`CampaignSpec`] (test length, MISR width, response check
+/// ([`ResponseCheck`]), stage schedule, worker threads and the optional
+/// proof stages) plus the runtime handles a spec cannot carry: a metric
+/// registry, a cancellation token and admission-time diagnostics.
 ///
-/// Built builder-style from [`RunConfig::new`]; the defaults are a
-/// 16-bit MISR, trace-mode response checking, the default
-/// [`StageSchedule`], and one worker thread per available core:
+/// Built builder-style from [`RunConfig::new`], with the defaults of
+/// [`CampaignSpec::new`], or from a spec by [`CampaignSpec::run_config`]:
 ///
 /// ```
 /// use bist_core::session::RunConfig;
 ///
-/// let cfg = RunConfig::new(4096).with_misr_width(16).with_threads(4);
+/// let cfg = RunConfig::new(4096).with_misr_width(12).with_threads(4);
 /// assert_eq!(cfg.vectors(), 4096);
 /// assert_eq!(cfg.threads(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    vectors: usize,
-    misr_width: u32,
-    response_check: ResponseCheck,
-    schedule: StageSchedule,
-    threads: usize,
-    metrics: Option<Arc<Registry>>,
-    cancel: Option<CancelToken>,
-    lint: Vec<Diagnostic>,
-    top_off: Option<TopOffConfig>,
-    sat: Option<SatConfig>,
-    collapse: bool,
+    pub(crate) spec: CampaignSpec,
+    pub(crate) metrics: Option<Arc<Registry>>,
+    pub(crate) cancel: Option<CancelToken>,
+    pub(crate) lint: Vec<Diagnostic>,
 }
 
 impl RunConfig {
-    /// A configuration applying `vectors` test patterns, with default
-    /// MISR width (16), trace-mode response checking, stage schedule
-    /// and thread count (one per core).
+    /// A configuration applying `vectors` test patterns, with every
+    /// other knob at its [`CampaignSpec::new`] default. Its spec's
+    /// design and generator names are empty: [`BistSession::run`] never
+    /// reads them, because the session supplies the design and the
+    /// generator argument the patterns.
     pub fn new(vectors: usize) -> Self {
-        RunConfig {
-            vectors,
-            misr_width: 16,
-            response_check: ResponseCheck::default(),
-            schedule: StageSchedule::new(),
-            threads: 0,
-            metrics: None,
-            cancel: None,
-            lint: Vec::new(),
-            top_off: None,
-            sat: None,
-            collapse: false,
-        }
+        CampaignSpec::new("", "", vectors).run_config(None)
     }
 
     /// Overrides the test length.
     pub fn with_vectors(mut self, vectors: usize) -> Self {
-        self.vectors = vectors;
+        self.spec.vectors = vectors;
         self
     }
 
     /// Overrides the signature-register width (must have a tabulated
     /// primitive polynomial; checked by [`BistSession::run`]).
     pub fn with_misr_width(mut self, width: u32) -> Self {
-        self.misr_width = width;
+        self.spec.misr_width = width;
         self
     }
 
     /// Selects the response check (trace compare vs. MISR signature
     /// compaction; see [`ResponseCheck`]).
     pub fn with_response_check(mut self, check: ResponseCheck) -> Self {
-        self.response_check = check;
+        self.spec.mode = check;
         self
     }
 
     /// Overrides the fault simulator's stage schedule.
     pub fn with_schedule(mut self, schedule: StageSchedule) -> Self {
-        self.schedule = schedule;
+        self.spec.boundaries = Some(schedule.into_boundaries());
         self
     }
 
     /// Overrides the fault simulator's worker-thread count (`0` = one
     /// per core).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.spec.threads = threads;
         self
     }
 
@@ -284,27 +269,33 @@ impl RunConfig {
 
     /// Test length in vectors.
     pub fn vectors(&self) -> usize {
-        self.vectors
+        self.spec.vectors
     }
 
     /// Signature-register width in bits.
     pub fn misr_width(&self) -> u32 {
-        self.misr_width
+        self.spec.misr_width
     }
 
     /// The configured response check.
     pub fn response_check(&self) -> ResponseCheck {
-        self.response_check
+        self.spec.mode
     }
 
     /// The fault simulator's stage schedule.
-    pub fn schedule(&self) -> &StageSchedule {
-        &self.schedule
+    ///
+    /// # Panics
+    ///
+    /// Panics if the boundaries are not strictly ascending;
+    /// [`BistSession::run`] rejects such a configuration before it
+    /// reads the schedule.
+    pub fn schedule(&self) -> StageSchedule {
+        self.spec.boundaries.clone().map_or_else(StageSchedule::new, StageSchedule::with_boundaries)
     }
 
     /// Worker-thread count (`0` = one per core).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.spec.threads
     }
 
     /// The attached campaign metric registry, if any.
@@ -349,13 +340,13 @@ impl RunConfig {
     /// [`obs::RunArtifact::topoff`]; the run's coverage is then
     /// measured over the *testable* universe.
     pub fn with_top_off(mut self, cfg: TopOffConfig) -> Self {
-        self.top_off = Some(cfg);
+        self.spec.topoff = Some(cfg);
         self
     }
 
     /// The top-off configuration, if the stage is enabled.
     pub fn top_off(&self) -> Option<&TopOffConfig> {
-        self.top_off.as_ref()
+        self.spec.topoff.as_ref()
     }
 
     /// Enables the SAT proof stage (see [`SatConfig`]): before
@@ -364,13 +355,13 @@ impl RunConfig {
     /// removed from the universe; unresolved top-off faults get a SAT
     /// verdict pass; the outcome lands in [`obs::RunArtifact::sat`].
     pub fn with_sat_prune(mut self, cfg: SatConfig) -> Self {
-        self.sat = Some(cfg);
+        self.spec.sat = Some(cfg);
         self
     }
 
     /// The SAT proof-stage configuration, if the stage is enabled.
     pub fn sat_prune(&self) -> Option<&SatConfig> {
-        self.sat.as_ref()
+        self.spec.sat.as_ref()
     }
 
     /// Enables structural fault collapsing: the run analyzes the
@@ -381,13 +372,13 @@ impl RunConfig {
     /// byte-identical to an uncollapsed run; the collapse census and
     /// SCOAP summary land in [`obs::RunArtifact::collapse`].
     pub fn with_collapse(mut self, collapse: bool) -> Self {
-        self.collapse = collapse;
+        self.spec.collapse = collapse;
         self
     }
 
     /// Whether structural fault collapsing is enabled.
     pub fn collapse(&self) -> bool {
-        self.collapse
+        self.spec.collapse
     }
 
     /// The fault-simulation engine a session runs: always
@@ -404,17 +395,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig::new(4096)
     }
-}
-
-/// Rejects a test longer than the fault simulator's `u32` cycle
-/// counter, before any pattern is generated.
-pub(crate) fn check_vector_count(vectors: usize) -> Result<(), SessionError> {
-    if u32::try_from(vectors).is_err() {
-        return Err(SessionError::InvalidConfig {
-            reason: format!("vectors = {vectors} exceeds the u32 cycle counter ({})", u32::MAX),
-        });
-    }
-    Ok(())
 }
 
 /// A reusable fault-simulation context for one filter design.
@@ -492,8 +472,10 @@ impl<'d> BistSession<'d> {
     /// # Errors
     ///
     /// * [`SessionError::InvalidConfig`] if the generator's word width
-    ///   does not match the design's input width, or the test is longer
-    ///   than `u32::MAX` vectors.
+    ///   does not match the design's input width, or a knob fails the
+    ///   bounds checks of [`CampaignSpec::validate`] (zero or more than
+    ///   `u32::MAX` vectors, non-ascending schedule boundaries, a zero
+    ///   top-off block or SAT conflict budget).
     /// * [`SessionError::Tpg`] if no primitive polynomial is tabulated
     ///   for [`RunConfig::misr_width`].
     pub fn run(
@@ -513,8 +495,10 @@ impl<'d> BistSession<'d> {
                 ),
             });
         }
-        check_vector_count(config.vectors())?;
+        // The polynomial lookup comes first, so an untabulated width
+        // keeps surfacing as the MISR's own `SessionError::Tpg`.
         let mut misr = Misr::new(config.misr_width())?;
+        config.spec.check_knobs()?;
         let cancelled = |token: &CancelToken| SessionError::Cancelled {
             deadline_exceeded: token.deadline_exceeded(),
         };
@@ -634,7 +618,7 @@ impl<'d> BistSession<'d> {
         };
 
         let mut options = SimOptions::new()
-            .with_schedule(config.schedule().clone())
+            .with_schedule(config.schedule())
             .with_threads(config.threads())
             .with_metrics(Arc::clone(&registry));
         if let Some(token) = config.cancel() {
@@ -1195,7 +1179,19 @@ mod tests {
         assert_eq!(cfg.threads(), 0);
         let cfg = cfg.with_vectors(128).with_schedule(StageSchedule::with_boundaries(vec![8]));
         assert_eq!(cfg.vectors(), 128);
-        assert_eq!(cfg.schedule(), &StageSchedule::with_boundaries(vec![8]));
+        assert_eq!(cfg.schedule(), StageSchedule::with_boundaries(vec![8]));
+    }
+
+    #[test]
+    fn non_ascending_boundaries_are_an_invalid_config_not_a_panic() {
+        let d = small_design(0.15);
+        let s = BistSession::new(&d).unwrap();
+        let mut gen = Lfsr1::new(12, ShiftDirection::LsbToMsb).unwrap();
+        let spec =
+            CampaignSpec { boundaries: Some(vec![64, 64]), ..CampaignSpec::new("", "", 128) };
+        let err = s.run(&mut gen, &spec.run_config(None)).unwrap_err();
+        assert!(matches!(err, SessionError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("boundaries"), "{err}");
     }
 
     #[test]

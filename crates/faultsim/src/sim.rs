@@ -107,6 +107,11 @@ impl StageSchedule {
         StageSchedule { boundaries }
     }
 
+    /// The repack cycles, ascending.
+    pub fn into_boundaries(self) -> Vec<u32> {
+        self.boundaries
+    }
+
     /// Stage extents `(start, end)` for a test of `total` cycles.
     fn stages(&self, total: u32) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
@@ -1363,6 +1368,8 @@ mod tests {
             .with_threads(2);
         assert_eq!(opts.threads(), 2);
         assert_eq!(opts.schedule(), &StageSchedule::with_boundaries(vec![8]));
+        assert_eq!(opts.schedule().clone().into_boundaries(), vec![8]);
+        assert_eq!(StageSchedule::new().into_boundaries(), vec![64, 256, 1024]);
     }
 
     #[test]
