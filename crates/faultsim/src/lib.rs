@@ -58,6 +58,7 @@
 
 #![forbid(unsafe_code)]
 
+mod cone;
 mod fault;
 mod sim;
 

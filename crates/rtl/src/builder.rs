@@ -116,15 +116,22 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// * [`RtlError::UnknownNode`] for dangling operand references.
+    /// * [`RtlError::UnknownNode`] for an operand that does not name an
+    ///   *earlier* node of this builder: dangling references, and
+    ///   forward ones such as an id borrowed from another netlist. Every
+    ///   operand therefore points backwards, so the node order is a
+    ///   topological order even through registers — the netlist has no
+    ///   feedback, which the fault simulator's time-parallel good trace
+    ///   relies on.
     /// * [`RtlError::CombinationalCycle`] if a cycle exists that does not
-    ///   pass through a register.
+    ///   pass through a register (unreachable while operands point
+    ///   backwards; kept as a second line of defence).
     /// * [`RtlError::MissingPort`] if there is no input or no output.
     pub fn finish(self) -> Result<Netlist, RtlError> {
         let n = self.nodes.len();
-        for node in &self.nodes {
+        for (i, node) in self.nodes.iter().enumerate() {
             for op in node.kind.operands() {
-                if op.index() >= n {
+                if op.index() >= i {
                     return Err(RtlError::UnknownNode { node: op });
                 }
             }
@@ -443,19 +450,44 @@ mod tests {
 
     #[test]
     fn register_cycles_are_legal_combinational_are_not() {
-        // Legal: feedback through a register (an IIR-style loop).
+        // No cycle of any kind can be expressed: a cycle needs an
+        // operand id that points forward, and the builder's own ids
+        // always point backwards. A dangling forward id is rejected as
+        // an unknown node (see `borrowed_forward_ids_are_rejected` for
+        // one that names a real node). Chained registers are legal.
         let mut b = NetlistBuilder::new(8).unwrap();
         let x = b.input("x");
-        // Create the register first referencing a later node: build the
-        // adder, then a register on the adder, then rewire is impossible
-        // with this builder; instead feed register of x and check a pure
-        // combinational self-loop is impossible to express except via
-        // operand ids, which always point backwards. Forward references
-        // are rejected as unknown nodes.
+        let d1 = b.register(x);
+        let d2 = b.register(d1);
         let fwd = NodeId(10);
-        let bad = b.add(x, fwd);
+        let bad = b.add(d2, fwd);
         b.output(bad, "y");
         assert!(matches!(b.finish(), Err(RtlError::UnknownNode { .. })));
+    }
+
+    #[test]
+    fn borrowed_forward_ids_are_rejected() {
+        // An id taken from another netlist can name a node this builder
+        // creates later: here a register fed by the adder after it —
+        // register feedback. `finish` refuses the forward operand.
+        let donor = toy();
+        let mut b = NetlistBuilder::new(8).unwrap();
+        let x = b.input("x");
+        let fwd = donor.node_id(2);
+        let d = b.register(fwd);
+        let acc = b.add(x, d);
+        assert_eq!(acc, fwd, "the borrowed id names the adder");
+        b.output(acc, "y");
+        assert_eq!(b.finish().unwrap_err(), RtlError::UnknownNode { node: fwd });
+
+        // A node may not name itself either.
+        let mut b = NetlistBuilder::new(8).unwrap();
+        let x = b.input("x");
+        let own = donor.node_id(1);
+        let d = b.register(own);
+        assert_eq!(d, own);
+        b.output(x, "y");
+        assert_eq!(b.finish().unwrap_err(), RtlError::UnknownNode { node: own });
     }
 
     #[test]

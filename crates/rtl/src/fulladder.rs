@@ -190,6 +190,78 @@ pub fn eval_word(a: u64, b: u64, ci: u64, faults: &[(FaFault, u64)]) -> (u64, u6
     (sum, cout)
 }
 
+/// A lane-masked fault list folded into one `(keep, force)` mask pair
+/// per cell line: [`LineMasks::eval`] applies `v = (v & keep) | force`
+/// on each line, which is [`eval_word`] with the per-line scan of the
+/// fault list done once, up front.
+///
+/// The fold is exact for any list: a stuck-at-1 in lanes `m` sets them
+/// in `force`, a stuck-at-0 clears them from both `keep` and `force`,
+/// and folding in list order reproduces [`apply_line_faults`]'s
+/// in-order application (the last fault on a lane wins).
+///
+/// # Example
+///
+/// ```
+/// use bist_rtl::fulladder::{eval_word, FaFault, Line, LineMasks};
+///
+/// let faults = [
+///     (FaFault { line: Line::X1Stem, stuck_one: true }, 0b0110),
+///     (FaFault { line: Line::Cout, stuck_one: false }, 0b1100),
+/// ];
+/// let masks = LineMasks::from_faults(&faults);
+/// let (a, b, ci) = (0b1010, 0b0110, 0b0011);
+/// assert_eq!(masks.eval(a, b, ci), eval_word(a, b, ci, &faults));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineMasks {
+    keep: [u64; 16],
+    force: [u64; 16],
+}
+
+impl LineMasks {
+    /// Folds a lane-masked fault list (the [`eval_word`] argument).
+    pub fn from_faults(faults: &[(FaFault, u64)]) -> LineMasks {
+        let mut masks = LineMasks { keep: [!0u64; 16], force: [0u64; 16] };
+        for &(fault, lanes) in faults {
+            let l = fault.line as usize;
+            if fault.stuck_one {
+                masks.force[l] |= lanes;
+            } else {
+                masks.keep[l] &= !lanes;
+                masks.force[l] &= !lanes;
+            }
+        }
+        masks
+    }
+
+    /// Word-parallel `(sum, cout)` of the cell under the folded faults;
+    /// bit-identical to [`eval_word`] over the original list.
+    #[inline]
+    pub fn eval(&self, a: u64, b: u64, ci: u64) -> (u64, u64) {
+        let apply = |line: Line, v: u64| -> u64 {
+            (v & self.keep[line as usize]) | self.force[line as usize]
+        };
+        let a_stem = apply(Line::AStem, a);
+        let a_xor = apply(Line::AXor, a_stem);
+        let a_and = apply(Line::AAnd, a_stem);
+        let b_stem = apply(Line::BStem, b);
+        let b_xor = apply(Line::BXor, b_stem);
+        let b_and = apply(Line::BAnd, b_stem);
+        let ci_stem = apply(Line::CiStem, ci);
+        let ci_xor = apply(Line::CiXor, ci_stem);
+        let ci_and = apply(Line::CiAnd, ci_stem);
+        let x1_stem = apply(Line::X1Stem, a_xor ^ b_xor);
+        let x1_xor = apply(Line::X1Xor, x1_stem);
+        let x1_and = apply(Line::X1And, x1_stem);
+        let and1 = apply(Line::And1, a_and & b_and);
+        let and2 = apply(Line::And2, x1_and & ci_and);
+        let sum = apply(Line::Sum, x1_xor ^ ci_xor);
+        let cout = apply(Line::Cout, and1 | and2);
+        (sum, cout)
+    }
+}
+
 /// Word-parallel evaluation of a *sum-only* cell — the MSB cell of a
 /// sign-trimmed adder, which produces the sum bit but has no carry
 /// logic ("the MSB logic ... does not contain any carry logic", paper
@@ -338,6 +410,29 @@ pub fn fault_classes_masked(allowed_combos: u8) -> Vec<FaultClass> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn folded_line_masks_match_the_fault_list_scan() {
+        // Random lane-masked lists, conflicting faults on one line
+        // included: the fold must equal in-order application exactly.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let all = FaFault::all();
+        for _ in 0..2000 {
+            let len = (next() % 6) as usize;
+            let faults: Vec<(FaFault, u64)> =
+                (0..len).map(|_| (all[(next() % 32) as usize], next())).collect();
+            let masks = LineMasks::from_faults(&faults);
+            let (a, b, ci) = (next(), next(), next());
+            assert_eq!(masks.eval(a, b, ci), eval_word(a, b, ci, &faults), "{faults:?}");
+        }
+        assert_eq!(LineMasks::from_faults(&[]).eval(5, 3, 1), eval_word(5, 3, 1, &[]));
+    }
 
     #[test]
     fn good_cell_is_a_full_adder() {
