@@ -16,6 +16,7 @@
 use obs::JsonValue;
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// The FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -34,7 +35,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 struct Entry {
     canonical: String,
-    artifact: JsonValue,
+    artifact: Arc<JsonValue>,
     last_used: u64,
 }
 
@@ -64,23 +65,25 @@ impl ResultCache {
     }
 
     /// Looks up the artifact for a canonical key, refreshing its LRU
-    /// position on a hit.
-    pub fn get(&mut self, canonical: &str) -> Option<JsonValue> {
+    /// position on a hit. The artifact is shared, not copied: every
+    /// job served from one entry holds the same allocation.
+    pub fn get(&mut self, canonical: &str) -> Option<Arc<JsonValue>> {
         self.clock += 1;
         let clock = self.clock;
         let bucket = self.buckets.get_mut(&fnv1a(canonical.as_bytes()))?;
         let entry = bucket.iter_mut().find(|e| e.canonical == canonical)?;
         entry.last_used = clock;
-        Some(entry.artifact.clone())
+        Some(Arc::clone(&entry.artifact))
     }
 
     /// Stores (or refreshes) an artifact, evicting the least recently
     /// used entry if the cache is at capacity. A zero-capacity cache
     /// stores nothing.
-    pub fn insert(&mut self, canonical: &str, artifact: JsonValue) {
+    pub fn insert(&mut self, canonical: &str, artifact: impl Into<Arc<JsonValue>>) {
         if self.capacity == 0 {
             return;
         }
+        let artifact = artifact.into();
         self.clock += 1;
         let clock = self.clock;
         let hash = fnv1a(canonical.as_bytes());
@@ -134,7 +137,7 @@ impl ResultCache {
             let line = JsonValue::object()
                 .push("key", format!("{:016x}", fnv1a(entry.canonical.as_bytes())))
                 .push("canonical", entry.canonical.as_str())
-                .push("artifact", entry.artifact.clone());
+                .push("artifact", JsonValue::clone(&entry.artifact));
             writeln!(writer, "{}", line.to_json())?;
         }
         writer.flush()?;
@@ -199,11 +202,11 @@ mod tests {
         let mut cache = ResultCache::new(8);
         assert!(cache.get("k1").is_none());
         cache.insert("k1", artifact(1));
-        assert_eq!(cache.get("k1"), Some(artifact(1)));
+        assert_eq!(cache.get("k1").as_deref(), Some(&artifact(1)));
         assert!(cache.get("k2").is_none(), "different canonical, different entry");
         // Re-insert overwrites in place.
         cache.insert("k1", artifact(2));
-        assert_eq!(cache.get("k1"), Some(artifact(2)));
+        assert_eq!(cache.get("k1").as_deref(), Some(&artifact(2)));
         assert_eq!(cache.len(), 1);
     }
 

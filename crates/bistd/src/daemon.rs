@@ -500,7 +500,7 @@ impl Shared {
             JobState::Done => Response::Artifact {
                 job,
                 cached: record.cached,
-                artifact: record.artifact.unwrap_or(obs::JsonValue::Null),
+                artifact: record.artifact.map_or(obs::JsonValue::Null, Arc::unwrap_or_clone),
             },
             JobState::Failed => Response::Error {
                 code: codes::JOB_FAILED.into(),

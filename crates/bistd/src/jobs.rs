@@ -11,7 +11,7 @@ use bist_core::campaign::CampaignSpec;
 use faultsim::CancelToken;
 use obs::JsonValue;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A job's position in its lifecycle.
@@ -60,8 +60,8 @@ pub struct JobRecord {
     pub state: JobState,
     /// Failure / cancellation detail for terminal error states.
     pub detail: Option<String>,
-    /// The run artifact, once `Done`.
-    pub artifact: Option<JsonValue>,
+    /// The run artifact, once `Done` (shared with the result cache).
+    pub artifact: Option<Arc<JsonValue>>,
     /// Whether the artifact came from the result cache.
     pub cached: bool,
     /// The cooperative cancellation handle shared with the worker.
@@ -131,11 +131,16 @@ impl JobTable {
 
     /// Registers an already-completed job (a cache hit) and returns its
     /// id.
-    pub fn create_done(&self, spec: CampaignSpec, key: String, artifact: JsonValue) -> u64 {
+    pub fn create_done(
+        &self,
+        spec: CampaignSpec,
+        key: String,
+        artifact: impl Into<Arc<JsonValue>>,
+    ) -> u64 {
         let id = self.create(spec, key, CancelToken::new(), JobState::Done);
         let mut inner = self.inner.lock().expect("job table lock");
         let record = inner.jobs.get_mut(&id).expect("job just created");
-        record.artifact = Some(artifact);
+        record.artifact = Some(artifact.into());
         record.cached = true;
         id
     }
@@ -179,7 +184,7 @@ impl JobTable {
         id: u64,
         state: JobState,
         detail: Option<String>,
-        artifact: Option<JsonValue>,
+        artifact: Option<Arc<JsonValue>>,
     ) {
         debug_assert!(state.is_terminal());
         let mut inner = self.inner.lock().expect("job table lock");
@@ -279,7 +284,7 @@ mod tests {
         assert_eq!(claimed_spec, spec());
         assert_eq!(table.get(id).unwrap().state, JobState::Running);
         assert!(table.claim(id).is_none(), "running jobs cannot be claimed twice");
-        table.finish(id, JobState::Done, None, Some(JsonValue::object()));
+        table.finish(id, JobState::Done, None, Some(JsonValue::object().into()));
         let record = table.get(id).unwrap();
         assert_eq!(record.state, JobState::Done);
         assert!(record.artifact.is_some());
