@@ -17,6 +17,15 @@ cargo test -q --offline
 # crates; its own tests catch a crate change that breaks it.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Every benchmark run checks its verdicts against the committed digests
+# (perfbench/expected/digests.txt) and exits non-zero on a mismatch, so a
+# kernel change that moves a verdict fails here, not only in the
+# benchmark pipeline.
+for workload in sig-lp trace-grid; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 # Static-analysis gate: the three paper designs must be free of
 # error-severity lint findings under their recommended generators,
 # and the paper's known-bad pairing must be flagged (exit 1).

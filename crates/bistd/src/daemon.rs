@@ -256,7 +256,7 @@ impl Daemon {
         }
         if let Some(path) = &self.spill {
             let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-            let spilled = self.shared.cache.lock().expect("cache lock").spill(&mut file)? as u64;
+            let spilled = crate::lock(&self.shared.cache).spill(&mut file)? as u64;
             self.shared.metrics.counter("bistd.cache.spilled").add(spilled);
         }
         if let Some(path) = &self.unix_path {
@@ -436,7 +436,7 @@ impl Shared {
         }
         let key = spec.canonical();
         let mode = spec.mode.as_str().to_string();
-        let hit = self.cache.lock().expect("cache lock").get(&key);
+        let hit = crate::lock(&self.cache).get(&key);
         if let Some(artifact) = hit {
             self.metrics.counter("bistd.cache.hits").inc();
             let job = self.jobs.create_done(spec, key.clone(), artifact);
@@ -518,8 +518,7 @@ impl Shared {
 
     fn refresh_gauges(&self) {
         self.metrics.set_gauge("bistd.queue_depth", self.queue.len() as f64);
-        self.metrics
-            .set_gauge("bistd.cache.entries", self.cache.lock().expect("cache lock").len() as f64);
+        self.metrics.set_gauge("bistd.cache.entries", crate::lock(&self.cache).len() as f64);
         for (state, count) in self.jobs.counts() {
             self.metrics.set_gauge(&format!("bistd.jobs.{state}"), count as f64);
         }

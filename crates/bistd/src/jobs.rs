@@ -11,7 +11,7 @@ use bist_core::campaign::CampaignSpec;
 use faultsim::CancelToken;
 use obs::JsonValue;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A job's position in its lifecycle.
@@ -99,7 +99,7 @@ impl JobTable {
         cancel: CancelToken,
         state: JobState,
     ) -> u64 {
-        let mut inner = self.inner.lock().expect("job table lock");
+        let mut inner = crate::lock(&self.inner);
         let id = inner.next_id;
         inner.next_id += 1;
         inner.jobs.insert(
@@ -123,7 +123,7 @@ impl JobTable {
     /// them back through [`JobTable::claim`] so they land in the run's
     /// artifact.
     pub fn set_lint(&self, id: u64, lint: Vec<obs::Diagnostic>) {
-        let mut inner = self.inner.lock().expect("job table lock");
+        let mut inner = crate::lock(&self.inner);
         if let Some(record) = inner.jobs.get_mut(&id) {
             record.lint = lint;
         }
@@ -138,7 +138,7 @@ impl JobTable {
         artifact: impl Into<Arc<JsonValue>>,
     ) -> u64 {
         let id = self.create(spec, key, CancelToken::new(), JobState::Done);
-        let mut inner = self.inner.lock().expect("job table lock");
+        let mut inner = crate::lock(&self.inner);
         let record = inner.jobs.get_mut(&id).expect("job just created");
         record.artifact = Some(artifact.into());
         record.cached = true;
@@ -147,7 +147,7 @@ impl JobTable {
 
     /// A snapshot of one job.
     pub fn get(&self, id: u64) -> Option<JobRecord> {
-        self.inner.lock().expect("job table lock").jobs.get(&id).cloned()
+        crate::lock(&self.inner).jobs.get(&id).cloned()
     }
 
     /// Atomically claims a queued job for execution: flips it to
@@ -156,7 +156,7 @@ impl JobTable {
     /// Also returns `None` for ids in any other state (e.g. cancelled
     /// while queued).
     pub fn claim(&self, id: u64) -> Option<(CampaignSpec, CancelToken, Vec<obs::Diagnostic>)> {
-        let mut inner = self.inner.lock().expect("job table lock");
+        let mut inner = crate::lock(&self.inner);
         let record = inner.jobs.get_mut(&id)?;
         if record.state != JobState::Queued {
             return None;
@@ -187,7 +187,7 @@ impl JobTable {
         artifact: Option<Arc<JsonValue>>,
     ) {
         debug_assert!(state.is_terminal());
-        let mut inner = self.inner.lock().expect("job table lock");
+        let mut inner = crate::lock(&self.inner);
         if let Some(record) = inner.jobs.get_mut(&id) {
             record.state = state;
             record.detail = detail;
@@ -201,7 +201,7 @@ impl JobTable {
     /// boundary and the worker records the terminal state. Returns
     /// `false` for unknown ids.
     pub fn cancel(&self, id: u64) -> bool {
-        let mut inner = self.inner.lock().expect("job table lock");
+        let mut inner = crate::lock(&self.inner);
         let Some(record) = inner.jobs.get_mut(&id) else {
             return false;
         };
@@ -219,7 +219,7 @@ impl JobTable {
     /// `None` for unknown ids.
     pub fn wait_terminal(&self, id: u64, timeout: Duration) -> Option<JobRecord> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("job table lock");
+        let mut inner = crate::lock(&self.inner);
         loop {
             let record = inner.jobs.get(&id)?;
             if record.state.is_terminal() {
@@ -229,8 +229,10 @@ impl JobTable {
             if now >= deadline {
                 return Some(record.clone());
             }
-            let (guard, _) =
-                self.changed.wait_timeout(inner, deadline - now).expect("job table lock");
+            let (guard, _) = self
+                .changed
+                .wait_timeout(inner, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
         }
     }
@@ -238,7 +240,7 @@ impl JobTable {
     /// How many jobs are in each state, as `(state name, count)` pairs
     /// in lifecycle order (for gauges).
     pub fn counts(&self) -> [(&'static str, usize); 5] {
-        let inner = self.inner.lock().expect("job table lock");
+        let inner = crate::lock(&self.inner);
         let mut out = [
             (JobState::Queued.name(), 0),
             (JobState::Running.name(), 0),
@@ -358,6 +360,30 @@ mod tests {
         assert_eq!(record.detail.as_deref(), Some("boom"));
         finisher.join().unwrap();
         assert!(table.wait_terminal(999, Duration::from_millis(1)).is_none());
+    }
+
+    #[test]
+    fn a_poisoned_job_table_still_answers() {
+        let table = std::sync::Arc::new(JobTable::new());
+        let id = table.create(spec(), "k".into(), CancelToken::new(), JobState::Queued);
+        let holder = std::sync::Arc::clone(&table);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("a thread dies holding the job-table lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(table.inner.is_poisoned());
+        assert_eq!(table.get(id).unwrap().state, JobState::Queued);
+        assert!(table.claim(id).is_some());
+        table.finish(id, JobState::Done, None, Some(JsonValue::object().into()));
+        assert_eq!(table.get(id).unwrap().state, JobState::Done);
+        let waited = table.wait_terminal(id, Duration::from_millis(1)).unwrap();
+        assert_eq!(waited.state, JobState::Done);
+        let next = table.create(spec(), "k".into(), CancelToken::new(), JobState::Queued);
+        assert!(table.cancel(next));
+        let counts: std::collections::HashMap<_, _> = table.counts().into_iter().collect();
+        assert_eq!((counts["done"], counts["cancelled"]), (1, 1));
     }
 
     #[test]

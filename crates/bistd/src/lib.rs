@@ -44,3 +44,22 @@ pub mod worker;
 
 pub use client::{CampaignResult, Client, ClientError, ServerAddr, Submission};
 pub use daemon::{Daemon, DaemonConfig, LintMode};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, taking the guard back if a thread panicked while
+/// holding it, so one panic never turns every later request into a
+/// daemon-wide panic. Recovery is sound for each lock in this crate,
+/// because no critical section can leave a wrong answer behind:
+///
+/// * the job table changes a job with one insert or one group of field
+///   writes, so a panic can at worst skip an id or leave one job short
+///   of its terminal state, which `finish` or `cancel` still set;
+/// * the queue pushes or pops one id, or sets its closed flag;
+/// * every cache entry carries its own canonical key and `get` matches
+///   it exactly, so no key can serve another key's artifact; a panic
+///   inside `insert` can at worst miscount the entries, which only moves
+///   eviction.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

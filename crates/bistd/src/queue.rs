@@ -9,7 +9,7 @@
 //! queued, which is what makes shutdown graceful rather than lossy.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl<T> JobQueue<T> {
     /// Items currently queued (racy by nature; for metrics/backpressure
     /// hints only).
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
+        crate::lock(&self.state).items.len()
     }
 
     /// Whether the queue is currently empty.
@@ -65,7 +65,7 @@ impl<T> JobQueue<T> {
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`JobQueue::close`].
     pub fn push(&self, item: T) -> Result<(), PushError> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = crate::lock(&self.state);
         if state.closed {
             return Err(PushError::Closed);
         }
@@ -81,7 +81,7 @@ impl<T> JobQueue<T> {
     /// only once the queue is closed *and* drained — consumers use that
     /// as their exit signal.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = crate::lock(&self.state);
         loop {
             if let Some(item) = state.items.pop_front() {
                 return Some(item);
@@ -89,14 +89,14 @@ impl<T> JobQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.ready.wait(state).expect("queue lock");
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes the queue: future pushes fail, queued items still drain,
     /// and blocked consumers wake.
     pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        crate::lock(&self.state).closed = true;
         self.ready.notify_all();
     }
 }
@@ -131,6 +131,24 @@ mod tests {
         assert_eq!(q.pop(), Some('b'));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None, "stays closed");
+    }
+
+    #[test]
+    fn a_poisoned_queue_still_pushes_pops_and_closes() {
+        let q = Arc::new(JobQueue::new(4));
+        let holder = Arc::clone(&q);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.state.lock().unwrap();
+            panic!("a thread dies holding the queue lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(q.state.is_poisoned());
+        q.push(7).unwrap();
+        assert_eq!(q.len(), 1);
+        q.close();
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

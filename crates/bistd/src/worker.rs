@@ -58,7 +58,7 @@ fn run_one(id: u64, jobs: &JobTable, cache: &Mutex<ResultCache>, metrics: &Regis
     match spec.run_linted(Some(token), lint) {
         Ok(run) => {
             let artifact = Arc::new(run.artifact.to_json());
-            cache.lock().expect("cache lock").insert(&spec.canonical(), Arc::clone(&artifact));
+            crate::lock(cache).insert(&spec.canonical(), Arc::clone(&artifact));
             jobs.finish(id, JobState::Done, None, Some(artifact));
             metrics.counter("bistd.jobs_completed").inc();
             metrics.histogram("bistd.job_ms").record(started.elapsed().as_secs_f64() * 1000.0);

@@ -29,7 +29,7 @@
 //! keeps its constant slots and broadcasts the input word every cycle.
 
 use crate::fault::FaultUniverse;
-use crate::kernel::{KernelSim, OpKind, Tape, NO_SLOT};
+use crate::kernel::{run_tape_ops, OpKind, Tape, NO_SLOT};
 use rtl::{Netlist, NodeId, NodeKind};
 
 /// A bitset over node or slot indices.
@@ -63,20 +63,15 @@ fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// boundary slots of a union fanout cone. [`Cone::full`] is the whole
 /// tape with no boundary, so a group whose cone is everything simply
 /// runs the whole tape.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Cone {
     /// Uniform-kind op runs `(kind, start, end)` in tape order.
     pub(crate) segments: Vec<(OpKind, u32, u32)>,
     /// Indices into the tape's latch pairs of the latched registers.
     pub(crate) latches: Vec<u32>,
-    /// Per register (in [`Netlist::register_indices`] order): whether
-    /// the cone latches it.
-    pub(crate) registers: Vec<bool>,
     /// `(slot, rank in the stage trace)` of every boundary slot,
     /// ascending by slot; [`GoodTrace::record_stage`] assigns the ranks.
     pub(crate) boundary: Vec<(u32, u32)>,
-    /// Number of ops in `segments`.
-    pub(crate) ops: usize,
 }
 
 impl Cone {
@@ -85,9 +80,7 @@ impl Cone {
         Cone {
             segments: tape.segments.clone(),
             latches: (0..tape.latches.len() as u32).collect(),
-            registers: vec![true; tape.reg_bases.len()],
             boundary: Vec::new(),
-            ops: tape.op_count(),
         }
     }
 }
@@ -177,7 +170,6 @@ impl<'t> ConeIndex<'t> {
 
         let mut ranges: Vec<(u32, u32)> = Vec::new();
         let mut latches: Vec<u32> = Vec::new();
-        let mut registers = vec![false; t.reg_bases.len()];
         for i in members(&union) {
             match self.register_of[i] {
                 NO_SLOT => {
@@ -187,7 +179,6 @@ impl<'t> ConeIndex<'t> {
                     }
                 }
                 r => {
-                    registers[r as usize] = true;
                     latches.extend(r * w..(r + 1) * w);
                 }
             }
@@ -196,18 +187,16 @@ impl<'t> ConeIndex<'t> {
 
         let mut segments: Vec<(OpKind, u32, u32)> = Vec::new();
         let mut written = bitset(t.slots);
-        let mut ops = 0usize;
         for &(s, e) in &ranges {
-            ops += (e - s) as usize;
             for op in s..e {
                 let k = t.kind[op as usize];
                 match segments.last_mut() {
                     Some((sk, _, end)) if *sk == k && *end == op => *end = op + 1,
                     _ => segments.push((k, op, op + 1)),
                 }
-                set_bit(&mut written, t.dst[op as usize] as usize);
-                if t.dst2[op as usize] != NO_SLOT {
-                    set_bit(&mut written, t.dst2[op as usize] as usize);
+                set_bit(&mut written, t.ops.dst[op as usize] as usize);
+                if t.ops.dst2[op as usize] != NO_SLOT {
+                    set_bit(&mut written, t.ops.dst2[op as usize] as usize);
                 }
             }
         }
@@ -220,7 +209,7 @@ impl<'t> ConeIndex<'t> {
         let mut read = bitset(t.slots);
         for &(s, e) in &ranges {
             for op in s as usize..e as usize {
-                for slot in [t.a[op], t.b[op], t.c[op]] {
+                for slot in [t.ops.a[op], t.ops.b[op], t.ops.c[op]] {
                     if slot != NO_SLOT {
                         set_bit(&mut read, slot as usize);
                     }
@@ -239,7 +228,7 @@ impl<'t> ConeIndex<'t> {
             *r &= !(fixed | written);
         }
         let boundary = members(&read).map(|slot| (slot as u32, NO_SLOT)).collect();
-        Cone { segments, latches, registers, boundary, ops }
+        Cone { segments, latches, boundary }
     }
 }
 
@@ -281,9 +270,9 @@ impl StageTrace {
 pub(crate) struct GoodTrace<'i> {
     index: &'i ConeIndex<'i>,
     inputs: &'i [i64],
-    /// One-word machine whose lane `t` is cycle `t` of the last
+    /// One word per tape slot, lane `t` = cycle `t` of the last
     /// evaluated block.
-    sim: KernelSim<'i>,
+    buf: Vec<u64>,
     /// Blocks evaluated so far.
     evaluated: usize,
     /// Lane 63 of each latch source in the last evaluated block: the
@@ -329,7 +318,11 @@ impl<'i> GoodTrace<'i> {
         GoodTrace {
             index,
             inputs,
-            sim: KernelSim::new(tape),
+            buf: {
+                let mut buf = vec![0u64; tape.slots];
+                buf[1] = !0; // slot 1: constant all-ones
+                buf
+            },
             evaluated: 0,
             carry: vec![0; tape.latches.len()],
             snapshot_at,
@@ -353,26 +346,26 @@ impl<'i> GoodTrace<'i> {
             for (t, &x) in chunk.iter().enumerate() {
                 plane |= ((x as u64 >> b) & 1) << t;
             }
-            self.sim.buf[in_base + b] = plane;
+            self.buf[in_base + b] = plane;
         }
         for (i, &reg) in index.register_of.iter().enumerate() {
             if reg == NO_SLOT {
                 let (s, e) = tape.node_ops[i];
-                self.sim.run_ops(s as usize, e as usize);
+                run_tape_ops(tape, &mut self.buf, s as usize, e as usize);
             } else {
                 let bits = reg as usize * w..(reg as usize + 1) * w;
                 for (&(dst, src), carried) in
                     tape.latches[bits.clone()].iter().zip(&mut self.carry[bits])
                 {
-                    let plane = self.sim.buf[src as usize];
-                    self.sim.buf[dst as usize] = (plane << 1) | *carried;
+                    let plane = self.buf[src as usize];
+                    self.buf[dst as usize] = (plane << 1) | *carried;
                     *carried = plane >> 63;
                 }
             }
         }
         for &base in &tape.outputs {
             let planes = base as usize..base as usize + w;
-            self.outputs.extend_from_slice(&self.sim.buf[planes]);
+            self.outputs.extend_from_slice(&self.buf[planes]);
         }
         // The state entering cycle c is every latch source's value in
         // cycle c - 1.
@@ -383,7 +376,7 @@ impl<'i> GoodTrace<'i> {
                     .map(|r| {
                         (0..w).fold(0u64, |bits, b| {
                             let src = tape.latches[r * w + b].1 as usize;
-                            bits | ((self.sim.buf[src] >> lane) & 1) << b
+                            bits | ((self.buf[src] >> lane) & 1) << b
                         })
                     })
                     .collect();
@@ -429,7 +422,7 @@ impl<'i> GoodTrace<'i> {
             while self.evaluated <= block {
                 self.eval_block();
             }
-            words.extend(slots.iter().map(|&s| self.sim.buf[s]));
+            words.extend(slots.iter().map(|&s| self.buf[s]));
         }
         StageTrace { first_block, stride: slots.len(), words }
     }

@@ -24,25 +24,48 @@
 //!   stays on the branch-free fast path,
 //! * **optional multi-word lanes** ([`KernelSim::with_words`]): `N`
 //!   independent 64-pattern words per pass share one instruction
-//!   stream, and
+//!   stream,
 //! * **cone restriction** (used by the parallel simulator): a machine
 //!   can run only the ops, latches and boundary slots of a fault
 //!   group's fanout cone, reading everything else from a fault-free
-//!   trace recorded once per run (see the `cone` module).
+//!   trace recorded once per run (see the `cone` module), and
+//! * **one compiled program per machine** (the `program` module):
+//!   every machine, whole-tape or restricted, runs its cone renumbered
+//!   over a dense local buffer with double-buffered registers, so a
+//!   step copies no latch whose source it recomputes.
 //!
 //! # Slot-numbering contract
 //!
-//! Slot `0` is constant all-zeros and slot `1` constant all-ones;
-//! neither is ever a destination. Every other physical slot is written
-//! by exactly one producer per cycle (input broadcast, one tape op, or
-//! the register latch) — the tape is in SSA form — and every op reads
-//! only slots produced earlier in the tape, by the latch, or by the
-//! input broadcast. Register slots double as the architectural state:
-//! they hold the *previous* cycle's latched value throughout
-//! combinational evaluation and are latched at the start of the next
-//! step, before anything overwrites a latch source, so chained
-//! registers observe pre-latch values exactly like hardware (and like
-//! the walker).
+//! On the tape, slot `0` is constant all-zeros and slot `1` constant
+//! all-ones; neither is ever a destination. Every other physical slot
+//! is written by exactly one producer per cycle (input broadcast, one
+//! tape op, or the register latch) — the tape is in SSA form — and
+//! every op reads only slots produced earlier in the tape, register
+//! slots, constants or the input block.
+//!
+//! A machine does not run the tape's numbering. It runs a program
+//! compiled from its cone, over local slots `0..n`: the two constants,
+//! then the input block, the boundary slots and the slots the cone's
+//! ops read and write, numbered in op order. The program has two op
+//! streams, one per cycle parity, and step `t` runs stream `t % 2`
+//! (a restricted machine takes the parity of the absolute cycle). A
+//! slot the program writes every cycle (op destination, input bit or
+//! boundary fill) that some latched register reads as its source has
+//! two homes: stream `q` writes it, and reads it combinationally, in
+//! home `q`, and reads the register from home `1 - q`, where the
+//! previous step left the source's value. The register needs no slot
+//! and no copy of its own, and chained reads see pre-latch values
+//! exactly like hardware (and like the walker). A latch whose source
+//! the program does not rewrite every cycle (a constant bit, or another
+//! register) gets two homes of its own, and an explicit copy at the end
+//! of each step fills the one the next step reads. Those copies read
+//! only homes no copy writes, so their order does not matter.
+//!
+//! Between steps, the register state entering the next step sits in
+//! the homes that step will read; loads, snapshots and resets address
+//! them at the machine's current parity. Registers that share a source
+//! plane (sign extension, or two registers on one node) share its
+//! state, which every real machine state satisfies.
 //!
 //! # Bit-identity with the walker
 //!
@@ -63,11 +86,11 @@
 //! iteration order, clocks or thread scheduling can reach the result.
 
 use crate::cone::{Cone, StageTrace};
+use crate::program::Program;
 use rtl::fulladder::{FaFault, LineMasks};
 use rtl::misr::MisrBank;
 use rtl::sim::CellFault;
 use rtl::{Netlist, NodeId, NodeKind};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
@@ -121,6 +144,19 @@ impl OpKind {
     }
 }
 
+/// The source and destination slots of a straight-line op list, one
+/// parallel array per field, indexed by op: sources `a`/`b`/`c`, sum
+/// destination, carry destination (`NO_SLOT` where an op has no such
+/// operand).
+#[derive(Debug)]
+pub(crate) struct Operands {
+    pub(crate) a: Vec<u32>,
+    pub(crate) b: Vec<u32>,
+    pub(crate) c: Vec<u32>,
+    pub(crate) dst: Vec<u32>,
+    pub(crate) dst2: Vec<u32>,
+}
+
 /// Where one arithmetic node's cells live on the tape: cells `0..=top`
 /// occupy ops `base_op..=base_op+top`, in bit order. A carry-save sum
 /// node additionally records its paired carry node's `Carry` ops
@@ -146,14 +182,9 @@ struct ArithOps {
 pub struct Tape {
     pub(crate) width: usize,
     pub(crate) slots: usize,
-    /// Parallel op arrays, indexed by op: kind, sources `a`/`b`/`c`,
-    /// sum destination, carry destination (`NO_SLOT` when carry-less).
+    /// Kind of each op, and the ops' source and destination slots.
     pub(crate) kind: Vec<OpKind>,
-    pub(crate) a: Vec<u32>,
-    pub(crate) b: Vec<u32>,
-    pub(crate) c: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
-    pub(crate) dst2: Vec<u32>,
+    pub(crate) ops: Operands,
     /// Maximal uniform-kind runs `(kind, start, end)` covering the
     /// tape in order; the hot loop executes these without per-op
     /// dispatch.
@@ -420,11 +451,7 @@ impl Tape {
             width: w,
             slots: slots as usize,
             kind,
-            a,
-            b,
-            c,
-            dst,
-            dst2,
+            ops: Operands { a, b, c, dst, dst2 },
             segments,
             inputs,
             outputs,
@@ -500,17 +527,18 @@ impl Tape {
             out.push('\n');
         }
         let _ = writeln!(out, "ops:");
+        let ops = &self.ops;
         for i in 0..self.kind.len() {
-            let _ = write!(out, "  {i:4} {:5} a=s{}", self.kind[i].mnemonic(), self.a[i]);
-            if self.b[i] != NO_SLOT {
-                let _ = write!(out, " b=s{}", self.b[i]);
+            let _ = write!(out, "  {i:4} {:5} a=s{}", self.kind[i].mnemonic(), ops.a[i]);
+            if ops.b[i] != NO_SLOT {
+                let _ = write!(out, " b=s{}", ops.b[i]);
             }
-            if self.c[i] != NO_SLOT {
-                let _ = write!(out, " c=s{}", self.c[i]);
+            if ops.c[i] != NO_SLOT {
+                let _ = write!(out, " c=s{}", ops.c[i]);
             }
-            let _ = write!(out, " -> s{}", self.dst[i]);
-            if self.dst2[i] != NO_SLOT {
-                let _ = write!(out, " co=s{}", self.dst2[i]);
+            let _ = write!(out, " -> s{}", ops.dst[i]);
+            if ops.dst2[i] != NO_SLOT {
+                let _ = write!(out, " co=s{}", ops.dst2[i]);
             }
             out.push('\n');
         }
@@ -543,36 +571,25 @@ type WordPatches = Vec<(u32, LineMasks)>;
 pub struct KernelSim<'t> {
     tape: &'t Tape,
     words: usize,
-    /// Bit-plane buffer, slot-major: slot `s` of word `k` lives at
-    /// `s * words + k`, so one op's `words` operand planes are
-    /// contiguous. The hot loop runs op-outer/word-inner: the `words`
-    /// lanes of a ripple-carry cell are independent, so the serialized
-    /// carry chain of one word overlaps with its neighbours' and the
-    /// inner loop vectorizes.
-    pub(crate) buf: Vec<u64>,
-    /// The ops, latches and boundary slots this machine runs: the whole
-    /// tape unless restricted to a fault group's fanout cone.
-    cone: Cow<'t, Cone>,
+    /// The compiled ops, latches and boundary fills this machine runs:
+    /// the whole tape unless restricted to a fault group's fanout cone.
+    program: Program,
+    /// Bit-plane buffer over the program's local slots, slot-major:
+    /// slot `s` of word `k` lives at `s * words + k`, so one op's
+    /// `words` operand planes are contiguous. The hot loop runs
+    /// op-outer/word-inner: the `words` lanes of a ripple-carry cell are
+    /// independent, so the serialized carry chain of one word overlaps
+    /// with its neighbours' and the inner loop vectorizes.
+    buf: Vec<u64>,
+    /// Parity of the next step: it runs the program's op stream
+    /// `phase`, and the register state entering it sits at that
+    /// stream's register homes.
+    phase: usize,
     /// Injected faults, keyed `(word, node)`.
     node_faults: BTreeMap<(u32, u32), Vec<CellFault>>,
-    /// Per-op patch list, sorted by op index; each entry carries the
+    /// Per-op patch list, sorted by program op; each entry carries the
     /// faulted words (sorted) with their folded line masks.
     patches: Vec<(u32, WordPatches)>,
-    /// Architectural register state held apart from the planes,
-    /// latch-major (`latch * words + word`; mirrors the walker's
-    /// separate `state` array). It is authoritative only while
-    /// `state_pending` is set; the next step commits it into the
-    /// register slots.
-    reg_state: Vec<u64>,
-    /// Whether `reg_state` holds the register state — after
-    /// construction, a reset or a snapshot write. Otherwise the state is
-    /// in the latch source slots, as the last step left them, and the
-    /// next step copies those straight into the register slots: one
-    /// copy per latch, where a gather at the end of the step plus a
-    /// commit at the start of the next would take two. Either way
-    /// mid-cycle reads see the register *output* and snapshots the
-    /// latched *state*, exactly like hardware.
-    state_pending: bool,
 }
 
 impl<'t> KernelSim<'t> {
@@ -593,33 +610,35 @@ impl<'t> KernelSim<'t> {
     ///
     /// Panics if `words` is zero.
     pub fn with_words(tape: &'t Tape, words: usize) -> Self {
-        Self::with_cone(tape, words, Cow::Owned(Cone::full(tape)))
+        Self::with_cone(tape, words, &Cone::full(tape), 0)
     }
 
-    /// A `words`-wide machine that runs only `cone`'s ops and latches;
-    /// it must be advanced with [`KernelSim::step_traced`] unless the
-    /// cone has no boundary slots.
-    pub(crate) fn with_cone(tape: &'t Tape, words: usize, cone: Cow<'t, Cone>) -> Self {
+    /// A `words`-wide machine that runs only `cone`'s ops and latches
+    /// (its boundary ranks assigned), compiled into its own
+    /// [`Program`], with all registers zero. Its first step is cycle
+    /// `first_cycle`, whose parity picks the first op stream. It must be
+    /// advanced with [`KernelSim::step_traced`] unless the cone has no
+    /// boundary slots.
+    pub(crate) fn with_cone(tape: &'t Tape, words: usize, cone: &Cone, first_cycle: u32) -> Self {
         assert!(words > 0, "a kernel machine needs at least one word");
-        let mut buf = vec![0u64; tape.slots * words];
+        let program = Program::compile(tape, cone);
+        let mut buf = vec![0u64; program.slot_count() * words];
         buf[words..2 * words].fill(!0u64); // slot 1: constant all-ones
-        let reg_state = vec![0u64; tape.latches.len() * words];
         KernelSim {
             tape,
             words,
+            program,
             buf,
-            cone,
+            phase: first_cycle as usize % 2,
             node_faults: BTreeMap::new(),
             patches: Vec::new(),
-            reg_state,
-            state_pending: true,
         }
     }
 
     /// Ops executed per step: the cone's op count (the whole tape's
     /// unless restricted).
     pub(crate) fn ops_per_step(&self) -> usize {
-        self.cone.ops
+        self.program.op_count()
     }
 
     /// Patched ops replayed per step.
@@ -627,12 +646,23 @@ impl<'t> KernelSim<'t> {
         self.patches.len()
     }
 
+    /// Explicit latch-plane copies per step: the latches whose source
+    /// the program does not rewrite every cycle.
+    pub(crate) fn latch_copies_per_step(&self) -> usize {
+        self.program.copies[0].len()
+    }
+
+    /// The bit-plane buffer's size in `u64`s.
+    pub(crate) fn buffer_words(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Whether the machine latches register `r` (in
     /// [`Netlist::register_indices`] order); registers outside a
     /// restricted cone keep their stage-entry state.
     #[cfg(test)]
     fn latches_register(&self, r: usize) -> bool {
-        self.cone.registers[r]
+        self.program.state[0][r * self.tape.width] != NO_SLOT
     }
 
     /// The executed tape.
@@ -647,12 +677,9 @@ impl<'t> KernelSim<'t> {
 
     /// Resets all register state to zero (faults are kept).
     pub fn reset(&mut self) {
-        self.reg_state.fill(0);
-        self.state_pending = true;
-        for &reg in &self.tape.reg_bases {
-            let lo = reg as usize * self.words;
-            let hi = (reg as usize + self.tape.width) * self.words;
-            self.buf[lo..hi].fill(0);
+        let w = self.words;
+        for &slot in self.program.state[self.phase].iter().filter(|&&s| s != NO_SLOT) {
+            self.buf[slot as usize * w..(slot as usize + 1) * w].fill(0);
         }
     }
 
@@ -753,22 +780,15 @@ impl<'t> KernelSim<'t> {
                 }
             }
         }
+        // Program ops keep tape order, so the list stays sorted.
         self.patches = per_op
             .into_iter()
             .map(|(op, words)| {
                 let words =
                     words.into_iter().map(|(w, list)| (w, LineMasks::from_faults(&list))).collect();
-                (op, words)
+                (self.program.local_op(op), words)
             })
             .collect();
-        debug_assert!(
-            self.patches.iter().all(|&(op, _)| self
-                .cone
-                .segments
-                .iter()
-                .any(|&(_, s, e)| (s..e).contains(&op))),
-            "every patched op lies inside the machine's cone"
-        );
     }
 
     /// Advances one clock cycle with the same input word broadcast to
@@ -779,36 +799,37 @@ impl<'t> KernelSim<'t> {
     /// Panics if the netlist does not have exactly one input, or the
     /// machine is restricted to a cone that reads trace values.
     pub fn step(&mut self, input_raw: i64) {
-        assert!(self.cone.boundary.is_empty(), "a cone-restricted machine steps with a trace");
+        assert!(
+            self.program.boundary[0].is_empty(),
+            "a cone-restricted machine steps with a trace"
+        );
         self.broadcast_input(input_raw);
-        self.exec();
+        self.finish_step();
     }
 
     /// [`KernelSim::step`] for a cone-restricted machine: the cone's
     /// boundary slots take their fault-free `cycle` values from the
     /// stage's trace, broadcast to every lane of every word.
     pub(crate) fn step_traced(&mut self, input_raw: i64, trace: &StageTrace, cycle: u32) {
+        debug_assert_eq!(cycle as usize % 2, self.phase, "steps follow the cycle parity");
         self.broadcast_input(input_raw);
         let (row, lane) = trace.block_row(cycle);
         let w = self.words;
-        for &(slot, rank) in &self.cone.boundary {
+        for &(slot, rank) in &self.program.boundary[self.phase] {
             let v = ((row[rank as usize] >> lane) & 1).wrapping_neg();
             let lo = slot as usize * w;
             self.buf[lo..lo + w].fill(v);
         }
-        self.exec();
+        self.finish_step();
     }
 
-    /// Commits the register state and broadcasts one input word to all
-    /// lanes of every word: the start of a step.
+    /// Broadcasts one input word to all lanes of every word.
     fn broadcast_input(&mut self, input_raw: i64) {
         assert_eq!(self.tape.inputs.len(), 1, "netlist does not have exactly one input");
-        let base = self.tape.inputs[0].1;
-        self.commit_registers();
         let bits = input_raw as u64;
-        for b in 0..self.tape.width {
+        for (b, &slot) in self.program.input[self.phase].iter().enumerate() {
             let v = if (bits >> b) & 1 == 1 { !0u64 } else { 0 };
-            let lo = (base as usize + b) * self.words;
+            let lo = slot as usize * self.words;
             self.buf[lo..lo + self.words].fill(v);
         }
     }
@@ -821,298 +842,67 @@ impl<'t> KernelSim<'t> {
     /// Panics if `raws` does not hold exactly [`KernelSim::words`]
     /// entries or the netlist does not have exactly one input.
     pub fn step_words(&mut self, raws: &[i64]) {
-        assert!(self.cone.boundary.is_empty(), "a cone-restricted machine steps with a trace");
+        assert!(
+            self.program.boundary[0].is_empty(),
+            "a cone-restricted machine steps with a trace"
+        );
         assert_eq!(self.tape.inputs.len(), 1, "netlist does not have exactly one input");
         assert_eq!(raws.len(), self.words, "one input word per pattern word");
-        let base = self.tape.inputs[0].1;
-        self.commit_registers();
         for (word, &raw) in raws.iter().enumerate() {
             let bits = raw as u64;
-            for b in 0..self.tape.width {
-                self.buf[(base as usize + b) * self.words + word] =
+            for (b, &slot) in self.program.input[self.phase].iter().enumerate() {
+                self.buf[slot as usize * self.words + word] =
                     if (bits >> b) & 1 == 1 { !0u64 } else { 0 };
             }
         }
-        self.exec();
+        self.finish_step();
     }
 
-    fn exec(&mut self) {
+    /// Runs this step's op stream and explicit latch copies, then flips
+    /// the parity.
+    fn finish_step(&mut self) {
+        let (program, w) = (&self.program, self.words);
+        let ops = &program.streams[self.phase];
+        let buf = &mut self.buf[..];
         if self.patches.is_empty() {
-            for s in 0..self.cone.segments.len() {
-                let (k, lo, hi) = self.cone.segments[s];
-                self.run_segment(k, lo as usize, hi as usize);
+            for &(k, lo, hi) in &program.segments {
+                run_segment(ops, buf, w, k, lo as usize, hi as usize);
             }
-            return;
-        }
-        // Split the straight-line stream at the patch points: clean
-        // runs stay on the segment fast path, each patched cell runs
-        // on it too and then recomputes its faulted words through the
-        // masked gate model, preserving the carry chain through it.
-        let patches = std::mem::take(&mut self.patches);
-        let mut seg = 0usize;
-        let mut cursor = 0u32;
-        for p in &patches {
-            seg = self.run_range(seg, cursor, p.0);
-            self.run_patched(p);
-            cursor = p.0 + 1;
-        }
-        self.run_range(seg, cursor, self.tape.kind.len() as u32);
-        self.patches = patches;
-    }
-
-    /// Executes the machine's clean ops in `[from, to)`, resuming the
-    /// segment walk at `seg_idx`; returns the segment index to resume
-    /// from next.
-    fn run_range(&mut self, mut seg_idx: usize, from: u32, to: u32) -> usize {
-        while seg_idx < self.cone.segments.len() {
-            let (k, s, e) = self.cone.segments[seg_idx];
-            if s >= to {
-                break;
-            }
-            let lo = s.max(from);
-            let hi = e.min(to);
-            if lo < hi {
-                self.run_segment(k, lo as usize, hi as usize);
-            }
-            if e <= to {
-                seg_idx += 1;
-            } else {
-                break;
-            }
-        }
-        seg_idx
-    }
-
-    /// Executes tape ops `[start, end)` of any kinds, split into
-    /// uniform-kind runs (the good trace evaluates one node at a time).
-    pub(crate) fn run_ops(&mut self, start: usize, end: usize) {
-        let mut lo = start;
-        while lo < end {
-            let k = self.tape.kind[lo];
-            let hi = (lo..end).find(|&i| self.tape.kind[i] != k).unwrap_or(end);
-            self.run_segment(k, lo, hi);
-            lo = hi;
-        }
-    }
-
-    fn run_segment(&mut self, kind: OpKind, start: usize, end: usize) {
-        // Monomorphize the common word counts so the inner loops run
-        // over fixed-size arrays: loading each operand plane into a
-        // local `[u64; W]` breaks the may-alias chain between operand
-        // reads and destination writes (everything lives in one `buf`),
-        // which is what lets the compiler keep sources in registers and
-        // vectorize the word-wise expressions. Odd-sized trailing
-        // groups take the dynamic-width form.
-        match self.words {
-            1 => self.run_segment_w::<1>(kind, start, end),
-            2 => self.run_segment_w::<2>(kind, start, end),
-            4 => self.run_segment_w::<4>(kind, start, end),
-            8 => self.run_segment_w::<8>(kind, start, end),
-            16 => self.run_segment_w::<16>(kind, start, end),
-            _ => self.run_segment_dyn(kind, start, end),
-        }
-    }
-
-    fn run_segment_w<const W: usize>(&mut self, kind: OpKind, start: usize, end: usize) {
-        debug_assert_eq!(self.words, W);
-        let t = self.tape;
-        let buf = &mut self.buf[..];
-        let load = |buf: &[u64], base: usize| -> [u64; W] {
-            buf[base..base + W].try_into().expect("plane")
-        };
-        // Op-outer, word-inner: the inner loop's `W` lanes are
-        // independent and contiguous, so the ripple-carry store→load
-        // chain of one word pipelines against its neighbours'.
-        match kind {
-            OpKind::Full | OpKind::FullN => {
-                let neg = if kind == OpKind::FullN { !0u64 } else { 0 };
-                for i in start..end {
-                    let av = load(buf, t.a[i] as usize * W);
-                    let bn = load(buf, t.b[i] as usize * W);
-                    let cv = load(buf, t.c[i] as usize * W);
-                    let (d, d2) = (t.dst[i] as usize * W, t.dst2[i] as usize * W);
-                    let mut sum = [0u64; W];
-                    let mut cry = [0u64; W];
-                    for k in 0..W {
-                        let bv = bn[k] ^ neg;
-                        let x1 = av[k] ^ bv;
-                        sum[k] = x1 ^ cv[k];
-                        cry[k] = (av[k] & bv) | (x1 & cv[k]);
-                    }
-                    buf[d..d + W].copy_from_slice(&sum);
-                    buf[d2..d2 + W].copy_from_slice(&cry);
-                }
-            }
-            OpKind::SumOnly | OpKind::SumOnlyN => {
-                let neg = if kind == OpKind::SumOnlyN { !0u64 } else { 0 };
-                for i in start..end {
-                    let av = load(buf, t.a[i] as usize * W);
-                    let bn = load(buf, t.b[i] as usize * W);
-                    let cv = load(buf, t.c[i] as usize * W);
-                    let d = t.dst[i] as usize * W;
-                    let mut sum = [0u64; W];
-                    for k in 0..W {
-                        sum[k] = av[k] ^ bn[k] ^ neg ^ cv[k];
-                    }
-                    buf[d..d + W].copy_from_slice(&sum);
-                }
-            }
-            OpKind::Carry => {
-                for i in start..end {
-                    let av = load(buf, t.a[i] as usize * W);
-                    let bv = load(buf, t.b[i] as usize * W);
-                    let cv = load(buf, t.c[i] as usize * W);
-                    let d = t.dst[i] as usize * W;
-                    let mut cry = [0u64; W];
-                    for k in 0..W {
-                        cry[k] = (av[k] & bv[k]) | ((av[k] ^ bv[k]) & cv[k]);
-                    }
-                    buf[d..d + W].copy_from_slice(&cry);
-                }
-            }
-            OpKind::Not => {
-                for i in start..end {
-                    let av = load(buf, t.a[i] as usize * W);
-                    let d = t.dst[i] as usize * W;
-                    let mut out = [0u64; W];
-                    for k in 0..W {
-                        out[k] = !av[k];
-                    }
-                    buf[d..d + W].copy_from_slice(&out);
-                }
-            }
-            OpKind::Copy => {
-                for i in start..end {
-                    let (a, d) = (t.a[i] as usize * W, t.dst[i] as usize * W);
-                    buf.copy_within(a..a + W, d);
-                }
-            }
-        }
-    }
-
-    /// Dynamic-width fallback for word counts without a monomorphized
-    /// form — bit-identical to [`KernelSim::run_segment_w`], just
-    /// without the fixed-size register blocking.
-    fn run_segment_dyn(&mut self, kind: OpKind, start: usize, end: usize) {
-        let t = self.tape;
-        let w = self.words;
-        let buf = &mut self.buf[..];
-        match kind {
-            OpKind::Full | OpKind::FullN => {
-                let neg = if kind == OpKind::FullN { !0u64 } else { 0 };
-                for i in start..end {
-                    let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
-                    let (d, d2) = (t.dst[i] as usize * w, t.dst2[i] as usize * w);
-                    for k in 0..w {
-                        let av = buf[a + k];
-                        let bv = buf[b + k] ^ neg;
-                        let cv = buf[c + k];
-                        let x1 = av ^ bv;
-                        buf[d + k] = x1 ^ cv;
-                        buf[d2 + k] = (av & bv) | (x1 & cv);
-                    }
-                }
-            }
-            OpKind::SumOnly | OpKind::SumOnlyN => {
-                let neg = if kind == OpKind::SumOnlyN { !0u64 } else { 0 };
-                for i in start..end {
-                    let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
-                    let d = t.dst[i] as usize * w;
-                    for k in 0..w {
-                        buf[d + k] = buf[a + k] ^ buf[b + k] ^ neg ^ buf[c + k];
-                    }
-                }
-            }
-            OpKind::Carry => {
-                for i in start..end {
-                    let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
-                    let d = t.dst[i] as usize * w;
-                    for k in 0..w {
-                        let (av, bv, cv) = (buf[a + k], buf[b + k], buf[c + k]);
-                        buf[d + k] = (av & bv) | ((av ^ bv) & cv);
-                    }
-                }
-            }
-            OpKind::Not => {
-                for i in start..end {
-                    let (a, d) = (t.a[i] as usize * w, t.dst[i] as usize * w);
-                    for k in 0..w {
-                        buf[d + k] = !buf[a + k];
-                    }
-                }
-            }
-            OpKind::Copy => {
-                for i in start..end {
-                    let (a, d) = (t.a[i] as usize * w, t.dst[i] as usize * w);
-                    buf.copy_within(a..a + w, d);
-                }
-            }
-        }
-    }
-
-    /// Executes one patched cell: every word on the fast path, then
-    /// each faulted word again through its folded line masks — the
-    /// walker's faulted slow path ([`rtl::fulladder::eval_word`]) with
-    /// the fault-list scan done at patch time, so the faulty planes
-    /// agree bit-for-bit. A `Carry` op takes the carry output; every
-    /// other kind takes the sum (plus, for full cells, the chained
-    /// carry). For carry-less sum cells (trimmed MSB, carry-save sum
-    /// bits) the discarded carry matches the walker's sum-only
-    /// evaluation: the two evaluators agree on the sum output for every
-    /// fault.
-    fn run_patched(&mut self, patch: &(u32, WordPatches)) {
-        let t = self.tape;
-        let w = self.words;
-        let op = patch.0 as usize;
-        self.run_segment(t.kind[op], op, op + 1);
-        let negate = t.kind[op].negates_b();
-        let carry_op = t.kind[op] == OpKind::Carry;
-        let (a, b, c) = (t.a[op] as usize * w, t.b[op] as usize * w, t.c[op] as usize * w);
-        let (d, d2) = (t.dst[op] as usize * w, t.dst2[op]);
-        for &(word, ref masks) in &patch.1 {
-            let k = word as usize;
-            let raw_b = self.buf[b + k];
-            let bv = if negate { !raw_b } else { raw_b };
-            let (sum, cout) = masks.eval(self.buf[a + k], bv, self.buf[c + k]);
-            self.buf[d + k] = if carry_op { cout } else { sum };
-            if d2 != NO_SLOT {
-                self.buf[d2 as usize * w + k] = cout;
-            }
-        }
-    }
-
-    /// Commits the architectural state into the register slots — the
-    /// walker's "Register copies state into planes" arm plus its
-    /// `latch_registers`, run once at the start of a step, before the
-    /// input broadcast and the tape overwrite any latch source. Without
-    /// a pending state each register copies its source's last value,
-    /// registers in descending order: a register's source register
-    /// comes earlier in the node order, so a chained register reads its
-    /// predecessor's output before that is overwritten.
-    fn commit_registers(&mut self) {
-        let w = self.words;
-        if self.state_pending {
-            for &k in &self.cone.latches {
-                let k = k as usize;
-                let lo = self.tape.latches[k].0 as usize * w;
-                self.buf[lo..lo + w].copy_from_slice(&self.reg_state[k * w..(k + 1) * w]);
-            }
-            self.state_pending = false;
         } else {
-            for &k in self.cone.latches.iter().rev() {
-                let (dst, src) = self.tape.latches[k as usize];
-                let src = src as usize * w;
-                self.buf.copy_within(src..src + w, dst as usize * w);
+            // Split the straight-line stream at the patch points: clean
+            // runs stay on the segment fast path, each patched cell
+            // runs on it too and then recomputes its faulted words
+            // through the masked gate model, preserving the carry chain
+            // through it.
+            let mut seg = 0usize;
+            let mut cursor = 0u32;
+            for (op, words) in &self.patches {
+                seg = run_range(&program.segments, ops, buf, w, seg, cursor, *op);
+                run_patched(program.kind[*op as usize], ops, buf, w, *op as usize, words);
+                cursor = op + 1;
             }
+            run_range(&program.segments, ops, buf, w, seg, cursor, program.op_count() as u32);
         }
+        for &(dst, src) in &program.copies[self.phase] {
+            let src = src as usize * w;
+            buf.copy_within(src..src + w, dst as usize * w);
+        }
+        self.phase ^= 1;
     }
 
-    /// Register-state plane `latch` of pattern word `word`.
+    /// Local slot of tape slot `slot` as the last step left it.
+    fn settled(&self, slot: u32) -> usize {
+        let local = self.program.slot_map[slot as usize][self.phase ^ 1];
+        assert_ne!(local, NO_SLOT, "tape slot {slot} lies outside the machine's cone");
+        local as usize
+    }
+
+    /// Register-state plane `latch` of pattern word `word`: the state
+    /// entering the next step (zero for a register outside the cone).
     fn state_plane(&self, latch: usize, word: usize) -> u64 {
-        if self.state_pending {
-            self.reg_state[latch * self.words + word]
-        } else {
-            self.buf[self.tape.latches[latch].1 as usize * self.words + word]
+        match self.program.state[self.phase][latch] {
+            NO_SLOT => 0,
+            slot => self.buf[slot as usize * self.words + word],
         }
     }
 
@@ -1137,7 +927,7 @@ impl<'t> KernelSim<'t> {
         let w = self.tape.width;
         let mut bits: u64 = 0;
         for b in 0..w {
-            let slot = self.tape.slot_of[node.index() * w + b] as usize;
+            let slot = self.settled(self.tape.slot_of[node.index() * w + b]);
             bits |= ((self.buf[slot * self.words + word] >> lane) & 1) << b;
         }
         let shift = 64 - w;
@@ -1158,15 +948,11 @@ impl<'t> KernelSim<'t> {
     /// Panics if `word` is out of range.
     pub fn output_diff_lanes_in_word(&self, word: usize, reference_lane: u32) -> u64 {
         assert!(word < self.words, "word {word} out of range");
-        let w = self.tape.width;
         let mut diff: u64 = 0;
-        for &base in &self.tape.outputs {
-            for b in 0..w {
-                let plane = self.buf[(base as usize + b) * self.words + word];
-                let good = (plane >> reference_lane) & 1;
-                let broadcast = good.wrapping_neg();
-                diff |= plane ^ broadcast;
-            }
+        for &slot in &self.program.outputs[self.phase ^ 1] {
+            let plane = self.buf[slot as usize * self.words + word];
+            let good = (plane >> reference_lane) & 1;
+            diff |= plane ^ good.wrapping_neg();
         }
         diff & !(1u64 << reference_lane)
     }
@@ -1188,13 +974,12 @@ impl<'t> KernelSim<'t> {
     /// Panics if `word` is out of range.
     pub fn fold_outputs_in_word(&self, word: usize, bank: &mut MisrBank) {
         assert!(word < self.words, "word {word} out of range");
-        let w = self.tape.width;
         let mut planes = [0u64; 64];
-        for &base in &self.tape.outputs {
-            for (b, plane) in planes.iter_mut().enumerate().take(w) {
-                *plane = self.buf[(base as usize + b) * self.words + word];
+        for output in self.program.outputs[self.phase ^ 1].chunks(self.tape.width) {
+            for (plane, &slot) in planes.iter_mut().zip(output) {
+                *plane = self.buf[slot as usize * self.words + word];
             }
-            bank.absorb_planes(&planes[..w]);
+            bank.absorb_planes(&planes[..output.len()]);
         }
     }
 
@@ -1229,10 +1014,22 @@ impl<'t> KernelSim<'t> {
             .collect()
     }
 
+    /// Sets (or clears) `lane` of register-state plane `latch` of
+    /// `word`. Latches that share a source share their state plane, so
+    /// this assigns rather than flips: writing the same bit twice is
+    /// harmless.
+    fn set_state_bit(&mut self, latch: usize, word: usize, lane: u32, one: bool) {
+        let slot = self.program.state[self.phase][latch];
+        if slot != NO_SLOT {
+            let plane = &mut self.buf[slot as usize * self.words + word];
+            *plane = (*plane & !(1u64 << lane)) | (u64::from(one) << lane);
+        }
+    }
+
     /// Loads one word's register state in bulk: every lane takes the
     /// `baseline` snapshot, then each `(lane, snapshot)` overrides its
     /// own lane. Only the registers the machine latches are loaded (the
-    /// others are never read back as machine state). Flipping just the
+    /// others are never read back as machine state). Touching just the
     /// bits where a snapshot differs from the baseline keeps this cheap
     /// for the many lanes whose state has not diverged.
     pub(crate) fn load_word_state<'s>(
@@ -1241,23 +1038,21 @@ impl<'t> KernelSim<'t> {
         baseline: &[u64],
         lanes: impl IntoIterator<Item = (u32, &'s [u64])>,
     ) {
-        self.park_state();
         let (w, words) = (self.tape.width, self.words);
-        let registers: Vec<usize> =
-            (0..baseline.len()).filter(|&r| self.cone.registers[r]).collect();
-        for &r in &registers {
-            for b in 0..w {
-                let plane = ((baseline[r] >> b) & 1).wrapping_neg();
-                self.reg_state[(r * w + b) * words + word] = plane;
+        for latch in 0..baseline.len() * w {
+            let slot = self.program.state[self.phase][latch];
+            if slot != NO_SLOT {
+                let (r, b) = (latch / w, latch % w);
+                self.buf[slot as usize * words + word] = ((baseline[r] >> b) & 1).wrapping_neg();
             }
         }
         for (lane, snapshot) in lanes {
-            for &r in &registers {
-                let mut diff = snapshot[r] ^ baseline[r];
+            for (r, (&bits, &good)) in snapshot.iter().zip(baseline).enumerate() {
+                let mut diff = bits ^ good;
                 while diff != 0 {
                     let b = diff.trailing_zeros() as usize;
                     diff &= diff - 1;
-                    self.reg_state[(r * w + b) * words + word] ^= 1u64 << lane;
+                    self.set_state_bit(r * w + b, word, lane, (bits >> b) & 1 == 1);
                 }
             }
         }
@@ -1282,7 +1077,8 @@ impl<'t> KernelSim<'t> {
             snapshots.push(baseline.into());
             m &= m - 1;
         }
-        for r in (0..baseline.len()).filter(|&r| self.cone.registers[r]) {
+        let latched = |r: usize| self.program.state[self.phase][r * w] != NO_SLOT;
+        for r in (0..baseline.len()).filter(|&r| latched(r)) {
             for b in 0..w {
                 let good = ((baseline[r] >> b) & 1).wrapping_neg();
                 let mut diff = (self.state_plane(r * w + b, word) ^ good) & lanes;
@@ -1296,22 +1092,9 @@ impl<'t> KernelSim<'t> {
         snapshots
     }
 
-    /// Moves a state held in the latch sources into `reg_state`, so it
-    /// can be edited lane by lane.
-    fn park_state(&mut self) {
-        if !self.state_pending {
-            for &k in &self.cone.latches {
-                let k = k as usize;
-                let lo = self.tape.latches[k].1 as usize * self.words;
-                self.reg_state[k * self.words..(k + 1) * self.words]
-                    .copy_from_slice(&self.buf[lo..lo + self.words]);
-            }
-            self.state_pending = true;
-        }
-    }
-
     /// Writes a register-state snapshot into one lane of one pattern
     /// word — the inverse of [`KernelSim::register_state_lane_in_word`].
+    /// Registers outside a restricted machine's cone are skipped.
     ///
     /// # Panics
     ///
@@ -1325,18 +1108,259 @@ impl<'t> KernelSim<'t> {
             self.tape.reg_bases.len(),
             "snapshot does not match register count"
         );
-        self.park_state();
         let w = self.tape.width;
         for (r, &bits) in snapshot.iter().enumerate() {
             for b in 0..w {
-                let mask = 1u64 << lane;
-                let idx = (r * w + b) * self.words + word;
-                if (bits >> b) & 1 == 1 {
-                    self.reg_state[idx] |= mask;
-                } else {
-                    self.reg_state[idx] &= !mask;
+                self.set_state_bit(r * w + b, word, lane, (bits >> b) & 1 == 1);
+            }
+        }
+    }
+}
+
+/// Executes the clean ops of `[from, to)` (program op indices),
+/// resuming the segment walk at `seg_idx`; returns the segment index to
+/// resume from next.
+fn run_range(
+    segments: &[(OpKind, u32, u32)],
+    ops: &Operands,
+    buf: &mut [u64],
+    words: usize,
+    mut seg_idx: usize,
+    from: u32,
+    to: u32,
+) -> usize {
+    while seg_idx < segments.len() {
+        let (k, s, e) = segments[seg_idx];
+        if s >= to {
+            break;
+        }
+        let lo = s.max(from);
+        let hi = e.min(to);
+        if lo < hi {
+            run_segment(ops, buf, words, k, lo as usize, hi as usize);
+        }
+        if e <= to {
+            seg_idx += 1;
+        } else {
+            break;
+        }
+    }
+    seg_idx
+}
+
+/// Executes tape ops `[start, end)` of any kinds on a one-word buffer
+/// in the tape's own slot numbering, split into uniform-kind runs (the
+/// good trace evaluates one node at a time).
+pub(crate) fn run_tape_ops(tape: &Tape, buf: &mut [u64], start: usize, end: usize) {
+    let mut lo = start;
+    while lo < end {
+        let k = tape.kind[lo];
+        let hi = (lo..end).find(|&i| tape.kind[i] != k).unwrap_or(end);
+        run_segment(&tape.ops, buf, 1, k, lo, hi);
+        lo = hi;
+    }
+}
+
+/// Executes ops `[start, end)` of `ops`, all of one `kind`, over `buf`,
+/// which holds `words` consecutive words per slot.
+fn run_segment(
+    ops: &Operands,
+    buf: &mut [u64],
+    words: usize,
+    kind: OpKind,
+    start: usize,
+    end: usize,
+) {
+    // Monomorphize the common word counts so the inner loops run over
+    // fixed-size arrays: loading each operand plane into a local
+    // `[u64; W]` breaks the may-alias chain between operand reads and
+    // destination writes (everything lives in one `buf`), which is what
+    // lets the compiler keep sources in registers and vectorize the
+    // word-wise expressions. Odd-sized trailing groups take the
+    // dynamic-width form.
+    match words {
+        1 => run_segment_w::<1>(ops, buf, kind, start, end),
+        2 => run_segment_w::<2>(ops, buf, kind, start, end),
+        4 => run_segment_w::<4>(ops, buf, kind, start, end),
+        8 => run_segment_w::<8>(ops, buf, kind, start, end),
+        16 => run_segment_w::<16>(ops, buf, kind, start, end),
+        _ => run_segment_dyn(ops, buf, words, kind, start, end),
+    }
+}
+
+fn run_segment_w<const W: usize>(
+    t: &Operands,
+    buf: &mut [u64],
+    kind: OpKind,
+    start: usize,
+    end: usize,
+) {
+    let load =
+        |buf: &[u64], base: usize| -> [u64; W] { buf[base..base + W].try_into().expect("plane") };
+    // Op-outer, word-inner: the inner loop's `W` lanes are independent
+    // and contiguous, so the ripple-carry store→load chain of one word
+    // pipelines against its neighbours'.
+    match kind {
+        OpKind::Full | OpKind::FullN => {
+            let neg = if kind == OpKind::FullN { !0u64 } else { 0 };
+            for i in start..end {
+                let av = load(buf, t.a[i] as usize * W);
+                let bn = load(buf, t.b[i] as usize * W);
+                let cv = load(buf, t.c[i] as usize * W);
+                let (d, d2) = (t.dst[i] as usize * W, t.dst2[i] as usize * W);
+                let mut sum = [0u64; W];
+                let mut cry = [0u64; W];
+                for k in 0..W {
+                    let bv = bn[k] ^ neg;
+                    let x1 = av[k] ^ bv;
+                    sum[k] = x1 ^ cv[k];
+                    cry[k] = (av[k] & bv) | (x1 & cv[k]);
+                }
+                buf[d..d + W].copy_from_slice(&sum);
+                buf[d2..d2 + W].copy_from_slice(&cry);
+            }
+        }
+        OpKind::SumOnly | OpKind::SumOnlyN => {
+            let neg = if kind == OpKind::SumOnlyN { !0u64 } else { 0 };
+            for i in start..end {
+                let av = load(buf, t.a[i] as usize * W);
+                let bn = load(buf, t.b[i] as usize * W);
+                let cv = load(buf, t.c[i] as usize * W);
+                let d = t.dst[i] as usize * W;
+                let mut sum = [0u64; W];
+                for k in 0..W {
+                    sum[k] = av[k] ^ bn[k] ^ neg ^ cv[k];
+                }
+                buf[d..d + W].copy_from_slice(&sum);
+            }
+        }
+        OpKind::Carry => {
+            for i in start..end {
+                let av = load(buf, t.a[i] as usize * W);
+                let bv = load(buf, t.b[i] as usize * W);
+                let cv = load(buf, t.c[i] as usize * W);
+                let d = t.dst[i] as usize * W;
+                let mut cry = [0u64; W];
+                for k in 0..W {
+                    cry[k] = (av[k] & bv[k]) | ((av[k] ^ bv[k]) & cv[k]);
+                }
+                buf[d..d + W].copy_from_slice(&cry);
+            }
+        }
+        OpKind::Not => {
+            for i in start..end {
+                let av = load(buf, t.a[i] as usize * W);
+                let d = t.dst[i] as usize * W;
+                let mut out = [0u64; W];
+                for k in 0..W {
+                    out[k] = !av[k];
+                }
+                buf[d..d + W].copy_from_slice(&out);
+            }
+        }
+        OpKind::Copy => {
+            for i in start..end {
+                let (a, d) = (t.a[i] as usize * W, t.dst[i] as usize * W);
+                buf.copy_within(a..a + W, d);
+            }
+        }
+    }
+}
+
+/// Dynamic-width fallback for word counts without a monomorphized form
+/// — bit-identical to [`run_segment_w`], just without the fixed-size
+/// register blocking.
+fn run_segment_dyn(
+    t: &Operands,
+    buf: &mut [u64],
+    w: usize,
+    kind: OpKind,
+    start: usize,
+    end: usize,
+) {
+    match kind {
+        OpKind::Full | OpKind::FullN => {
+            let neg = if kind == OpKind::FullN { !0u64 } else { 0 };
+            for i in start..end {
+                let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
+                let (d, d2) = (t.dst[i] as usize * w, t.dst2[i] as usize * w);
+                for k in 0..w {
+                    let av = buf[a + k];
+                    let bv = buf[b + k] ^ neg;
+                    let cv = buf[c + k];
+                    let x1 = av ^ bv;
+                    buf[d + k] = x1 ^ cv;
+                    buf[d2 + k] = (av & bv) | (x1 & cv);
                 }
             }
+        }
+        OpKind::SumOnly | OpKind::SumOnlyN => {
+            let neg = if kind == OpKind::SumOnlyN { !0u64 } else { 0 };
+            for i in start..end {
+                let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
+                let d = t.dst[i] as usize * w;
+                for k in 0..w {
+                    buf[d + k] = buf[a + k] ^ buf[b + k] ^ neg ^ buf[c + k];
+                }
+            }
+        }
+        OpKind::Carry => {
+            for i in start..end {
+                let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
+                let d = t.dst[i] as usize * w;
+                for k in 0..w {
+                    let (av, bv, cv) = (buf[a + k], buf[b + k], buf[c + k]);
+                    buf[d + k] = (av & bv) | ((av ^ bv) & cv);
+                }
+            }
+        }
+        OpKind::Not => {
+            for i in start..end {
+                let (a, d) = (t.a[i] as usize * w, t.dst[i] as usize * w);
+                for k in 0..w {
+                    buf[d + k] = !buf[a + k];
+                }
+            }
+        }
+        OpKind::Copy => {
+            for i in start..end {
+                let (a, d) = (t.a[i] as usize * w, t.dst[i] as usize * w);
+                buf.copy_within(a..a + w, d);
+            }
+        }
+    }
+}
+
+/// Executes one patched cell: every word on the fast path, then each
+/// faulted word again through its folded line masks — the walker's
+/// faulted slow path ([`rtl::fulladder::eval_word`]) with the
+/// fault-list scan done at patch time, so the faulty planes agree
+/// bit-for-bit. A `Carry` op takes the carry output; every other kind
+/// takes the sum (plus, for full cells, the chained carry). For
+/// carry-less sum cells (trimmed MSB, carry-save sum bits) the
+/// discarded carry matches the walker's sum-only evaluation: the two
+/// evaluators agree on the sum output for every fault.
+fn run_patched(
+    kind: OpKind,
+    t: &Operands,
+    buf: &mut [u64],
+    w: usize,
+    op: usize,
+    patches: &WordPatches,
+) {
+    run_segment(t, buf, w, kind, op, op + 1);
+    let negate = kind.negates_b();
+    let carry_op = kind == OpKind::Carry;
+    let (a, b, c) = (t.a[op] as usize * w, t.b[op] as usize * w, t.c[op] as usize * w);
+    let (d, d2) = (t.dst[op] as usize * w, t.dst2[op]);
+    for &(word, ref masks) in patches {
+        let k = word as usize;
+        let raw_b = buf[b + k];
+        let bv = if negate { !raw_b } else { raw_b };
+        let (sum, cout) = masks.eval(buf[a + k], bv, buf[c + k]);
+        buf[d + k] = if carry_op { cout } else { sum };
+        if d2 != NO_SLOT {
+            buf[d2 as usize * w + k] = cout;
         }
     }
 }
@@ -1350,8 +1374,9 @@ mod tests {
     use rtl::NetlistBuilder;
 
     /// A netlist exercising every compiled construct: shifts, chained
-    /// registers, add, sub, not, set-lsb, constants, a carry-save stage
-    /// and a pipeline register inside the adders' fanout cones.
+    /// registers, add, sub, not, set-lsb, constants, a carry-save stage,
+    /// a two-deep register chain inside the adders' fanout cones, and
+    /// registers fed by a constant and by a set-lsb.
     fn kitchen_sink(width: u32) -> Netlist {
         let mut b = NetlistBuilder::new(width).unwrap();
         let x = b.input("x");
@@ -1369,6 +1394,12 @@ mod tests {
         let p = b.register(s1); // pipeline register below s1
         let a3 = b.add_labeled(a2, p, "a3");
         b.output(a3, "y");
+        let kr = b.register(k); // fed by a constant
+        let lr = b.register(sl); // bit 0 fed by the constant one
+        let m = b.sub_labeled(kr, lr, "m");
+        let p2 = b.register(p); // register-fed, inside s1's cone
+        let m2 = b.add_labeled(m, p2, "m2");
+        b.output(m2, "z");
         b.finish().unwrap()
     }
 
@@ -1394,6 +1425,14 @@ mod tests {
                     "node {id} lane {lane}"
                 );
             }
+        }
+    }
+
+    impl KernelSim<'_> {
+        /// Every output plane of word 0 as the last step left it.
+        fn output_planes(&self) -> Vec<u64> {
+            let last = &self.program.outputs[self.phase ^ 1];
+            last.iter().map(|&slot| self.buf[slot as usize * self.words]).collect()
         }
     }
 
@@ -1538,7 +1577,7 @@ mod tests {
         // Final planes of word 1 equal the second single-word
         // machine's, slot for slot (slot-major: word 1 is the odd
         // stride).
-        let slots = tape.slot_count();
+        let slots = wide.program.slot_count();
         let word1: Vec<u64> = (0..slots).map(|s| wide.buf[s * 2 + 1]).collect();
         let word0: Vec<u64> = (0..slots).map(|s| wide.buf[s * 2]).collect();
         assert_eq!(word1, lone_b.buf);
@@ -1627,8 +1666,8 @@ mod tests {
             let mut trace = crate::cone::GoodTrace::new(&index, &inputs, &every_cycle);
             let mut cones = [index.group_cone(per_node.keys().copied())];
             let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
-            smallest = smallest.min(cones[0].ops);
-            let mut coned = KernelSim::with_cone(&tape, 1, Cow::Borrowed(&cones[0]));
+            let mut coned = KernelSim::with_cone(&tape, 1, &cones[0], 0);
+            smallest = smallest.min(coned.ops_per_step());
             let mut full = KernelSim::new(&tape);
             for (&node, faults) in &per_node {
                 coned.set_faults(node, faults.clone());
@@ -1637,10 +1676,7 @@ mod tests {
             for (cycle, &raw) in inputs.iter().enumerate() {
                 coned.step_traced(raw, &stage, cycle as u32);
                 full.step(raw);
-                for &base in &tape.outputs {
-                    let planes = base as usize..base as usize + tape.width();
-                    assert_eq!(coned.buf[planes.clone()], full.buf[planes], "cycle {cycle}");
-                }
+                assert_eq!(coned.output_planes(), full.output_planes(), "cycle {cycle}");
                 let good = trace.registers_at(cycle as u32 + 1);
                 for lane in [0u32, 1, 5, 33, 63] {
                     let mut snap = coned.register_state_lane(lane);
@@ -1657,6 +1693,74 @@ mod tests {
     }
 
     #[test]
+    fn stage_entry_state_loads_and_reads_back_at_either_parity() {
+        // A restricted machine entering a stage at an even or an odd
+        // cycle starts on either op stream. Load the walker's state
+        // entering the stage (the good baseline, every faulty lane its
+        // own), step through the stage and read the snapshots back:
+        // they must be the walker's, every cycle, in both words.
+        let n = kitchen_sink(8);
+        let ranges = RangeAnalysis::analyze(&n, aligned_input_range(8, 8));
+        let universe = FaultUniverse::enumerate(&n, &ranges);
+        let tape = Tape::compile(&n);
+        let index = crate::cone::ConeIndex::new(&n, &tape, &universe);
+        let inputs = pseudo_inputs(8, 100);
+        let every_cycle: Vec<u32> = (0..=inputs.len() as u32).collect();
+        let mut per_node: BTreeMap<NodeId, Vec<CellFault>> = BTreeMap::new();
+        for (slot, fid) in universe.ids().take(63).enumerate() {
+            let site = universe.site(fid);
+            let fault = CellFault { cell: site.cell, fault: site.representative, lanes: 2 << slot };
+            per_node.entry(site.node).or_default().push(fault);
+        }
+        let mut walker = BitSlicedSim::new(&n);
+        for (&node, faults) in &per_node {
+            walker.set_faults(node, faults.clone());
+        }
+        // `states[c][lane]`: the walker's register state entering cycle
+        // c; `diffs[c]`: its output diff in cycle c.
+        let lanes = |w: &BitSlicedSim<'_>| (0..64).map(|l| w.register_state_lane(l)).collect();
+        let mut states: Vec<Vec<Vec<u64>>> = vec![lanes(&walker)];
+        let mut diffs = Vec::new();
+        for &raw in &inputs {
+            walker.step(raw);
+            states.push(lanes(&walker));
+            diffs.push(walker.output_diff_lanes(0));
+        }
+        for start in [40u32, 41] {
+            let mut trace = crate::cone::GoodTrace::new(&index, &inputs, &every_cycle);
+            let mut cones = [index.group_cone(per_node.keys().copied())];
+            let stage = trace.record_stage(start, inputs.len() as u32, &mut cones);
+            let mut coned = KernelSim::with_cone(&tape, 2, &cones[0], start);
+            assert!((0..tape.reg_bases.len()).any(|r| coned.latches_register(r)));
+            let good = trace.registers_at(start);
+            let entering = &states[start as usize];
+            for word in 0..2 {
+                let faulty = (1..64u32).map(|lane| (lane, &entering[lane as usize][..]));
+                coned.load_word_state(word, good, faulty);
+            }
+            for (&node, faults) in &per_node {
+                coned.set_faults(node, faults.clone());
+            }
+            for cycle in start..inputs.len() as u32 {
+                coned.step_traced(inputs[cycle as usize], &stage, cycle);
+                let good = trace.registers_at(cycle + 1);
+                for word in 0..2 {
+                    let diff = coned.output_diff_lanes_in_word(word, 0);
+                    assert_eq!(diff, diffs[cycle as usize], "start {start} cycle {cycle}");
+                    let snapshots = coned.word_snapshots(word, !0, good);
+                    for (lane, snap) in snapshots.iter().enumerate() {
+                        assert_eq!(
+                            **snap,
+                            states[cycle as usize + 1][lane][..],
+                            "start {start} cycle {cycle} word {word} lane {lane}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tape_shape_is_consistent() {
         let n = kitchen_sink(8);
         let tape = Tape::compile(&n);
@@ -1667,7 +1771,7 @@ mod tests {
         // constant slots are never written.
         let mut written = std::collections::HashSet::new();
         for i in 0..tape.op_count() {
-            for d in [tape.dst[i], tape.dst2[i]] {
+            for d in [tape.ops.dst[i], tape.ops.dst2[i]] {
                 if d != NO_SLOT {
                     assert!(d >= 2, "op {i} writes a constant slot");
                     assert!(written.insert(d), "op {i} rewrites slot {d}");
@@ -1684,14 +1788,14 @@ mod tests {
             ready.extend(base..base + tape.width() as u32);
         }
         for i in 0..tape.op_count() {
-            for s in [tape.a[i], tape.b[i], tape.c[i]] {
+            for s in [tape.ops.a[i], tape.ops.b[i], tape.ops.c[i]] {
                 if s != NO_SLOT {
                     assert!(ready.contains(&s), "op {i} reads unproduced slot {s}");
                 }
             }
-            ready.insert(tape.dst[i]);
-            if tape.dst2[i] != NO_SLOT {
-                ready.insert(tape.dst2[i]);
+            ready.insert(tape.ops.dst[i]);
+            if tape.ops.dst2[i] != NO_SLOT {
+                ready.insert(tape.ops.dst2[i]);
             }
         }
         // The dump is stable and self-consistent.

@@ -60,6 +60,7 @@
 
 mod cone;
 mod fault;
+mod program;
 mod sim;
 
 pub mod census;

@@ -5,7 +5,6 @@ use obs::Registry;
 use rtl::misr::{Misr, MisrBank};
 use rtl::sim::{BitSlicedSim, CellFault};
 use rtl::Netlist;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -785,7 +784,7 @@ impl<'a> ParallelFaultSimulator<'a> {
         let metrics = self.options.metrics.as_deref();
         let shard_started = metrics.map(|_| Instant::now());
         let words = chunks.len();
-        let mut sim = KernelSim::with_cone(stage.tape, words, Cow::Borrowed(cone));
+        let mut sim = KernelSim::with_cone(stage.tape, words, cone, stage.start);
         let mut banks: Option<Vec<MisrBank>> = self.options.signature.map(|cfg| {
             (0..words)
                 .map(|_| {
@@ -873,6 +872,8 @@ impl<'a> ParallelFaultSimulator<'a> {
             m.counter("faultsim.ops_executed").add(sim.ops_per_step() as u64 * cycles_run);
             m.counter("faultsim.tape_ops").add(stage.tape.op_count() as u64 * cycles_run);
             m.counter("faultsim.patched_ops").add(sim.patched_ops_per_step() as u64 * cycles_run);
+            m.counter("faultsim.latch_copies").add(sim.latch_copies_per_step() as u64 * cycles_run);
+            m.histogram("faultsim.group_buffer_words").record(sim.buffer_words() as f64);
         }
         ShardOutcome { detections, survivors }
     }
@@ -1200,6 +1201,13 @@ mod tests {
         assert_eq!(tape_ops % ops_per_cycle, 0, "whole tapes per group-cycle");
         let patched = s.counters["faultsim.patched_ops"];
         assert!(0 < patched && patched <= executed, "{patched} patched of {executed}");
+        // Its only registers are fed by the input, which no cone
+        // latches; each group's buffer holds its cone, at most the tape.
+        assert_eq!(s.counters["faultsim.latch_copies"], 0);
+        let buffers = &s.histograms["faultsim.group_buffer_words"];
+        assert_eq!(buffers.count, s.counters["faultsim.groups"]);
+        let tape_words = (Tape::compile(&n).slot_count() * KERNEL_WORDS) as f64;
+        assert!(0.0 < buffers.min && buffers.max <= tape_words, "{buffers:?}");
 
         // The same identity in signature mode, with the counters too.
         let signature = |metrics: Option<Arc<Registry>>| {
@@ -1220,6 +1228,47 @@ mod tests {
         let s = registry.snapshot();
         assert!(s.counters["faultsim.ops_executed"] <= s.counters["faultsim.tape_ops"]);
         assert!(s.counters["faultsim.patched_ops"] > 0);
+
+        // A delay line below a faulted adder: the first register reads
+        // its adder's double-buffered sum for free, the second (fed by
+        // a register) costs one plane copy per bit and group-step. In
+        // signature mode nothing drops, so every group holds `a`.
+        let chain = {
+            let mut b = NetlistBuilder::new(8).unwrap();
+            let x = b.input("x");
+            let d = b.register(x);
+            let a = b.add_labeled(x, d, "a");
+            let p1 = b.register(a);
+            let p2 = b.register(p1);
+            let y = b.add_labeled(p2, x, "y");
+            b.output(y, "y");
+            b.finish().unwrap()
+        };
+        let chain_universe = universe(&chain);
+        let chain_inputs = pseudo_inputs(150, 8);
+        let run_chain = |metrics: Option<Arc<Registry>>| {
+            let mut options = SimOptions::new()
+                .with_schedule(StageSchedule::with_boundaries(vec![16, 49]))
+                .with_threads(2)
+                .with_signature(SIG16);
+            if let Some(m) = metrics {
+                options = options.with_metrics(m);
+            }
+            ParallelFaultSimulator::new(&chain, &chain_universe)
+                .with_options(options)
+                .run(&chain_inputs)
+        };
+        let registry = Arc::new(Registry::new());
+        let (plain, metered) = (run_chain(None), run_chain(Some(Arc::clone(&registry))));
+        assert_eq!(plain.detection_cycles(), metered.detection_cycles());
+        assert_eq!(plain.signatures(), metered.signatures());
+        let s = registry.snapshot();
+        let group_steps = s.counters["faultsim.tape_ops"] / Tape::compile(&chain).op_count() as u64;
+        assert_eq!(s.counters["faultsim.latch_copies"], 8 * group_steps);
+        assert_eq!(
+            s.histograms["faultsim.group_buffer_words"].count,
+            s.counters["faultsim.groups"]
+        );
     }
 
     #[test]

@@ -12,19 +12,26 @@
 //!   map, signatures and good response, and
 //! * a serial one-fault-at-a-time walker with scalar MISRs.
 //!
+//! The full-tape kernel machine must also match the walker's output
+//! diffs and register states every cycle. The netlists include delay
+//! lines below faulted adders and registers fed by the input, a
+//! constant or a set-lsb, and one schedule cut is always odd, so stages
+//! open on both parities of the kernel's double-buffered registers.
+//!
 //! The generator is a hand-rolled xorshift, so the suite builds
 //! offline. It runs [`CASES`] seeded cases; a failure names its seed,
 //! and `BIST_RANDOM_SEED=<seed>` replays just that case.
 
 use bist_faultsim::{
-    FaultSimResult, FaultUniverse, ParallelFaultSimulator, SignatureConfig, SimEngine, SimOptions,
-    StageSchedule,
+    FaultSimResult, FaultUniverse, KernelSim, ParallelFaultSimulator, SignatureConfig, SimEngine,
+    SimOptions, StageSchedule, Tape,
 };
 use rtl::misr::Misr;
 use rtl::range::{aligned_input_range, RangeAnalysis};
 use rtl::reachability::Reachability;
 use rtl::sim::{BitSlicedSim, CellFault};
 use rtl::{Netlist, NetlistBuilder, NodeId};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Seeded cases per run (about 5 s in the debug profile).
@@ -67,12 +74,15 @@ fn random_netlist(rng: &mut XorShift) -> (Netlist, u32) {
     let count = 3 + rng.below(16);
     for _ in 0..count {
         let [x, y, z] = [0; 3].map(|_| ids[rng.below(ids.len())]);
-        let id = match rng.below(10) {
+        let id = match rng.below(13) {
             0 => b.register(x),
             1 => {
-                // A register chain.
-                let d = b.register(x);
-                b.register(d)
+                // A delay line of depth 1-4 below a faulted adder: the
+                // first register reads a cycle-written source, the rest
+                // read registers.
+                let sum = b.add(x, y);
+                ids.push(sum);
+                (0..1 + rng.below(4)).fold(sum, |d, _| b.register(d))
             }
             2 => b.shift_right(x, 1 + rng.below(width as usize - 1) as u32),
             3 | 4 => b.add(x, y),
@@ -83,6 +93,17 @@ fn random_netlist(rng: &mut XorShift) -> (Netlist, u32) {
                 let (sum, carry) = b.csa(x, y, z, "");
                 ids.push(sum);
                 carry
+            }
+            // Registers fed straight by the input, by a constant and by
+            // a set-lsb (whose bit 0 is the constant one).
+            9 => b.register(ids[0]),
+            10 => {
+                let k = b.constant(rng.next() as i64);
+                b.register(k)
+            }
+            11 => {
+                let set = b.set_lsb(x);
+                b.register(set)
             }
             _ => b.constant(rng.next() as i64),
         };
@@ -107,6 +128,9 @@ fn random_inputs(rng: &mut XorShift, width: u32, len: usize) -> Vec<i64> {
 
 fn random_schedule(rng: &mut XorShift, len: usize) -> StageSchedule {
     let mut cuts: Vec<u32> = (0..rng.below(5)).map(|_| 1 + rng.below(len + 40) as u32).collect();
+    // An odd cut opens a stage on an odd cycle, so stages begin on both
+    // parities of the kernel's double-buffered registers.
+    cuts.push(1 + 2 * rng.below(len / 2 + 1) as u32);
     cuts.sort_unstable();
     cuts.dedup();
     StageSchedule::with_boundaries(cuts)
@@ -153,6 +177,35 @@ fn serial_reference(
     (detection, signatures, good.signature())
 }
 
+/// The full-tape kernel machine, which latches every register (those
+/// fed by the input or a constant too, which no fault cone reaches),
+/// against the walker with the universe's first 63 faults on lanes
+/// 1..=63: output diffs and every lane's register state, every cycle.
+fn check_full_machine(netlist: &Netlist, universe: &FaultUniverse, inputs: &[i64]) {
+    let tape = Tape::compile(netlist);
+    let mut kernel = KernelSim::new(&tape);
+    let mut walker = BitSlicedSim::new(netlist);
+    let mut per_node: BTreeMap<NodeId, Vec<CellFault>> = BTreeMap::new();
+    for (slot, fid) in universe.ids().take(63).enumerate() {
+        let site = universe.site(fid);
+        let fault = CellFault { cell: site.cell, fault: site.representative, lanes: 2 << slot };
+        per_node.entry(site.node).or_default().push(fault);
+    }
+    for (node, faults) in per_node {
+        walker.set_faults(node, faults.clone());
+        kernel.set_faults(node, faults);
+    }
+    for (cycle, &x) in inputs.iter().enumerate() {
+        walker.step(x);
+        kernel.step(x);
+        assert_eq!(kernel.output_diff_lanes(0), walker.output_diff_lanes(0), "cycle {cycle}");
+        for lane in 0..64 {
+            let (k, w) = (kernel.register_state_lane(lane), walker.register_state_lane(lane));
+            assert_eq!(k, w, "cycle {cycle} lane {lane}: full-machine register state");
+        }
+    }
+}
+
 fn check_case(seed: u64) {
     let mut rng = XorShift::new(seed);
     let (netlist, width) = random_netlist(&mut rng);
@@ -169,6 +222,7 @@ fn check_case(seed: u64) {
     let cfg = SignatureConfig { width: misr_width, poly: rng.next() & ((1 << misr_width) - 1) };
     let schedules = [random_schedule(&mut rng, len), random_schedule(&mut rng, len)];
 
+    check_full_machine(&netlist, &universe, &inputs);
     let (serial, serial_sigs, serial_good) = serial_reference(&netlist, &universe, &inputs, cfg);
     for signature in [false, true] {
         let options = || {
