@@ -693,6 +693,9 @@ impl Solver {
     /// Drop the less-active half of the learnt clauses, keeping any that
     /// currently serve as a propagation reason. Detached clauses stay in the
     /// arena as garbage; our instances are short-lived so no compaction.
+    ///
+    /// Clauses are detached least active first: each detach reorders its
+    /// watch lists, so a fixed order keeps the search reproducible.
     fn reduce_learnts(&mut self) {
         use std::collections::HashSet;
         let locked: HashSet<ClauseRef> = self
@@ -707,12 +710,13 @@ impl Solver {
             let ab = f32::from_bits(self.arena[b as usize + 1]);
             aa.partial_cmp(&ab).unwrap_or(std::cmp::Ordering::Equal)
         });
-        let doomed: HashSet<ClauseRef> =
+        let mut doomed: Vec<ClauseRef> =
             order.iter().take(order.len() / 2).copied().filter(|c| !locked.contains(c)).collect();
         for &cref in &doomed {
             self.detach(cref);
         }
-        self.learnts.retain(|c| !doomed.contains(c));
+        doomed.sort_unstable();
+        self.learnts.retain(|c| doomed.binary_search(c).is_err());
         self.stats.learnts = self.learnts.len() as u64;
     }
 

@@ -9,6 +9,11 @@
 //! verdicts, or the fault-collapsing order must re-bless this file and
 //! be reviewed as a behavior change, not slip through as noise.
 //!
+//! Each redundancy proof also pins its search: the conflicts, decisions
+//! and propagations the solver spent on it. A change that only speeds
+//! the prover up must leave those counts alone; one that moves them
+//! changes the search and must say so by re-blessing.
+//!
 //! Regenerate with `BLESS=1 cargo test -p bist-bench --test sat_golden`.
 
 use atpg::Verdict;
@@ -94,6 +99,11 @@ fn render_certificates() -> String {
             site.cell,
             site.representative.line,
             u8::from(site.representative.stuck_one),
+        ));
+        let stats = outcome.stats;
+        w(format!(
+            "search {} conflicts {} decisions {} propagations {}",
+            id.0, stats.conflicts, stats.decisions, stats.propagations,
         ));
     }
     out
