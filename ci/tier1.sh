@@ -20,8 +20,10 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # Every benchmark run checks its verdicts against the committed digests
 # (perfbench/expected/digests.txt) and exits non-zero on a mismatch, so a
 # kernel change that moves a verdict fails here, not only in the
-# benchmark pipeline.
-for workload in sig-lp trace-grid; do
+# benchmark pipeline. proof-topoff is the one workload whose digests hold
+# SAT outcomes (redundant counts, top-off partitions), so a prover change
+# that moves a verdict fails here too.
+for workload in sig-lp trace-grid proof-topoff; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done

@@ -10,9 +10,13 @@
 //! Tseitin clauses) only when some constraint actually references it. The
 //! emission walk is an explicit work stack because filter cones reach tens
 //! of thousands of gates deep — native recursion would overflow.
+//!
+//! [`Circuit::clone_from`] reuses the target's allocations, so a working
+//! copy can be reset to a base circuit once per query without allocating.
 
 use crate::solver::{Lit, Solver};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A signed edge into the gate graph: `gate_index << 1 | complement`.
 ///
@@ -69,13 +73,75 @@ enum Gate {
     Xor(GLit, GLit),
 }
 
+/// Multiplicative hasher for the structural-hash table (the FxHash
+/// step: add the word, multiply by an odd constant). The keys are the
+/// circuit's own gates, never outside input, and the table is never
+/// iterated, so neither flooding resistance nor hash order matters.
+#[derive(Default)]
+struct GateHasher(u64);
+
+impl GateHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for GateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are the well-mixed ones; the table
+        // picks buckets by the low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+/// `emitted` entry of a gate that has no solver variable yet.
+const UNEMITTED: Lit = Lit(u32::MAX);
+
 /// A hash-consed AND/XOR gate graph with lazy CNF emission.
-#[derive(Clone, Default)]
 pub struct Circuit {
     gates: Vec<Gate>,
-    cons: HashMap<Gate, u32>,
-    /// Solver literal for each emitted gate index (positive polarity).
-    emitted: HashMap<u32, Lit>,
+    cons: HashMap<Gate, u32, BuildHasherDefault<GateHasher>>,
+    /// Solver literal (positive polarity) of each gate, indexed like
+    /// `gates`; [`UNEMITTED`] until the gate is emitted.
+    emitted: Vec<Lit>,
+}
+
+impl Default for Circuit {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Clone for Circuit {
+    fn clone(&self) -> Self {
+        let mut c = Circuit::new();
+        c.clone_from(self);
+        c
+    }
+
+    /// Resets `self` to a copy of `source`, reusing `self`'s allocations.
+    fn clone_from(&mut self, source: &Self) {
+        let Circuit { gates, cons, emitted } = source;
+        self.gates.clone_from(gates);
+        self.cons.clone_from(cons);
+        self.emitted.clone_from(emitted);
+    }
 }
 
 impl Circuit {
@@ -85,8 +151,8 @@ impl Circuit {
         Circuit {
             // Gate index 0 is the constant-false node; it is never emitted.
             gates: vec![Gate::Input],
-            cons: HashMap::new(),
-            emitted: HashMap::new(),
+            cons: HashMap::default(),
+            emitted: vec![UNEMITTED],
         }
     }
 
@@ -106,6 +172,7 @@ impl Circuit {
     pub fn input(&mut self) -> GLit {
         let idx = self.gates.len() as u32;
         self.gates.push(Gate::Input);
+        self.emitted.push(UNEMITTED);
         GLit::new(idx, false)
     }
 
@@ -178,6 +245,7 @@ impl Circuit {
         }
         let idx = self.gates.len() as u32;
         self.gates.push(gate);
+        self.emitted.push(UNEMITTED);
         self.cons.insert(gate, idx);
         GLit::new(idx, false)
     }
@@ -190,7 +258,7 @@ impl Circuit {
         // Iterative post-order emission: cones run ~20k gates deep.
         let mut stack: Vec<(u32, bool)> = vec![(edge.index(), false)];
         while let Some((idx, expanded)) = stack.pop() {
-            if self.emitted.contains_key(&idx) {
+            if self.emitted[idx as usize] != UNEMITTED {
                 continue;
             }
             let gate = self.gates[idx as usize];
@@ -200,7 +268,7 @@ impl Circuit {
                     Gate::Input => {}
                     Gate::And(a, b) | Gate::Xor(a, b) => {
                         for op in [a, b] {
-                            if !op.is_const() && !self.emitted.contains_key(&op.index()) {
+                            if !op.is_const() && self.emitted[op.index() as usize] == UNEMITTED {
                                 stack.push((op.index(), false));
                             }
                         }
@@ -229,9 +297,9 @@ impl Circuit {
                     solver.add_clause(&[out, la, lb.negate()]);
                 }
             }
-            self.emitted.insert(idx, out);
+            self.emitted[idx as usize] = out;
         }
-        let base = self.emitted[&edge.index()];
+        let base = self.emitted[edge.index() as usize];
         if edge.complemented() {
             base.negate()
         } else {
@@ -242,7 +310,8 @@ impl Circuit {
     /// Literal for an operand edge that is already emitted (internal).
     fn operand_lit(&self, edge: GLit) -> Lit {
         debug_assert!(!edge.is_const());
-        let base = self.emitted[&edge.index()];
+        let base = self.emitted[edge.index() as usize];
+        debug_assert_ne!(base, UNEMITTED);
         if edge.complemented() {
             base.negate()
         } else {
@@ -285,9 +354,9 @@ impl Circuit {
         }
         // Unemitted gates are unconstrained; evaluate structurally from
         // emitted fringes so witnesses stay consistent.
-        let base = match self.emitted.get(&edge.index()) {
-            Some(&l) => solver.model_lit(l),
-            None => self.eval_structural(solver, edge.index()),
+        let base = match self.emitted[edge.index() as usize] {
+            UNEMITTED => self.eval_structural(solver, edge.index()),
+            l => solver.model_lit(l),
         };
         base ^ edge.complemented()
     }
@@ -407,5 +476,38 @@ mod tests {
         s2.add_clause(&[lf]);
         assert_eq!(s2.solve(), SolveResult::Sat);
         assert!(c2.model_value(&s2, x) && c2.model_value(&s2, y));
+    }
+
+    #[test]
+    fn clone_from_forgets_everything_added_since() {
+        let mut base = Circuit::new();
+        let mut s = Solver::new();
+        let x = base.input();
+        let y = base.input();
+        let f = base.and(x, y);
+        let lf = base.lit(&mut s, f);
+
+        // First use: a fresh input and an XOR, both emitted.
+        let mut work = base.clone();
+        let mut ws = s.clone();
+        let z = work.input();
+        let g = work.xor(f, z);
+        let _ = work.lit(&mut ws, g);
+
+        // After a reset the same slots hold different gates: neither the
+        // old hash-cons entry nor the old emitted literal may survive.
+        work.clone_from(&base);
+        ws.clone_from(&s);
+        assert_eq!(work.len(), base.len());
+        assert_eq!(work.input(), z);
+        let h = work.and(f, z);
+        assert_eq!(h, g, "the AND takes the slot the XOR had");
+        let vars = ws.num_vars();
+        let _ = work.lit(&mut ws, h);
+        assert_eq!(ws.num_vars(), vars + 2, "z and the AND are emitted afresh");
+        let g2 = work.xor(f, z);
+        assert_ne!(g2, h);
+        assert_eq!(work.len(), base.len() + 3);
+        assert_eq!(work.lit(&mut ws, f), lf);
     }
 }

@@ -18,8 +18,9 @@
 //!
 //! The [`Circuit`] is passed in rather than owned: the redundancy prover
 //! builds the good-machine frames once into a base circuit/solver pair,
-//! then clones that pair per fault so each faulty delta lives in a
-//! throwaway copy while the shared cone is paid for exactly once.
+//! then resets a working pair to the base per fault (`clone_from`, which
+//! reuses the working pair's allocations), so each faulty delta lives in
+//! the working copy while the shared cone is paid for exactly once.
 
 use crate::circuit::{Circuit, GLit};
 use crate::solver::Solver;
@@ -123,7 +124,7 @@ impl<'n> NetlistEncoder<'n> {
     }
 
     /// Builds good-machine frames `0..=upto` into `circuit` (idempotent).
-    /// Every call must pass the same circuit (or a clone of it).
+    /// Every call must pass the same circuit (or a copy of it).
     pub fn ensure_frames(&mut self, circuit: &mut Circuit, upto: usize) {
         while self.frames.len() <= upto {
             let input_lits: Vec<GLit> = (0..self.input_bits).map(|_| circuit.input()).collect();

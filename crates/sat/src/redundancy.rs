@@ -12,10 +12,14 @@
 //! [`rtl::sim::BitSlicedSim`] before the verdict is trusted.
 //!
 //! Cost model: the good machine's cone is encoded **once** into a base
-//! circuit/solver pair; each fault clones the pair and adds only the
-//! fault's structural-fanout delta. Gates outside the fanout hash-cons to
-//! the good machine's edges, so miter bits whose cones are untouched fold
-//! to constant false and cost nothing.
+//! circuit/solver pair that is never modified afterwards. Each fault
+//! resets one working pair to the base with `clone_from`, which reuses
+//! the working pair's allocations, and adds only the fault's
+//! structural-fanout delta. Gates outside the fanout hash-cons to the
+//! good machine's edges, so miter bits whose cones are untouched fold to
+//! constant false and cost nothing. The working solver is reset only
+//! once some frame's miter does not fold, so a fault that hash-consing
+//! alone proves redundant never copies the solver.
 
 use crate::circuit::Circuit;
 use crate::encode::{FaultSpec, NetlistEncoder};
@@ -81,6 +85,10 @@ pub struct PruneOutcome {
 /// netlist.
 pub struct RedundancyProver<'n> {
     enc: NetlistEncoder<'n>,
+    /// The good machine's frames, emitted once by `prepare`.
+    base_circuit: Circuit,
+    base_solver: Solver,
+    /// The pair one fault works on, reset from the base per fault.
     circuit: Circuit,
     solver: Solver,
     ready: bool,
@@ -95,6 +103,8 @@ impl<'n> RedundancyProver<'n> {
     pub fn new(netlist: &'n Netlist, input_bits: u32) -> Self {
         RedundancyProver {
             enc: NetlistEncoder::new(netlist, input_bits),
+            base_circuit: Circuit::new(),
+            base_solver: Solver::new(),
             circuit: Circuit::new(),
             solver: Solver::new(),
             ready: false,
@@ -121,20 +131,20 @@ impl<'n> RedundancyProver<'n> {
         self.witnesses_confirmed
     }
 
-    /// Builds and Tseitin-emits the good machine once, so per-fault clones
-    /// share its clause database.
+    /// Builds and Tseitin-emits the good machine once into the base pair,
+    /// so every fault's working pair starts from its clause database.
     fn prepare(&mut self) {
         if self.ready {
             return;
         }
         let d = self.enc.memory_depth() as usize;
-        self.enc.ensure_frames(&mut self.circuit, d);
+        self.enc.ensure_frames(&mut self.base_circuit, d);
         for t in 0..=d {
             for out in self.enc.netlist().output_ids() {
                 let row: Vec<_> = self.enc.good(t, out).to_vec();
                 for e in row {
                     if !e.is_const() {
-                        let _ = self.circuit.lit(&mut self.solver, e);
+                        let _ = self.base_circuit.lit(&mut self.base_solver, e);
                     }
                 }
             }
@@ -148,10 +158,9 @@ impl<'n> RedundancyProver<'n> {
     pub fn prove(&mut self, fault: &FaultSpec, max_conflicts: u64) -> FaultVerdict {
         self.prepare();
         let d = self.enc.memory_depth() as usize;
-        let mut circuit = self.circuit.clone();
-        let mut solver = self.solver.clone();
-        let before = solver.stats();
-        let faulty = self.enc.faulty_frames(&mut circuit, fault, d);
+        self.circuit.clone_from(&self.base_circuit);
+        let mut solver_reset = false;
+        let faulty = self.enc.faulty_frames(&mut self.circuit, fault, d);
 
         // Frame D first: it decides steady-state detectability, and most
         // detectable faults are exposed there with a short search.
@@ -160,38 +169,42 @@ impl<'n> RedundancyProver<'n> {
 
         let mut verdict = FaultVerdict::Redundant;
         for t in order {
-            let diffs = self.enc.output_diff(&mut circuit, t, &faulty);
+            let diffs = self.enc.output_diff(&mut self.circuit, t, &faulty);
             if diffs.iter().all(|e| e.const_value() == Some(false)) {
                 continue; // hash-consing proved this frame identical
             }
+            if !solver_reset {
+                self.solver.clone_from(&self.base_solver);
+                solver_reset = true;
+            }
             if diffs.iter().any(|e| e.const_value() == Some(true)) {
                 // Outputs differ under every input: any model will do.
-                solver.set_conflict_budget(max_conflicts);
-                if solver.solve() != SolveResult::Sat {
+                self.solver.set_conflict_budget(max_conflicts);
+                if self.solver.solve() != SolveResult::Sat {
                     verdict = FaultVerdict::Unknown;
                     break;
                 }
-                verdict = self.conclude_sat(&circuit, &solver, fault, t);
+                verdict = self.conclude_sat(fault, t);
                 break;
             }
             // Guard the miter clause with an activation literal so an
             // UNSAT frame can be retired without poisoning later queries.
-            let act = Lit::pos(solver.new_var());
+            let act = Lit::pos(self.solver.new_var());
             let mut clause = vec![act.negate()];
             for &e in &diffs {
                 if e.const_value().is_none() {
-                    clause.push(circuit.lit(&mut solver, e));
+                    clause.push(self.circuit.lit(&mut self.solver, e));
                 }
             }
-            solver.add_clause(&clause);
-            solver.set_conflict_budget(max_conflicts);
-            match solver.solve_assuming(&[act]) {
+            self.solver.add_clause(&clause);
+            self.solver.set_conflict_budget(max_conflicts);
+            match self.solver.solve_assuming(&[act]) {
                 SolveResult::Sat => {
-                    verdict = self.conclude_sat(&circuit, &solver, fault, t);
+                    verdict = self.conclude_sat(fault, t);
                     break;
                 }
                 SolveResult::Unsat => {
-                    solver.add_clause(&[act.negate()]);
+                    self.solver.add_clause(&[act.negate()]);
                 }
                 SolveResult::Unknown => {
                     verdict = FaultVerdict::Unknown;
@@ -199,21 +212,18 @@ impl<'n> RedundancyProver<'n> {
                 }
             }
         }
-        self.accumulate(&before, &solver.stats());
+        if solver_reset {
+            self.accumulate(&self.base_solver.stats(), &self.solver.stats());
+        }
         verdict
     }
 
-    /// Extracts the frame-`t` witness from a SAT model and replays it; a
-    /// replay failure (encoder soundness bug) downgrades to `Unknown`.
-    fn conclude_sat(
-        &mut self,
-        circuit: &Circuit,
-        solver: &Solver,
-        fault: &FaultSpec,
-        t: usize,
-    ) -> FaultVerdict {
+    /// Extracts the frame-`t` witness from the working pair's SAT model and
+    /// replays it; a replay failure (encoder soundness bug) downgrades to
+    /// `Unknown`.
+    fn conclude_sat(&mut self, fault: &FaultSpec, t: usize) -> FaultVerdict {
         let witness: Vec<i64> =
-            (0..=t).map(|f| self.enc.witness_word(circuit, solver, f)).collect();
+            (0..=t).map(|f| self.enc.witness_word(&self.circuit, &self.solver, f)).collect();
         if replay_detects(self.enc.netlist(), fault, &witness) {
             self.witnesses_confirmed += 1;
             FaultVerdict::Detectable { witness }

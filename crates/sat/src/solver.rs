@@ -3,16 +3,20 @@
 //! The solver implements the standard conflict-driven clause-learning loop:
 //! two-watched-literal unit propagation (with a cached *blocker* literal per
 //! watch to skip most clause visits), first-UIP conflict analysis with
-//! recursive clause minimization, VSIDS-style exponential variable activity
-//! with phase saving, Luby-sequence restarts, and incremental solving under
-//! assumptions. A conflict budget turns the decision procedure three-valued:
-//! [`SolveResult::Unknown`] is returned when the budget is exhausted, so
-//! callers never block on a pathological instance.
+//! one-step clause minimization (a literal goes when its reason clause is
+//! covered by the learnt clause and level-0 literals), VSIDS-style
+//! exponential variable activity with phase saving, Luby-sequence restarts,
+//! and incremental solving under assumptions. A conflict budget turns the
+//! decision procedure three-valued: [`SolveResult::Unknown`] is returned
+//! when the budget is exhausted, so callers never block on a pathological
+//! instance.
 //!
-//! Clauses live in a single flat `u32` arena rather than `Vec<Vec<Lit>>`;
-//! this keeps propagation cache-friendly and makes [`Solver`] cheap to
-//! `Clone` — the redundancy prover clones a fully-loaded base instance once
-//! per fault instead of re-encoding the shared fault-free cone.
+//! Clauses live in a single flat `u32` arena rather than `Vec<Vec<Lit>>`,
+//! which keeps propagation cache-friendly. [`Solver::clone_from`] resets a
+//! solver to a copy of another while reusing its allocations, down to each
+//! watch list: the redundancy prover resets one working solver to its
+//! fully-loaded base instance per fault instead of re-encoding the shared
+//! fault-free cone or allocating a fresh copy.
 
 use std::fmt::Write as _;
 
@@ -135,7 +139,6 @@ struct Watcher {
 const HDR: usize = 2;
 
 /// A compact CDCL solver over literals created with [`Solver::new_var`].
-#[derive(Clone)]
 pub struct Solver {
     num_vars: u32,
     arena: Vec<u32>,
@@ -171,6 +174,64 @@ pub struct Solver {
 impl Default for Solver {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Clone for Solver {
+    fn clone(&self) -> Self {
+        let mut s = Solver::new();
+        s.clone_from(self);
+        s
+    }
+
+    /// Resets `self` to a copy of `source`, reusing `self`'s allocations
+    /// down to each watch list.
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so a new field cannot be left out of the copy.
+        let Solver {
+            num_vars,
+            arena,
+            originals,
+            learnts,
+            watches,
+            assigns,
+            phases,
+            levels,
+            reasons,
+            trail,
+            trail_lim,
+            prop_head,
+            activity,
+            var_inc,
+            cla_inc,
+            heap,
+            heap_pos,
+            seen,
+            unsat,
+            stats,
+            budget,
+        } = source;
+        self.num_vars = *num_vars;
+        self.arena.clone_from(arena);
+        self.originals.clone_from(originals);
+        self.learnts.clone_from(learnts);
+        self.watches.clone_from(watches);
+        self.assigns.clone_from(assigns);
+        self.phases.clone_from(phases);
+        self.levels.clone_from(levels);
+        self.reasons.clone_from(reasons);
+        self.trail.clone_from(trail);
+        self.trail_lim.clone_from(trail_lim);
+        self.prop_head = *prop_head;
+        self.activity.clone_from(activity);
+        self.var_inc = *var_inc;
+        self.cla_inc = *cla_inc;
+        self.heap.clone_from(heap);
+        self.heap_pos.clone_from(heap_pos);
+        self.seen.clone_from(seen);
+        self.unsat = *unsat;
+        self.stats = *stats;
+        self.budget = *budget;
     }
 }
 

@@ -5,20 +5,28 @@
 //! diverges the faulty machine, `Redundant` iff none does, and every
 //! witness must replay through the bit-sliced simulator.
 //!
-//! The deterministic tests below always run, over LP-MINI-shaped
-//! fixtures (tapped delay lines with shifts, adds and subs). The
-//! randomized variant is gated behind the off-by-default `proptest`
-//! feature so the workspace builds offline; see the workspace
-//! `Cargo.toml` for how to re-enable it.
+//! Two fixed LP-MINI-shaped fixtures (tapped delay lines with shifts,
+//! adds and subs) run first, then [`CASES`] seeded random cones. Each
+//! cone proves many faults on one prover, so the suite also checks that
+//! resetting the prover's working pair between faults leaks nothing.
+//!
+//! The generator is a hand-rolled xorshift, so the suite builds
+//! offline. A failure names its seed, and `BIST_RANDOM_SEED=<seed>`
+//! replays just that case.
 
 use bist_sat::{FaultSpec, FaultVerdict, PruneConfig, RedundancyProver};
 use faultsim::FaultUniverse;
 use rtl::range::{aligned_input_range, RangeAnalysis};
 use rtl::sim::{BitSlicedSim, CellFault};
 use rtl::{Netlist, NetlistBuilder, NodeId};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const WIDTH: u32 = 6;
 const INPUT_BITS: u32 = 4;
+
+/// Seeded random cones per run; those deeper than two registers are
+/// skipped, because enumeration costs `16^(depth + 1)` per fault.
+const CASES: u64 = 48;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -167,33 +175,91 @@ fn miter_matches_exhaustive_enumeration_on_the_fold_cone() {
     assert!(checked >= 20, "only {checked} faults compared");
 }
 
-#[cfg(feature = "proptest")]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
+/// Marsaglia xorshift64: small, seedable, dependency-free.
+struct XorShift(u64);
 
-    fn op_strategy(max_src: usize) -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0..max_src).prop_map(Op::Register),
-            (0..max_src, 0u32..4).prop_map(|(s, k)| Op::ShiftRight(s, k)),
-            (0..max_src, 0..max_src).prop_map(|(a, b)| Op::Add(a, b)),
-            (0..max_src, 0..max_src).prop_map(|(a, b)| Op::Sub(a, b)),
-        ]
+impl XorShift {
+    fn new(seed: u64) -> Self {
+        // Splitmix the seed so neighbouring seeds diverge at once.
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        XorShift((z ^ (z >> 31)) | 1)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
 
-        #[test]
-        fn miter_matches_exhaustive_enumeration_on_random_cones(
-            ops in proptest::collection::vec(op_strategy(8), 2..8),
-        ) {
-            let n = build(&ops);
-            // Keep the enumeration tractable: depth grows with chained
-            // registers, and 16^(d+1) sequences per fault add up.
-            let depth = RedundancyProver::new(&n, INPUT_BITS).memory_depth();
-            prop_assume!(depth <= 2);
-            cross_check(&n, 5);
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Two to seven ops over sources `0..8` (wrapped onto the nodes built
+/// so far), shifts by `0..4`.
+fn random_ops(rng: &mut XorShift) -> Vec<Op> {
+    const MAX_SRC: usize = 8;
+    let len = 2 + rng.below(6);
+    (0..len)
+        .map(|_| match rng.below(4) {
+            0 => Op::Register(rng.below(MAX_SRC)),
+            1 => Op::ShiftRight(rng.below(MAX_SRC), rng.below(4) as u32),
+            2 => Op::Add(rng.below(MAX_SRC), rng.below(MAX_SRC)),
+            _ => Op::Sub(rng.below(MAX_SRC), rng.below(MAX_SRC)),
+        })
+        .collect()
+}
+
+/// Cross-checks one seeded random cone; false when it is too deep to
+/// enumerate and was skipped.
+fn check_case(seed: u64) -> bool {
+    let ops = random_ops(&mut XorShift::new(seed));
+    let n = build(&ops);
+    if RedundancyProver::new(&n, INPUT_BITS).memory_depth() > 2 {
+        return false;
+    }
+    cross_check(&n, 5);
+    true
+}
+
+/// The seed `BIST_RANDOM_SEED` names (decimal or `0x` hex), if set.
+fn replay_seed() -> Option<u64> {
+    let raw = std::env::var("BIST_RANDOM_SEED").ok()?;
+    let parsed = match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    Some(parsed.unwrap_or_else(|_| panic!("BIST_RANDOM_SEED={raw} is not a number")))
+}
+
+#[test]
+fn miter_matches_exhaustive_enumeration_on_random_cones() {
+    let replay = replay_seed();
+    let seeds: Vec<u64> = match replay {
+        Some(seed) => vec![seed],
+        None => (0..CASES).map(|i| 0x5A7_0000 + i).collect(),
+    };
+    let mut checked = 0;
+    for &seed in &seeds {
+        match catch_unwind(AssertUnwindSafe(|| check_case(seed))) {
+            Ok(ran) => checked += usize::from(ran),
+            Err(cause) => {
+                eprintln!("random miter cross-check failed for seed {seed:#x}");
+                eprintln!("replay with BIST_RANDOM_SEED={seed:#x}");
+                std::panic::resume_unwind(cause);
+            }
         }
+    }
+    if replay.is_none() {
+        assert!(
+            2 * checked >= seeds.len(),
+            "only {checked} of {} cones were shallow enough",
+            seeds.len()
+        );
     }
 }
