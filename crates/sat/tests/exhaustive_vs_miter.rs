@@ -249,9 +249,15 @@ fn miter_matches_exhaustive_enumeration_on_random_cones() {
         match catch_unwind(AssertUnwindSafe(|| check_case(seed))) {
             Ok(ran) => checked += usize::from(ran),
             Err(cause) => {
-                eprintln!("random miter cross-check failed for seed {seed:#x}");
-                eprintln!("replay with BIST_RANDOM_SEED={seed:#x}");
-                std::panic::resume_unwind(cause);
+                let msg = cause
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| cause.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic");
+                panic!(
+                    "random miter cross-check failed for seed {seed:#x} \
+                     (replay with BIST_RANDOM_SEED={seed:#x}): {msg}"
+                );
             }
         }
     }
