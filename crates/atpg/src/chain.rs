@@ -36,8 +36,9 @@
 //! - unknown — the structure did not decompose, and other strategies
 //!   must decide.
 
-use crate::cone::{combo_from_values, ConeAnalysis, ConeEval, Purity};
+use crate::cone::{ConeAnalysis, ConeEval, Purity};
 use faultsim::FaultSite;
+use rtl::eval::{cell_combos, node_word};
 use rtl::{Netlist, NodeId, NodeKind};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -184,7 +185,8 @@ type StageTable = Vec<ResidueSet>;
 /// The chain-decomposition engine for one netlist.
 pub struct ChainJustifier<'n> {
     netlist: &'n Netlist,
-    purity: ConeAnalysis,
+    /// The owning justifier's purity classification.
+    purity: Rc<ConeAnalysis>,
     input_bits: u32,
     align: u32,
     /// Value menus for pure nodes, keyed by node index (one entry per
@@ -205,14 +207,14 @@ pub struct ChainJustifier<'n> {
 
 impl<'n> ChainJustifier<'n> {
     /// An engine for `input_bits`-wide samples left-aligned into the
-    /// datapath.
-    pub fn new(netlist: &'n Netlist, input_bits: u32) -> Self {
+    /// datapath, over the netlist's purity classification `purity`.
+    pub fn new(netlist: &'n Netlist, purity: Rc<ConeAnalysis>, input_bits: u32) -> Self {
         let mut ev = ConeEval::new(netlist, input_bits);
         ev.eval(0);
-        let const_values = netlist.node_ids().map(|id| ev.value(id)).collect();
+        let const_values = ev.values().to_vec();
         ChainJustifier {
             netlist,
-            purity: ConeAnalysis::analyze(netlist),
+            purity,
             input_bits,
             align: netlist.width() - input_bits,
             sample_tables: RefCell::new(HashMap::new()),
@@ -373,7 +375,7 @@ impl<'n> ChainJustifier<'n> {
                 continue;
             }
             members.push(n.index());
-            for op in operands(&self.netlist.node(n).kind) {
+            for op in self.netlist.node(n).kind.operands() {
                 if !matches!(self.purity.purity(op), Purity::Const) {
                     stack.push(op);
                 }
@@ -381,14 +383,16 @@ impl<'n> ChainJustifier<'n> {
         }
         members.sort_unstable();
         let sound = !scratch.support.contains(&site.node.index());
+        let q = self.netlist.format();
+        let site_kind = self.netlist.node(site.node).kind;
         let mut values = self.const_values.clone();
         let mut hits: Vec<Vec<(i64, i64)>> = vec![Vec::new(); 8];
         for &(s, u, v) in menu.iter() {
             values[base.index()] = s;
             for &m in &members {
-                values[m] = eval_member(self.netlist, &values, m);
+                values[m] = node_word(q, self.netlist.nodes()[m].kind, &values);
             }
-            let t = combo_from_values(self.netlist, &values, site.node, site.cell);
+            let t = cell_combos(q, site_kind, &values)[site.cell as usize];
             if site.detecting_tests & (1 << t) != 0 {
                 hits[t as usize].push((u, v));
             }
@@ -620,7 +624,7 @@ impl<'n> ChainJustifier<'n> {
             if !seen.insert(n.index()) {
                 continue;
             }
-            for op in operands(&self.netlist.node(n).kind) {
+            for op in self.netlist.node(n).kind.operands() {
                 match self.purity.purity(op) {
                     Purity::Const => {}
                     // A pure leaf outside the base mixes in its own
@@ -693,20 +697,21 @@ impl<'n> ChainJustifier<'n> {
                 continue;
             }
             members.push(n.index());
-            for op in operands(&self.netlist.node(n).kind) {
+            for op in self.netlist.node(n).kind.operands() {
                 if !matches!(self.purity.purity(op), Purity::Const) {
                     stack.push(op);
                 }
             }
         }
         members.sort_unstable();
+        let q = self.netlist.format();
         let mut values = self.const_values.clone();
         let mut entries = Vec::new();
         let mut seen_values = HashSet::new();
         for &(s, u, v) in menu.iter() {
             values[base.index()] = s;
             for &m in &members {
-                values[m] = eval_member(self.netlist, &values, m);
+                values[m] = node_word(q, self.netlist.nodes()[m].kind, &values);
             }
             let value = values[node.index()];
             if seen_values.insert(value) {
@@ -725,8 +730,7 @@ impl<'n> ChainJustifier<'n> {
         if let Some(m) = self.pre_menus.borrow().get(&base.index()) {
             return Rc::clone(m);
         }
-        let q = self.netlist.format();
-        let base_is_sub = matches!(self.netlist.node(base).kind, NodeKind::Sub { .. });
+        let (q, kind) = (self.netlist.format(), self.netlist.node(base).kind);
         let f1 = self.sample_table(p1);
         let f2 = self.sample_table(p2);
         // Pre-sums are width-wrapped: index by offset from the most
@@ -735,13 +739,12 @@ impl<'n> ChainJustifier<'n> {
         let span = 1usize << width;
         let offset = 1i64 << (width - 1);
         let mut witness: Vec<Option<(i64, i64)>> = vec![None; span];
+        let mut values = vec![0i64; self.netlist.nodes().len()];
         for e1 in f1.iter() {
+            values[p1.index()] = e1.value;
             for e2 in f2.iter() {
-                let s = if base_is_sub {
-                    q.wrap(e1.value - e2.value)
-                } else {
-                    q.wrap(e1.value + e2.value)
-                };
+                values[p2.index()] = e2.value;
+                let s = node_word(q, kind, &values);
                 let idx = (s + offset) as usize;
                 if witness[idx].is_none() {
                     witness[idx] = Some((e1.u, e2.u));
@@ -896,56 +899,20 @@ fn reconstruct(
     picks
 }
 
-/// The operand ids of a node kind.
-fn operands(kind: &NodeKind) -> Vec<NodeId> {
-    match *kind {
-        NodeKind::Register { src }
-        | NodeKind::Output { src }
-        | NodeKind::Not { src }
-        | NodeKind::SetLsb { src }
-        | NodeKind::ShiftRight { src, .. } => vec![src],
-        NodeKind::Add { a, b } | NodeKind::Sub { a, b } => vec![a, b],
-        NodeKind::CsaSum { a, b, c } | NodeKind::CsaCarry { a, b, c, .. } => vec![a, b, c],
-        _ => Vec::new(),
-    }
-}
-
-/// One combinational node's value from its operands' values (same
-/// arithmetic as the scalar simulator).
-fn eval_member(netlist: &Netlist, values: &[i64], index: usize) -> i64 {
-    let q = netlist.format();
-    match netlist.nodes()[index].kind {
-        NodeKind::Const { raw } => raw,
-        NodeKind::Output { src } => values[src.index()],
-        NodeKind::ShiftRight { src, amount } => values[src.index()] >> amount.min(62),
-        NodeKind::Not { src } => q.wrap(-values[src.index()] - 1),
-        NodeKind::SetLsb { src } => q.sign_extend(q.to_bits(values[src.index()]) | 1),
-        NodeKind::Add { a, b } => q.wrap(values[a.index()] + values[b.index()]),
-        NodeKind::Sub { a, b } => q.wrap(values[a.index()] - values[b.index()]),
-        NodeKind::CsaSum { a, b, c } => q.sign_extend(
-            (q.to_bits(values[a.index()])
-                ^ q.to_bits(values[b.index()])
-                ^ q.to_bits(values[c.index()]))
-                & q.to_bits(-1),
-        ),
-        NodeKind::CsaCarry { a, b, c, .. } => {
-            let (av, bv, cv) = (
-                q.to_bits(values[a.index()]),
-                q.to_bits(values[b.index()]),
-                q.to_bits(values[c.index()]),
-            );
-            let carry = (av & bv) | ((av ^ bv) & cv);
-            q.sign_extend((carry << 1) & q.to_bits(-1))
-        }
-        ref kind => panic!("non-combinational member {kind:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cone::{combo_from_values, ScalarSim};
+    use rtl::eval::ScalarSim;
     use rtl::NetlistBuilder;
+
+    fn engine(netlist: &Netlist, input_bits: u32) -> ChainJustifier<'_> {
+        ChainJustifier::new(netlist, Rc::new(ConeAnalysis::analyze(netlist)), input_bits)
+    }
+
+    /// The combination `cell` of `node` sees under `values`.
+    fn combo(netlist: &Netlist, values: &[i64], node: NodeId, cell: u32) -> u8 {
+        cell_combos(netlist.format(), netlist.node(node).kind, values)[cell as usize]
+    }
 
     /// Every pair `feasible_pair` returns must realize its requested
     /// combination under the simulator's ripple arithmetic.
@@ -978,7 +945,7 @@ mod tests {
                         values[x.index()] = a_res as i64;
                         values[d.index()] = b_res as i64;
                         assert_eq!(
-                            combo_from_values(&n, &values, node, cell),
+                            combo(&n, &values, node, cell),
                             t,
                             "cell={cell} t={t} is_sub={is_sub} ra={a_res} rb={b_res}"
                         );
@@ -1004,7 +971,7 @@ mod tests {
         let y = b.register(acc);
         b.output(y, "y");
         let n = b.finish().unwrap();
-        let cj = ChainJustifier::new(&n, input_bits);
+        let cj = engine(&n, input_bits);
         let align = n.width() - input_bits;
         let (lo, hi) = (-(1i64 << (input_bits - 1)), 1i64 << (input_bits - 1));
         let mut sim = ScalarSim::new(&n);
@@ -1017,7 +984,7 @@ mod tests {
                     sim.reset();
                     sim.step(x1 << align);
                     sim.step(x2 << align);
-                    let t = combo_from_values(&n, sim.values(), acc, cell);
+                    let t = combo(&n, sim.values(), acc, cell);
                     reached[t as usize] = true;
                 }
             }
@@ -1043,7 +1010,7 @@ mod tests {
                         for (i, &w) in p.iter().enumerate() {
                             sim.step(w);
                             if i + 2 == p.len() - 1 {
-                                seen = Some(combo_from_values(&n, sim.values(), acc, cell));
+                                seen = Some(combo(&n, sim.values(), acc, cell));
                             }
                         }
                         assert_eq!(seen, Some(t), "cell={cell} pattern misses its combo");
@@ -1072,7 +1039,7 @@ mod tests {
         let product = b.add_labeled(s1, s3, "product");
         b.output(product, "y");
         let n = b.finish().unwrap();
-        let cj = ChainJustifier::new(&n, 8);
+        let cj = engine(&n, 8);
         let d = cj.decompose(product).expect("product must factor");
         assert_eq!(d.terms.len(), 1);
         let Slots::Pair { du, dv } = d.terms[0].slots else {

@@ -11,7 +11,14 @@
 //! sample yields the exact set of reachable full-adder cell input
 //! combinations, so an activating input either exists (and is in hand)
 //! or provably does not (the fault is untestable).
+//!
+//! The evaluator only chooses how inputs and registers get their words;
+//! every other node word is [`rtl::eval::node_word`], and callers read
+//! cell combinations off its values with [`rtl::eval::cell_combos`], so
+//! the top-off layers share one word-level model with the reachability
+//! analysis and the plain [`rtl::eval::ScalarSim`].
 
+use rtl::eval::node_word;
 use rtl::{Netlist, NodeId, NodeKind};
 
 /// How a node's value depends on the input history.
@@ -97,6 +104,7 @@ impl ConeAnalysis {
 /// `t + d` when the sample is applied at time `t` (after the `d`-deep
 /// register chain has been fed the same sample); values at
 /// [`Purity::Window`] nodes are meaningless and must not be read.
+/// Every other node word is [`rtl::eval::node_word`].
 pub struct ConeEval<'n> {
     netlist: &'n Netlist,
     align: u32,
@@ -127,31 +135,8 @@ impl<'n> ConeEval<'n> {
         for (i, node) in self.netlist.nodes().iter().enumerate() {
             self.values[i] = match node.kind {
                 NodeKind::Input => raw,
-                NodeKind::Const { raw } => raw,
-                NodeKind::Register { src } | NodeKind::Output { src } => self.values[src.index()],
-                NodeKind::ShiftRight { src, amount } => self.values[src.index()] >> amount.min(62),
-                NodeKind::Not { src } => q.wrap(-self.values[src.index()] - 1),
-                NodeKind::SetLsb { src } => q.sign_extend(q.to_bits(self.values[src.index()]) | 1),
-                NodeKind::Add { a, b } => q.wrap(self.values[a.index()] + self.values[b.index()]),
-                NodeKind::Sub { a, b } => q.wrap(self.values[a.index()] - self.values[b.index()]),
-                NodeKind::CsaSum { a, b, c } => q.sign_extend(
-                    (q.to_bits(self.values[a.index()])
-                        ^ q.to_bits(self.values[b.index()])
-                        ^ q.to_bits(self.values[c.index()]))
-                        & q.to_bits(-1),
-                ),
-                NodeKind::CsaCarry { a, b, c, .. } => {
-                    let (av, bv, cv) = (
-                        q.to_bits(self.values[a.index()]),
-                        q.to_bits(self.values[b.index()]),
-                        q.to_bits(self.values[c.index()]),
-                    );
-                    let carry = (av & bv) | ((av ^ bv) & cv);
-                    q.sign_extend((carry << 1) & q.to_bits(-1))
-                }
-                // Unknown kinds are classified Window by the purity
-                // analysis, so their values are never read.
-                _ => 0,
+                NodeKind::Register { src } => self.values[src.index()],
+                kind => node_word(q, kind, &self.values),
             };
         }
     }
@@ -161,181 +146,17 @@ impl<'n> ConeEval<'n> {
         self.values[node.index()]
     }
 
-    /// The full-adder input combination `(a << 2) | (b_line << 1) | ci`
-    /// seen by `cell` of an arithmetic node under the evaluated sample:
-    /// the carry is rippled up from the node's LSB exactly as the
-    /// bit-sliced simulator does (initial carry 1 and an inverted B
-    /// line for a subtractor; the three operand bits directly for a
-    /// carry-save cell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not an adder, subtractor or carry-save sum.
-    pub fn combo(&self, node: NodeId, cell: u32) -> u8 {
-        combo_from_values(self.netlist, &self.values, node, cell)
-    }
-}
-
-/// [`ConeEval::combo`] over an explicit node-value table.
-///
-/// # Panics
-///
-/// Panics if `node` is not an adder, subtractor or carry-save sum.
-pub fn combo_from_values(netlist: &Netlist, values: &[i64], node: NodeId, cell: u32) -> u8 {
-    let q = netlist.format();
-    match netlist.node(node).kind {
-        NodeKind::Add { a, b } | NodeKind::Sub { a, b } => {
-            let is_sub = matches!(netlist.node(node).kind, NodeKind::Sub { .. });
-            let a_bits = q.to_bits(values[a.index()]);
-            let b_line =
-                if is_sub { !q.to_bits(values[b.index()]) } else { q.to_bits(values[b.index()]) };
-            let mut carry = u64::from(is_sub);
-            for bit in 0..cell {
-                let av = (a_bits >> bit) & 1;
-                let bv = (b_line >> bit) & 1;
-                carry = (av & bv) | ((av ^ bv) & carry);
-            }
-            let av = (a_bits >> cell) & 1;
-            let bv = (b_line >> cell) & 1;
-            ((av << 2) | (bv << 1) | carry) as u8
-        }
-        NodeKind::CsaSum { a, b, c } => {
-            let av = (q.to_bits(values[a.index()]) >> cell) & 1;
-            let bv = (q.to_bits(values[b.index()]) >> cell) & 1;
-            let cv = (q.to_bits(values[c.index()]) >> cell) & 1;
-            ((av << 2) | (bv << 1) | cv) as u8
-        }
-        ref kind => panic!("no full-adder cells on {kind:?}"),
-    }
-}
-
-/// All cells' combinations of an arithmetic node in one LSB-to-MSB
-/// ripple (`out[cell]` = [`combo_from_values`] at `cell`), `O(width)`
-/// total. `out` is resized to the datapath width.
-///
-/// # Panics
-///
-/// Panics if `node` is not an adder, subtractor or carry-save sum.
-pub fn combos_from_values(netlist: &Netlist, values: &[i64], node: NodeId, out: &mut Vec<u8>) {
-    let q = netlist.format();
-    let w = netlist.width();
-    out.clear();
-    match netlist.node(node).kind {
-        NodeKind::Add { a, b } | NodeKind::Sub { a, b } => {
-            let is_sub = matches!(netlist.node(node).kind, NodeKind::Sub { .. });
-            let a_bits = q.to_bits(values[a.index()]);
-            let b_line =
-                if is_sub { !q.to_bits(values[b.index()]) } else { q.to_bits(values[b.index()]) };
-            let mut carry = u64::from(is_sub);
-            for bit in 0..w {
-                let av = (a_bits >> bit) & 1;
-                let bv = (b_line >> bit) & 1;
-                out.push(((av << 2) | (bv << 1) | carry) as u8);
-                carry = (av & bv) | ((av ^ bv) & carry);
-            }
-        }
-        NodeKind::CsaSum { a, b, c } => {
-            let a_bits = q.to_bits(values[a.index()]);
-            let b_bits = q.to_bits(values[b.index()]);
-            let c_bits = q.to_bits(values[c.index()]);
-            for bit in 0..w {
-                let av = (a_bits >> bit) & 1;
-                let bv = (b_bits >> bit) & 1;
-                let cv = (c_bits >> bit) & 1;
-                out.push(((av << 2) | (bv << 1) | cv) as u8);
-            }
-        }
-        ref kind => panic!("no full-adder cells on {kind:?}"),
-    }
-}
-
-/// A plain scalar (one machine, no fault injection) simulator: exact
-/// register semantics, reset to zero, one raw aligned input word per
-/// cycle. The witness sweeps drive thousands of short runs through it;
-/// register state can be snapshotted and restored so multi-phase
-/// stimuli don't replay their shared prefix.
-pub struct ScalarSim<'n> {
-    netlist: &'n Netlist,
-    values: Vec<i64>,
-    regs: Vec<i64>,
-}
-
-impl<'n> ScalarSim<'n> {
-    /// A simulator at reset.
-    pub fn new(netlist: &'n Netlist) -> Self {
-        let n = netlist.nodes().len();
-        ScalarSim { netlist, values: vec![0; n], regs: vec![0; n] }
-    }
-
-    /// Back to the all-zero reset state.
-    pub fn reset(&mut self) {
-        self.values.fill(0);
-        self.regs.fill(0);
-    }
-
-    /// Advances one cycle with the given raw (aligned) input word.
-    pub fn step(&mut self, raw: i64) {
-        let q = self.netlist.format();
-        for (i, node) in self.netlist.nodes().iter().enumerate() {
-            self.values[i] = match node.kind {
-                NodeKind::Input => raw,
-                NodeKind::Const { raw } => raw,
-                NodeKind::Register { .. } => self.regs[i],
-                NodeKind::Output { src } => self.values[src.index()],
-                NodeKind::ShiftRight { src, amount } => self.values[src.index()] >> amount.min(62),
-                NodeKind::Not { src } => q.wrap(-self.values[src.index()] - 1),
-                NodeKind::SetLsb { src } => q.sign_extend(q.to_bits(self.values[src.index()]) | 1),
-                NodeKind::Add { a, b } => q.wrap(self.values[a.index()] + self.values[b.index()]),
-                NodeKind::Sub { a, b } => q.wrap(self.values[a.index()] - self.values[b.index()]),
-                NodeKind::CsaSum { a, b, c } => q.sign_extend(
-                    (q.to_bits(self.values[a.index()])
-                        ^ q.to_bits(self.values[b.index()])
-                        ^ q.to_bits(self.values[c.index()]))
-                        & q.to_bits(-1),
-                ),
-                NodeKind::CsaCarry { a, b, c, .. } => {
-                    let (av, bv, cv) = (
-                        q.to_bits(self.values[a.index()]),
-                        q.to_bits(self.values[b.index()]),
-                        q.to_bits(self.values[c.index()]),
-                    );
-                    let carry = (av & bv) | ((av ^ bv) & cv);
-                    q.sign_extend((carry << 1) & q.to_bits(-1))
-                }
-                _ => 0,
-            };
-        }
-        for (i, node) in self.netlist.nodes().iter().enumerate() {
-            if let NodeKind::Register { src } = node.kind {
-                self.regs[i] = self.values[src.index()];
-            }
-        }
-    }
-
-    /// The node values of the current cycle.
+    /// Every node's evaluated word, indexed by node index (the operand
+    /// table [`rtl::eval::cell_combos`] reads).
     pub fn values(&self) -> &[i64] {
         &self.values
-    }
-
-    /// Snapshot of the register state (restorable).
-    pub fn save_regs(&self) -> Vec<i64> {
-        self.regs.clone()
-    }
-
-    /// Restores a [`ScalarSim::save_regs`] snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a different netlist.
-    pub fn restore_regs(&mut self, snapshot: &[i64]) {
-        assert_eq!(snapshot.len(), self.regs.len(), "snapshot from a different netlist");
-        self.regs.copy_from_slice(snapshot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtl::eval::cell_combos;
     use rtl::sim::BitSlicedSim;
     use rtl::NetlistBuilder;
 
@@ -400,12 +221,13 @@ mod tests {
             // tap1 = (d1 >> 2) + d1 with d1 = v: rebuild the ripple.
             let a_bits = q.to_bits(v >> 2);
             let b_bits = q.to_bits(v);
+            let combos = cell_combos(q, n.node(tap1).kind, eval.values());
             let mut carry = 0u64;
             for cell in 0..10u32 {
                 let av = (a_bits >> cell) & 1;
                 let bv = (b_bits >> cell) & 1;
                 let expect = ((av << 2) | (bv << 1) | carry) as u8;
-                assert_eq!(eval.combo(tap1, cell), expect, "cell {cell} sample {v}");
+                assert_eq!(combos[cell as usize], expect, "cell {cell} sample {v}");
                 carry = (av & bv) | ((av ^ bv) & carry);
             }
         }

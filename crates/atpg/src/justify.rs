@@ -25,13 +25,15 @@
 //! (honestly counted, never silently dropped).
 
 use crate::chain::{ChainJustifier, ChainOutcome};
-use crate::cone::{combos_from_values, ConeAnalysis, ConeEval, Purity, ScalarSim};
+use crate::cone::{ConeAnalysis, ConeEval, Purity};
 use crate::knownbits::StaticScreen;
 use faultsim::{FaultId, FaultSite, FaultUniverse};
+use rtl::eval::{cell_combos, ScalarSim};
 use rtl::sim::{BitSlicedSim, CellFault};
 use rtl::{Netlist, NodeId};
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use tpg::{Lfsr1, ShiftDirection, TestGenerator};
 
 /// The justifier's ruling on one residual fault.
@@ -99,13 +101,15 @@ struct WitnessTable {
     per_node: HashMap<usize, Vec<[Vec<Witness>; 8]>>,
 }
 
-/// Deterministic pattern justification over one netlist and fault
-/// universe.
+/// Deterministic pattern justification over one netlist. Nothing it
+/// builds depends on a fault universe, so one justifier serves a run's
+/// pre-campaign screen and its top-off over any sub-universe.
 pub struct Justifier<'n> {
-    netlist: &'n Netlist,
-    universe: &'n FaultUniverse,
-    input_bits: u32,
+    pub(crate) netlist: &'n Netlist,
+    pub(crate) input_bits: u32,
     align: u32,
+    /// Shared with the chain engine.
+    cone: Rc<ConeAnalysis>,
     /// Indexed by node index; `Some` for pure arithmetic nodes.
     pure: Vec<Option<PureCells>>,
     screen: StaticScreen,
@@ -128,7 +132,7 @@ impl<'n> Justifier<'n> {
     /// Panics if `input_bits` is zero, exceeds the datapath width, or
     /// exceeds 20 (the sweep is exponential in it; every design in this
     /// workspace uses 12).
-    pub fn new(netlist: &'n Netlist, universe: &'n FaultUniverse, input_bits: u32) -> Self {
+    pub fn new(netlist: &'n Netlist, input_bits: u32) -> Self {
         assert!(
             (1..=20).contains(&input_bits) && input_bits <= netlist.width(),
             "input_bits {input_bits} outside the supported range"
@@ -142,6 +146,7 @@ impl<'n> Justifier<'n> {
                     Some(PureCells { delay, cells: vec![CellCombos::default(); width] });
             }
         }
+        let q = netlist.format();
         let mut eval = ConeEval::new(netlist, input_bits);
         let lo = -(1i64 << (input_bits - 1));
         let hi = 1i64 << (input_bits - 1);
@@ -150,8 +155,9 @@ impl<'n> Justifier<'n> {
             eval.eval(v);
             for id in netlist.arithmetic_ids() {
                 let Some(info) = pure[id.index()].as_mut() else { continue };
-                for (cell, combos) in info.cells.iter_mut().enumerate() {
-                    let t = eval.combo(id, cell as u32) as usize;
+                let reached = cell_combos(q, netlist.node(id).kind, eval.values());
+                for (combos, t) in info.cells.iter_mut().zip(reached) {
+                    let t = t as usize;
                     combos.reached |= 1 << t;
                     let bucket = &mut combos.samples[t];
                     if bucket.len() < SAMPLES_PER_COMBO / 2 {
@@ -172,9 +178,9 @@ impl<'n> Justifier<'n> {
         let screen = StaticScreen::analyze(netlist, input_bits);
         Justifier {
             netlist,
-            universe,
             input_bits,
             align: netlist.width() - input_bits,
+            cone: Rc::new(cone),
             pure,
             screen,
             witnesses: OnceCell::new(),
@@ -193,18 +199,18 @@ impl<'n> Justifier<'n> {
         pure_unreachable || self.screen.untestable(self.netlist, site)
     }
 
-    /// The faults whose detecting tests are provably unreachable or
-    /// whose effects are provably unobservable (see
-    /// [`Verdict::Untestable`]), in ascending id order. Cheap: reuses
-    /// the construction-time analyses, no simulation.
-    pub fn untestable(&self) -> Vec<FaultId> {
-        self.universe.ids().filter(|&id| self.proven_untestable(self.universe.site(id))).collect()
+    /// The faults of `universe` (over this justifier's netlist) whose
+    /// detecting tests are provably unreachable or whose effects are
+    /// provably unobservable (see [`Verdict::Untestable`]), in ascending
+    /// id order. Cheap: reuses the construction-time analyses, no
+    /// simulation.
+    pub fn untestable(&self, universe: &FaultUniverse) -> Vec<FaultId> {
+        universe.ids().filter(|&id| self.proven_untestable(universe.site(id))).collect()
     }
 
-    /// Justifies one fault: tries to produce a verified activating
+    /// Justifies one fault site: tries to produce a verified activating
     /// pattern, prove untestability, or give up (`Unresolved`).
-    pub fn justify(&self, id: FaultId) -> Verdict {
-        let site = self.universe.site(id);
+    pub fn justify(&self, site: &FaultSite) -> Verdict {
         if self.proven_untestable(site) {
             return Verdict::Untestable;
         }
@@ -254,7 +260,9 @@ impl<'n> Justifier<'n> {
         // conditions: decompose the operands into independently
         // controllable terms and solve the combination exactly over
         // the reachable residue sets.
-        let chain = self.chain.get_or_init(|| ChainJustifier::new(self.netlist, self.input_bits));
+        let chain = self.chain.get_or_init(|| {
+            ChainJustifier::new(self.netlist, Rc::clone(&self.cone), self.input_bits)
+        });
         match chain.solve(site, self.flush) {
             ChainOutcome::Patterns(patterns) => {
                 for pattern in patterns {
@@ -306,17 +314,16 @@ impl<'n> Justifier<'n> {
             }
             let lo = -(1i64 << (self.input_bits - 1));
             let hi = 1i64 << (self.input_bits - 1);
+            let q = self.netlist.format();
             let mut sim = ScalarSim::new(self.netlist);
-            let mut combos: Vec<u8> = Vec::with_capacity(width);
             let record = |per_node: &mut HashMap<usize, Vec<[Vec<Witness>; 8]>>,
                           sim: &ScalarSim<'_>,
-                          combos: &mut Vec<u8>,
                           witness: Witness| {
                 for &id in &window_nodes {
-                    combos_from_values(self.netlist, sim.values(), id, combos);
+                    let combos = cell_combos(q, self.netlist.node(id).kind, sim.values());
                     let cells = per_node.get_mut(&id.index()).expect("pre-inserted");
-                    for (cell, &combo) in combos.iter().enumerate() {
-                        let bucket = &mut cells[cell][combo as usize];
+                    for (buckets, combo) in cells.iter_mut().zip(combos) {
+                        let bucket = &mut buckets[combo as usize];
                         if bucket.len() < WITNESSES_PER_COMBO {
                             bucket.push(witness);
                         }
@@ -329,7 +336,7 @@ impl<'n> Justifier<'n> {
                 sim.reset();
                 for t in 1..=prefix {
                     sim.step(raw);
-                    record(&mut per_node, &sim, &mut combos, Witness::Const { x: v, cycles: t });
+                    record(&mut per_node, &sim, Witness::Const { x: v, cycles: t });
                 }
             }
             // Sweep two: rail/corner drivers to steady state, then
@@ -347,12 +354,7 @@ impl<'n> Justifier<'n> {
                     sim.restore_regs(&settled);
                     for hold in 1..=3u32 {
                         sim.step(x2 << self.align);
-                        record(
-                            &mut per_node,
-                            &sim,
-                            &mut combos,
-                            Witness::TwoPhase { x1, x2, hold },
-                        );
+                        record(&mut per_node, &sim, Witness::TwoPhase { x1, x2, hold });
                     }
                 }
             }
@@ -485,10 +487,10 @@ mod tests {
     #[test]
     fn every_detected_verdict_replays_on_the_simulator() {
         let (netlist, universe) = lp_mini();
-        let justifier = Justifier::new(&netlist, &universe, 12);
+        let justifier = Justifier::new(&netlist, 12);
         let mut detected = 0usize;
         for id in universe.ids().take(64) {
-            if let Verdict::Detected { pattern } = justifier.justify(id) {
+            if let Verdict::Detected { pattern } = justifier.justify(universe.site(id)) {
                 detected += 1;
                 let site = universe.site(id);
                 let mut sim = BitSlicedSim::new(&netlist);
@@ -512,8 +514,8 @@ mod tests {
         // Soundness spot-check: nothing the justifier proves untestable
         // may be detected by an independent pseudorandom campaign.
         let (netlist, universe) = lp_mini();
-        let justifier = Justifier::new(&netlist, &universe, 12);
-        let untestable = justifier.untestable();
+        let justifier = Justifier::new(&netlist, 12);
+        let untestable = justifier.untestable(&universe);
         let mut lfsr = Lfsr1::new(12, ShiftDirection::LsbToMsb).unwrap();
         let inputs: Vec<i64> = (0..4096).map(|_| lfsr.next_word() << 4).collect();
         let result = ParallelFaultSimulator::new(&netlist, &universe).run(&inputs);
@@ -530,10 +532,10 @@ mod tests {
     #[test]
     fn justify_agrees_with_untestable_list() {
         let (netlist, universe) = lp_mini();
-        let justifier = Justifier::new(&netlist, &universe, 12);
-        let untestable = justifier.untestable();
+        let justifier = Justifier::new(&netlist, 12);
+        let untestable = justifier.untestable(&universe);
         for &id in untestable.iter().take(8) {
-            assert_eq!(justifier.justify(id), Verdict::Untestable);
+            assert_eq!(justifier.justify(universe.site(id)), Verdict::Untestable);
         }
     }
 }

@@ -244,8 +244,8 @@ fn ternary_next_regs(netlist: &Netlist, values: &[Ternary]) -> Vec<Ternary> {
 }
 
 /// Folds one cycle's combinations into the per-node, per-cell union
-/// masks (same per-cell carry ripple as `combos_from_values`, but over
-/// ternary operands).
+/// masks: the per-cell carry ripple of `rtl::eval::cell_combos`, over
+/// ternary operands.
 fn accumulate_combos(netlist: &Netlist, values: &[Ternary], combos: &mut [Vec<u8>]) {
     let w = netlist.width();
     // `options(t)[v]` is whether bit value `v` is possible.

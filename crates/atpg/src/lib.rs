@@ -61,13 +61,15 @@ pub struct TopOff {
 
 /// Screens the whole universe for provably-untestable faults (one
 /// exhaustive cone sweep, no simulation), ascending id order. Campaigns
-/// remove these before simulating.
+/// remove these before simulating. A run that also tops off should
+/// build one [`Justifier`] and call [`Justifier::untestable`] and
+/// [`top_off_with`] on it instead.
 pub fn untestable_faults(
     netlist: &Netlist,
     universe: &FaultUniverse,
     input_bits: u32,
 ) -> Vec<FaultId> {
-    Justifier::new(netlist, universe, input_bits).untestable()
+    Justifier::new(netlist, input_bits).untestable(universe)
 }
 
 /// Runs the full justify → compress → verify pipeline over a campaign
@@ -85,13 +87,25 @@ pub fn top_off(
     input_bits: u32,
     cfg: &TopOffConfig,
 ) -> TopOff {
-    let justifier = Justifier::new(netlist, universe, input_bits);
+    top_off_with(&Justifier::new(netlist, input_bits), universe, residue, cfg)
+}
+
+/// [`top_off`] on an already-built justifier, so a run that screened
+/// with it does not repeat the justifier's exhaustive sweeps.
+/// `universe` may be any fault universe over the justifier's netlist.
+pub fn top_off_with(
+    justifier: &Justifier<'_>,
+    universe: &FaultUniverse,
+    residue: &[FaultId],
+    cfg: &TopOffConfig,
+) -> TopOff {
+    let (netlist, input_bits) = (justifier.netlist, justifier.input_bits);
     let mut verdicts = Vec::with_capacity(residue.len());
     let mut untestable = Vec::new();
     let mut targets = Vec::new();
     let mut patterns: BTreeMap<FaultId, Vec<i64>> = BTreeMap::new();
     for &id in residue {
-        let verdict = justifier.justify(id);
+        let verdict = justifier.justify(universe.site(id));
         match &verdict {
             Verdict::Untestable => untestable.push(id),
             Verdict::Detected { pattern } => {
@@ -224,7 +238,7 @@ mod tests {
     fn untestable_screen_agrees_with_the_justifier() {
         let (netlist, universe, input_bits) = lp_mini();
         let screened = untestable_faults(&netlist, &universe, input_bits);
-        let justifier = Justifier::new(&netlist, &universe, input_bits);
-        assert_eq!(screened, justifier.untestable());
+        let justifier = Justifier::new(&netlist, input_bits);
+        assert_eq!(screened, justifier.untestable(&universe));
     }
 }

@@ -516,12 +516,15 @@ impl<'d> BistSession<'d> {
         // Both optional proof stages start from the ATPG static
         // screen: the top-off stage removes everything it flags, the
         // SAT stage treats its output as the redundancy-prover
-        // candidate set. Computed once, under the screen's span.
-        let screen: Vec<FaultId> = if config.top_off().is_some() || config.sat_prune().is_some() {
+        // candidate set. One justifier serves the screen and the
+        // top-off stage; it is built under the screen's span.
+        let (justifier, screen) = if config.top_off().is_some() || config.sat_prune().is_some() {
             let _span = registry.span("session.atpg_screen");
-            atpg::untestable_faults(self.design.netlist(), &self.universe, input_bits)
+            let justifier = atpg::Justifier::new(self.design.netlist(), input_bits);
+            let screen = justifier.untestable(&self.universe);
+            (Some(justifier), screen)
         } else {
-            Vec::new()
+            (None, Vec::new())
         };
 
         // SAT proof stage: prove the screened candidates redundant
@@ -532,33 +535,12 @@ impl<'d> BistSession<'d> {
         let mut sat_redundant: Vec<FaultId> = Vec::new();
         if let Some(scfg) = config.sat_prune() {
             let _span = registry.span("session.sat_prune");
-            let specs: Vec<sat::FaultSpec> = screen.iter().map(|&id| self.fault_spec(id)).collect();
-            let outcome = sat::prove_faults(
-                self.design.netlist(),
-                input_bits,
-                &specs,
-                &sat::PruneConfig { max_conflicts: scfg.max_conflicts },
-            );
-            sat_redundant = screen
-                .iter()
-                .zip(&outcome.verdicts)
-                .filter(|(_, (_, v))| matches!(v, sat::FaultVerdict::Redundant))
-                .map(|(&id, _)| id)
-                .collect();
             let mut report = SatReport {
                 universe_before: self.universe.len(),
-                candidates: specs.len(),
-                redundant_proven: outcome.redundant,
-                detectable: outcome.detectable,
-                unknown: outcome.unknown,
-                witnesses_confirmed: outcome.witnesses_confirmed,
                 equiv_checked: scfg.equiv,
-                equiv_proved: false,
-                equiv_lemmas: 0,
-                conflicts: outcome.stats.conflicts,
-                decisions: outcome.stats.decisions,
-                propagations: outcome.stats.propagations,
+                ..SatReport::default()
             };
+            sat_redundant = self.prove_redundant(&self.universe, &screen, scfg, &mut report);
             if scfg.equiv {
                 let eq = sat::check_equivalence(self.design);
                 report.equiv_proved = eq.proved;
@@ -667,13 +649,8 @@ impl<'d> BistSession<'d> {
         if let Some(tcfg) = config.top_off() {
             let top = {
                 let _span = registry.span("session.top_off");
-                atpg::top_off(
-                    self.design.netlist(),
-                    sim_universe,
-                    &result.missed(),
-                    input_bits,
-                    tcfg,
-                )
+                let justifier = justifier.as_ref().expect("top-off runs build the justifier");
+                atpg::top_off_with(justifier, sim_universe, &result.missed(), tcfg)
             };
             // SAT verdict pass: faults the justifier left unresolved
             // are retried by the redundancy prover; proven-redundant
@@ -683,30 +660,9 @@ impl<'d> BistSession<'d> {
             if let Some(scfg) = config.sat_prune() {
                 if !top.unresolved.is_empty() {
                     let _span = registry.span("session.sat_verdict");
-                    let specs: Vec<sat::FaultSpec> =
-                        top.unresolved.iter().map(|&id| Self::spec_for(sim_universe, id)).collect();
-                    let outcome = sat::prove_faults(
-                        self.design.netlist(),
-                        input_bits,
-                        &specs,
-                        &sat::PruneConfig { max_conflicts: scfg.max_conflicts },
-                    );
-                    redundant_ids = top
-                        .unresolved
-                        .iter()
-                        .zip(&outcome.verdicts)
-                        .filter(|(_, (_, v))| matches!(v, sat::FaultVerdict::Redundant))
-                        .map(|(&id, _)| id)
-                        .collect();
                     let report = sat_report.as_mut().expect("sat stage ran before top-off");
-                    report.candidates += specs.len();
-                    report.redundant_proven += outcome.redundant;
-                    report.detectable += outcome.detectable;
-                    report.unknown += outcome.unknown;
-                    report.witnesses_confirmed += outcome.witnesses_confirmed;
-                    report.conflicts += outcome.stats.conflicts;
-                    report.decisions += outcome.stats.decisions;
-                    report.propagations += outcome.stats.propagations;
+                    redundant_ids =
+                        self.prove_redundant(sim_universe, &top.unresolved, scfg, report);
                 }
             }
             let residue = faultsim::report::residue(self.design.netlist(), sim_universe, &result);
@@ -794,18 +750,44 @@ impl<'d> BistSession<'d> {
         Ok(BistRun { generator: generator.name().to_string(), result, signature, artifact })
     }
 
-    /// The SAT-encoder fault handle for one collapsed class of the
-    /// session's own universe.
-    fn fault_spec(&self, id: FaultId) -> sat::FaultSpec {
-        Self::spec_for(&self.universe, id)
-    }
-
-    /// The SAT-encoder fault handle for one collapsed class of any
-    /// universe over this design's netlist (class representatives are
-    /// what the prover reasons about).
-    fn spec_for(universe: &FaultUniverse, id: FaultId) -> sat::FaultSpec {
-        let site = universe.site(id);
-        sat::FaultSpec { node: site.node, cell: site.cell, fault: site.representative }
+    /// Runs the redundancy prover over `ids` of `universe` (any
+    /// universe over this design's netlist: class representatives are
+    /// what the prover reasons about), adds its counts and solver
+    /// effort to `report`, and returns the ids proven redundant, in
+    /// `ids` order.
+    fn prove_redundant(
+        &self,
+        universe: &FaultUniverse,
+        ids: &[FaultId],
+        scfg: &SatConfig,
+        report: &mut SatReport,
+    ) -> Vec<FaultId> {
+        let specs: Vec<sat::FaultSpec> = ids
+            .iter()
+            .map(|&id| {
+                let site = universe.site(id);
+                sat::FaultSpec { node: site.node, cell: site.cell, fault: site.representative }
+            })
+            .collect();
+        let outcome = sat::prove_faults(
+            self.design.netlist(),
+            self.design.spec().input_bits,
+            &specs,
+            &sat::PruneConfig { max_conflicts: scfg.max_conflicts },
+        );
+        report.candidates += specs.len();
+        report.redundant_proven += outcome.redundant;
+        report.detectable += outcome.detectable;
+        report.unknown += outcome.unknown;
+        report.witnesses_confirmed += outcome.witnesses_confirmed;
+        report.conflicts += outcome.stats.conflicts;
+        report.decisions += outcome.stats.decisions;
+        report.propagations += outcome.stats.propagations;
+        ids.iter()
+            .zip(&outcome.verdicts)
+            .filter(|(_, (_, v))| matches!(v, sat::FaultVerdict::Redundant))
+            .map(|(&id, _)| id)
+            .collect()
     }
 
     /// Flatten the structural-analysis census into the artifact's
@@ -1445,21 +1427,12 @@ mod tests {
         // pruned universe is re-derived through the same proof path the
         // session took (screen candidates → CDCL prover → keep list).
         let screen = atpg::untestable_faults(d.netlist(), s.universe(), 12);
-        let specs: Vec<sat::FaultSpec> = screen.iter().map(|&id| s.fault_spec(id)).collect();
-        let outcome = sat::prove_faults(
-            d.netlist(),
-            12,
-            &specs,
-            &sat::PruneConfig { max_conflicts: SatConfig::default().max_conflicts },
-        );
+        let mut report = SatReport::default();
+        let redundant =
+            s.prove_redundant(s.universe(), &screen, &SatConfig::default(), &mut report);
         let keep: Vec<FaultId> = (0..s.universe().len() as u32)
             .map(FaultId)
-            .filter(|id| {
-                !screen
-                    .iter()
-                    .zip(&outcome.verdicts)
-                    .any(|(&sid, (_, v))| sid == *id && matches!(v, sat::FaultVerdict::Redundant))
-            })
+            .filter(|id| !redundant.contains(id))
             .collect();
         let pruned_universe = s.universe().subset(&keep);
         assert_eq!(pruned_universe.len(), pruned.artifact.total_faults);

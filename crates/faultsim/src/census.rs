@@ -10,8 +10,9 @@
 //! which the faulty cell sees one of its detecting input combinations.
 
 use crate::fault::{FaultId, FaultUniverse};
+use rtl::eval::cell_combos;
 use rtl::sim::BitSlicedSim;
-use rtl::{Netlist, NodeId, NodeKind};
+use rtl::{Netlist, NodeId};
 use std::collections::BTreeMap;
 
 /// Per-fault activation counts over a stimulus.
@@ -57,8 +58,8 @@ pub fn activation_census(
     ids: &[FaultId],
     inputs: &[i64],
 ) -> ActivationCensus {
-    // Group the watched faults per (node, cell) to compute each cell's
-    // combo once per cycle.
+    // Group the watched faults per node to ripple each node's cells
+    // once per cycle.
     let mut watch: BTreeMap<NodeId, Vec<(u32, u8, FaultId)>> = BTreeMap::new();
     for &id in ids {
         let site = universe.site(id);
@@ -68,43 +69,16 @@ pub fn activation_census(
     let mut counts = vec![0u64; universe.len()];
     let mut sim = BitSlicedSim::new(netlist);
     let q = netlist.format();
+    // The fault-free machine's words (lane 0) at the watched operands.
+    let mut values = vec![0i64; netlist.nodes().len()];
     for &x in inputs {
         sim.step(x);
         for (&node, sites) in &watch {
-            // Carry-save stages: the cell combo is the three operand
-            // bits directly.
-            if let NodeKind::CsaSum { a, b, c } = netlist.node(node).kind {
-                let a_bits = q.to_bits(sim.lane_value(a, 0));
-                let b_bits = q.to_bits(sim.lane_value(b, 0));
-                let c_bits = q.to_bits(sim.lane_value(c, 0));
-                for &(cell, tests, id) in sites {
-                    let combo = ((a_bits >> cell) & 1) << 2
-                        | ((b_bits >> cell) & 1) << 1
-                        | ((c_bits >> cell) & 1);
-                    if tests & (1u8 << combo) != 0 {
-                        counts[id.index()] += 1;
-                    }
-                }
-                continue;
+            let kind = netlist.node(node).kind;
+            for op in kind.operands() {
+                values[op.index()] = sim.lane_value(op, 0);
             }
-            let (a, b, is_sub) = match netlist.node(node).kind {
-                NodeKind::Add { a, b } => (a, b, false),
-                NodeKind::Sub { a, b } => (a, b, true),
-                _ => continue,
-            };
-            let a_bits = q.to_bits(sim.lane_value(a, 0));
-            let b_raw = q.to_bits(sim.lane_value(b, 0));
-            let b_bits = if is_sub { !b_raw } else { b_raw };
-            // Ripple once to recover each cell's carry-in.
-            let mut carry: u64 = u64::from(is_sub);
-            let mut combos = [0u8; 64];
-            for (cell, combo) in combos.iter_mut().enumerate().take(netlist.width() as usize) {
-                let av = (a_bits >> cell) & 1;
-                let bv = (b_bits >> cell) & 1;
-                *combo = ((av << 2) | (bv << 1) | carry) as u8;
-                let x1 = av ^ bv;
-                carry = (av & bv) | (x1 & carry);
-            }
+            let combos = cell_combos(q, kind, &values);
             for &(cell, tests, id) in sites {
                 if tests & (1 << combos[cell as usize]) != 0 {
                     counts[id.index()] += 1;

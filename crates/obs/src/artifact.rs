@@ -123,7 +123,7 @@ impl TopOffReport {
 /// The outcome of the SAT proof stage: redundancy-pruning counts over
 /// the pre-simulation candidate set, witness replay cross-validation,
 /// the equivalence-certificate verdict and aggregate solver effort.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SatReport {
     /// Collapsed fault classes in the universe before pruning.
     pub universe_before: usize,

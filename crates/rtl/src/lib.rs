@@ -17,6 +17,11 @@
 //!   fault universe, truth-table equivalence collapsing, and the mapping
 //!   from cell-level faults to the eight I/O tests `T0..T7` of the
 //!   paper's Section 4.1.
+//! * [`eval`] — the word-level semantics, written once: a combinational
+//!   node's word from its operand words, each full-adder cell's input
+//!   combination, and the plain scalar simulator built on both. Every
+//!   scalar analysis (reachability here, the top-off layers in
+//!   `bist-atpg`, the activation census in `bist-faultsim`) uses them.
 //! * [`sim`] — a 64-lane bit-sliced simulator: one good machine plus up
 //!   to 63 faulty machines evaluated word-parallel, with faults injected
 //!   at full-adder gate granularity. This is the engine behind the
@@ -54,6 +59,7 @@ mod builder;
 mod error;
 mod node;
 
+pub mod eval;
 pub mod fulladder;
 pub mod linear;
 pub mod misr;

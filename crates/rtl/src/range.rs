@@ -404,93 +404,4 @@ mod tests {
         let ra = RangeAnalysis::analyze(&n, aligned_input_range(12, 16));
         assert_eq!(ra.active_span(&n, crate::NodeId(0)), None);
     }
-
-    /// Soundness of the interval/granularity analysis itself: on random
-    /// small netlists, every value the gate-level simulator actually
-    /// produces must lie inside the node's computed interval, and its
-    /// claimed-zero low bits must really be zero. This is the contract
-    /// the `L0xx` lints and the fault universe both build on.
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use crate::sim::BitSlicedSim;
-        use proptest::prelude::*;
-
-        /// One construction step; operand indices pick among the nodes
-        /// built so far (modulo), so every generated netlist is valid.
-        #[derive(Debug, Clone)]
-        enum Op {
-            Shift { src: usize, amount: u32 },
-            Add { a: usize, b: usize },
-            Sub { a: usize, b: usize },
-            Register { src: usize },
-            NotWord { src: usize },
-            SetLsb { src: usize },
-        }
-
-        fn op_strategy() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                (any::<usize>(), 0u32..9).prop_map(|(src, amount)| Op::Shift { src, amount }),
-                (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Op::Add { a, b }),
-                (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Op::Sub { a, b }),
-                any::<usize>().prop_map(|src| Op::Register { src }),
-                any::<usize>().prop_map(|src| Op::NotWord { src }),
-                any::<usize>().prop_map(|src| Op::SetLsb { src }),
-            ]
-        }
-
-        fn build(ops: &[Op]) -> crate::Netlist {
-            let mut b = NetlistBuilder::new(16).unwrap();
-            let mut nodes = vec![b.input("x")];
-            for op in ops {
-                let pick = |i: usize| nodes[i % nodes.len()];
-                let id = match *op {
-                    Op::Shift { src, amount } => b.shift_right(pick(src), amount),
-                    Op::Add { a, b: rhs } => b.add(pick(a), pick(rhs)),
-                    Op::Sub { a, b: rhs } => b.sub(pick(a), pick(rhs)),
-                    Op::Register { src } => b.register(pick(src)),
-                    Op::NotWord { src } => b.not_word(pick(src)),
-                    Op::SetLsb { src } => b.set_lsb(pick(src)),
-                };
-                nodes.push(id);
-            }
-            let last = *nodes.last().expect("at least the input");
-            b.output(last, "y");
-            b.finish().expect("random netlists are structurally valid")
-        }
-
-        proptest! {
-            #[test]
-            fn prop_intervals_contain_every_simulated_value(
-                ops in proptest::collection::vec(op_strategy(), 1..12),
-                words in proptest::collection::vec(-2048i64..=2047, 1..40),
-            ) {
-                let n = build(&ops);
-                let ra = RangeAnalysis::analyze(&n, aligned_input_range(12, 16));
-                let mut sim = BitSlicedSim::new(&n);
-                for &w in &words {
-                    // 12-bit words ride left-aligned in the 16-bit path,
-                    // exactly as analyze() was told.
-                    sim.step(w << 4);
-                    for id in n.node_ids() {
-                        let v = sim.lane_value(id, 0);
-                        let r = ra.range(id);
-                        prop_assert!(
-                            r.lo <= v && v <= r.hi,
-                            "node {id:?} ({:?}): {v} outside [{}, {}]",
-                            n.node(id).kind, r.lo, r.hi
-                        );
-                        if r.zero_lsbs > 0 {
-                            let mask = (1i64 << r.zero_lsbs.min(62)) - 1;
-                            prop_assert_eq!(
-                                v & mask, 0,
-                                "node {:?}: {} has nonzero bits below claimed granularity {}",
-                                id, v, r.zero_lsbs
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
 }

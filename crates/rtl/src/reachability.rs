@@ -19,6 +19,7 @@
 //! (can the operand bit be 0? be 1?), which soundly restricts the
 //! combination mask without assuming anything about the other inputs.
 
+use crate::eval::{cell_combos, node_word};
 use crate::node::{NodeId, NodeKind};
 use crate::Netlist;
 use std::collections::HashMap;
@@ -79,45 +80,16 @@ impl Reachability {
                 if !pure[i] {
                     continue;
                 }
-                match netlist.nodes()[i].kind {
-                    NodeKind::Input => {}
-                    NodeKind::Const { raw } => values[i] = raw,
-                    NodeKind::Register { .. }
-                    | NodeKind::CsaSum { .. }
-                    | NodeKind::CsaCarry { .. } => {
-                        unreachable!("registers and carry-save stages are never pure")
-                    }
-                    NodeKind::Output { src } => values[i] = values[src.index()],
-                    NodeKind::ShiftRight { src, amount } => {
-                        values[i] = values[src.index()] >> amount.min(62);
-                    }
-                    NodeKind::Not { src } => {
-                        values[i] = q.wrap(-values[src.index()] - 1);
-                    }
-                    NodeKind::SetLsb { src } => {
-                        values[i] = q.sign_extend(q.to_bits(values[src.index()]) | 1);
-                    }
-                    NodeKind::Add { a, b } => {
-                        let (av, bv) = (values[a.index()], values[b.index()]);
-                        values[i] = q.wrap(av + bv);
-                        record_combos(
-                            joint.get_mut(&NodeId(idx)).expect("pure adder registered"),
-                            q.to_bits(av),
-                            q.to_bits(bv),
-                            false,
-                            width,
-                        );
-                    }
-                    NodeKind::Sub { a, b } => {
-                        let (av, bv) = (values[a.index()], values[b.index()]);
-                        values[i] = q.wrap(av - bv);
-                        record_combos(
-                            joint.get_mut(&NodeId(idx)).expect("pure adder registered"),
-                            q.to_bits(av),
-                            q.to_bits(bv),
-                            true,
-                            width,
-                        );
+                // Pure nodes hold no register, so every word but the
+                // input's is a combinational function of the sample.
+                let kind = netlist.nodes()[i].kind;
+                if kind != NodeKind::Input {
+                    values[i] = node_word(q, kind, &values);
+                }
+                if kind.is_arithmetic() {
+                    let masks = joint.get_mut(&NodeId(idx)).expect("pure adder registered");
+                    for (mask, combo) in masks.iter_mut().zip(cell_combos(q, kind, &values)) {
+                        *mask |= 1 << combo;
                     }
                 }
                 if let Some(bits) = seen_bits.get_mut(&i) {
@@ -204,21 +176,6 @@ fn pure_nodes(netlist: &Netlist) -> Vec<bool> {
         };
     }
     pure
-}
-
-/// Ripples one (a, b) operand pair through the adder, OR-ing each
-/// cell's observed `(a, b, ci)` combination into `masks`.
-fn record_combos(masks: &mut [u8], a_bits: u64, b_bits: u64, subtract: bool, width: u32) {
-    let b_line = if subtract { !b_bits } else { b_bits };
-    let mut carry: u64 = u64::from(subtract);
-    for (cell, mask) in masks.iter_mut().enumerate().take(width as usize) {
-        let a = (a_bits >> cell) & 1;
-        let b = (b_line >> cell) & 1;
-        let combo = (a << 2) | (b << 1) | carry;
-        *mask |= 1 << combo;
-        let x1 = a ^ b;
-        carry = (a & b) | (x1 & carry);
-    }
 }
 
 /// Combos consistent with the observed values of the A line

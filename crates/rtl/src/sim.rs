@@ -578,43 +578,4 @@ mod tests {
             }],
         );
     }
-
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_all_lanes_agree_without_faults(
-                seq in proptest::collection::vec(-2048i64..=2047, 1..20),
-                lane in 1u32..64,
-            ) {
-                let n = adder_netlist(12);
-                let out = n.output_ids()[0];
-                let mut sim = BitSlicedSim::new(&n);
-                for &v in &seq {
-                    sim.step(v);
-                    prop_assert_eq!(sim.lane_value(out, 0), sim.lane_value(out, lane));
-                    prop_assert_eq!(sim.output_diff_lanes(0), 0);
-                }
-            }
-
-            #[test]
-            fn prop_matches_reference_model(
-                seq in proptest::collection::vec(-2048i64..=2047, 1..30)
-            ) {
-                let n = adder_netlist(12);
-                let out = n.output_ids()[0];
-                let q = QFormat::new(12, 11).unwrap();
-                let mut sim = BitSlicedSim::new(&n);
-                let mut prev = 0i64;
-                for &v in &seq {
-                    sim.step(v);
-                    prop_assert_eq!(sim.lane_value(out, 0), q.wrap(v + prev));
-                    prev = v;
-                }
-            }
-        }
-    }
 }

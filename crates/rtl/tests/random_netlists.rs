@@ -1,210 +1,241 @@
-//! Property tests over randomly generated netlists: the bit-sliced
-//! gate-level simulator must agree with a plain two's-complement
-//! reference interpreter on every structure the builder can produce,
-//! and the analyses must stay sound on arbitrary DAGs.
+//! Seeded randomized checks of the word-level model over random
+//! netlists.
 //!
-//! Needs the `proptest` crate: the whole file is gated behind the
-//! off-by-default `proptest` feature so the workspace builds offline
-//! (see the workspace `Cargo.toml` for how to re-enable it).
-#![cfg(feature = "proptest")]
+//! Each case draws a single-input netlist over every builder node kind
+//! (constants, inverters, set-lsb ties, carry-save sum/carry pairs,
+//! registers and register chains, shifts, adders and subtractors), an
+//! input narrower than or as wide as the datapath, sometimes sign
+//! trimming, and a stimulus of aligned input samples. The reference is
+//! [`ScalarSim`], the plain simulator over [`bist_rtl::eval`]'s one
+//! word-level model. Every cycle, at every node:
+//!
+//! * the bit-sliced simulator's lanes 0 and 17 carry the reference
+//!   word;
+//! * the word lies inside its range-analysis interval, with its
+//!   claimed-zero low bits zero;
+//! * every arithmetic cell's [`cell_combos`] combination is one the
+//!   reachability analysis admits, its parity is the node's sum bit
+//!   and the carry it generates is the next cell's carry-in.
+//!
+//! The single-sample cone evaluator (`atpg::ConeEval`) must also give
+//! every input-pure node the word the reference holds once the sample
+//! has filled the pipeline.
+//!
+//! The generator is a hand-rolled xorshift, so the suite builds
+//! offline. It runs [`CASES`] seeded cases; a failure names its seed,
+//! and `BIST_RANDOM_SEED=<seed>` replays just that case.
 
+use atpg::{ConeAnalysis, ConeEval, Purity};
+use bist_rtl::eval::{cell_combos, ScalarSim};
 use bist_rtl::range::{aligned_input_range, RangeAnalysis};
 use bist_rtl::reachability::Reachability;
 use bist_rtl::sim::BitSlicedSim;
 use bist_rtl::{Netlist, NetlistBuilder, NodeId, NodeKind};
-use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A recipe for one random netlist node.
-#[derive(Debug, Clone)]
-enum Op {
-    Register(usize),
-    ShiftRight(usize, u32),
-    Add(usize, usize),
-    Sub(usize, usize),
+/// Seeded cases per run.
+const CASES: u64 = 128;
+
+/// Cycles of stimulus per case.
+const CYCLES: usize = 48;
+
+/// Marsaglia xorshift64: small, seedable, dependency-free.
+struct XorShift(u64);
+
+impl XorShift {
+    fn new(seed: u64) -> Self {
+        // Splitmix the seed so neighbouring seeds diverge at once.
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        XorShift((z ^ (z >> 31)) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
 }
 
-fn op_strategy(max_src: usize) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..max_src).prop_map(Op::Register),
-        (0..max_src, 0u32..6).prop_map(|(s, k)| Op::ShiftRight(s, k)),
-        (0..max_src, 0..max_src).prop_map(|(a, b)| Op::Add(a, b)),
-        (0..max_src, 0..max_src).prop_map(|(a, b)| Op::Sub(a, b)),
-    ]
-}
-
-/// Builds a random netlist; node `i` may only reference nodes `< i`,
-/// so the graph is always a DAG.
-fn build(width: u32, ops: &[Op]) -> Netlist {
-    let mut b = NetlistBuilder::new(width).expect("width valid");
+/// A random netlist over every builder node kind, and its input width.
+fn random_netlist(rng: &mut XorShift) -> (Netlist, u32) {
+    let width = 4 + rng.below(9) as u32; // 4..=12
+    let input_bits = width - rng.below(4) as u32;
+    let mut b = NetlistBuilder::new(width).expect("valid width");
     let mut ids: Vec<NodeId> = vec![b.input("x")];
-    for op in ops {
-        let pick = |i: usize| ids[i % ids.len()];
-        let id = match *op {
-            Op::Register(s) => b.register(pick(s)),
-            Op::ShiftRight(s, k) => b.shift_right(pick(s), k),
-            Op::Add(a, c) => b.add(pick(a), pick(c)),
-            Op::Sub(a, c) => b.sub(pick(a), pick(c)),
+    for _ in 0..3 + rng.below(16) {
+        let [x, y, z] = [0; 3].map(|_| ids[rng.below(ids.len())]);
+        let id = match rng.below(12) {
+            0 => b.constant(rng.next() as i64),
+            1 => b.not_word(x),
+            2 => b.set_lsb(x),
+            3 => {
+                let (sum, carry) = b.csa(x, y, z, "");
+                ids.push(sum);
+                carry
+            }
+            4 => b.register(x),
+            // A clean delay line on the input: its taps stay pure.
+            5 => (0..1 + rng.below(3)).fold(ids[0], |d, _| b.register(d)),
+            6 | 7 => b.shift_right(x, rng.below(width as usize + 1) as u32),
+            8 | 9 => b.add(x, y),
+            _ => b.sub(x, y),
         };
         ids.push(id);
     }
     let last = *ids.last().expect("nonempty");
-    b.output(last, "y");
-    b.finish().expect("DAG by construction")
+    let y = b.add(last, ids[rng.below(ids.len())]);
+    b.output(y, "y");
+    (b.finish().expect("operands point backwards"), input_bits)
 }
 
-/// Reference interpreter: straightforward wrapping two's-complement
-/// evaluation with register state.
-fn reference_run(netlist: &Netlist, inputs: &[i64]) -> Vec<i64> {
+/// Bit `i` of a raw word.
+fn bit(q: fixedpoint::QFormat, word: i64, i: u32) -> u8 {
+    ((q.to_bits(word) >> i) & 1) as u8
+}
+
+/// The carry a full-adder cell generates from its combination.
+fn carry_out(combo: u8) -> u8 {
+    u8::from(combo.count_ones() >= 2)
+}
+
+/// Checks one node's cell combinations against the reference words:
+/// admitted by reachability, sum bit = parity, carry chained up.
+fn check_cells(netlist: &Netlist, reach: &Reachability, id: NodeId, values: &[i64]) {
     let q = netlist.format();
-    let n = netlist.nodes().len();
-    let mut values = vec![0i64; n];
-    let mut state = vec![0i64; n];
-    let mut out = Vec::new();
-    let out_id = netlist.output_ids()[0];
-    for &x in inputs {
-        for &idx in netlist.eval_order() {
-            let i = idx as usize;
-            values[i] = match netlist.nodes()[i].kind {
-                NodeKind::Input => x,
-                NodeKind::Const { raw } => raw,
-                NodeKind::Register { .. } => state[i],
-                NodeKind::Output { src } => values[src.index()],
-                NodeKind::ShiftRight { src, amount } => values[src.index()] >> amount.min(62),
-                NodeKind::Add { a, b } => q.wrap(values[a.index()] + values[b.index()]),
-                NodeKind::Sub { a, b } => q.wrap(values[a.index()] - values[b.index()]),
-                _ => unreachable!("builder never produces other kinds"),
-            };
-        }
-        for &idx in netlist.register_indices() {
-            let i = idx as usize;
-            if let NodeKind::Register { src } = netlist.nodes()[i].kind {
-                state[i] = values[src.index()];
-            }
-        }
-        out.push(values[out_id.index()]);
+    let kind = netlist.node(id).kind;
+    let combos = cell_combos(q, kind, values);
+    for cell in 0..netlist.width() {
+        let combo = combos[cell as usize];
+        let mask = reach.combo_mask(id, cell);
+        assert_ne!(mask & (1 << combo), 0, "{id} cell {cell}: combo {combo} outside {mask:08b}");
     }
-    out
+    // Ripple cells above the trimmed top are sign wiring.
+    let top = match kind {
+        NodeKind::CsaSum { .. } => netlist.width() - 1,
+        _ => netlist.msb_trim(id),
+    };
+    for cell in 0..=top {
+        let combo = combos[cell as usize];
+        let sum = (combo.count_ones() & 1) as u8;
+        assert_eq!(sum, bit(q, values[id.index()], cell), "{id} cell {cell}: sum bit");
+        if cell < top && !matches!(kind, NodeKind::CsaSum { .. }) {
+            let ci = combos[cell as usize + 1] & 1;
+            assert_eq!(ci, carry_out(combo), "{id} cell {cell}: carry into the next cell");
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bitsliced_matches_reference_interpreter(
-        ops in proptest::collection::vec(op_strategy(16), 1..16),
-        inputs in proptest::collection::vec(-128i64..=127, 1..24),
-    ) {
-        let netlist = build(8, &ops);
-        let expect = reference_run(&netlist, &inputs);
-        let mut sim = BitSlicedSim::new(&netlist);
-        let out = netlist.output_ids()[0];
-        for (t, &x) in inputs.iter().enumerate() {
-            sim.step(x);
-            prop_assert_eq!(sim.lane_value(out, 0), expect[t], "cycle {}", t);
-            prop_assert_eq!(sim.lane_value(out, 17), expect[t], "lane disagreement");
-        }
+/// A carry-save carry word is the cells' generated carries, shifted.
+fn check_csa_carry(netlist: &Netlist, carry: NodeId, sum: NodeId, values: &[i64]) {
+    let q = netlist.format();
+    let combos = cell_combos(q, netlist.node(sum).kind, values);
+    assert_eq!(bit(q, values[carry.index()], 0), 0, "{carry}: carry word bit 0");
+    for cell in 0..netlist.width() - 1 {
+        let expect = carry_out(combos[cell as usize]);
+        assert_eq!(bit(q, values[carry.index()], cell + 1), expect, "{carry} cell {cell}: carry");
     }
+}
 
-    #[test]
-    fn range_analysis_is_sound_on_random_netlists(
-        ops in proptest::collection::vec(op_strategy(12), 1..12),
-        inputs in proptest::collection::vec(-128i64..=127, 1..32),
-    ) {
-        // Every value the reference interpreter produces must lie inside
-        // the analyzed range of its node.
-        let netlist = build(8, &ops);
-        let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(8, 8));
-        let q = netlist.format();
-        let n = netlist.nodes().len();
-        let mut values = vec![0i64; n];
-        let mut state = vec![0i64; n];
-        for &x in &inputs {
-            for &idx in netlist.eval_order() {
-                let i = idx as usize;
-                values[i] = match netlist.nodes()[i].kind {
-                    NodeKind::Input => x,
-                    NodeKind::Const { raw } => raw,
-                    NodeKind::Register { .. } => state[i],
-                    NodeKind::Output { src } => values[src.index()],
-                    NodeKind::ShiftRight { src, amount } => values[src.index()] >> amount.min(62),
-                    NodeKind::Add { a, b } => q.wrap(values[a.index()] + values[b.index()]),
-                    NodeKind::Sub { a, b } => q.wrap(values[a.index()] - values[b.index()]),
-                    _ => unreachable!("builder never produces other kinds"),
-                };
-                let r = ranges.range(netlist.node_id(i));
-                prop_assert!(
-                    values[i] >= r.lo && values[i] <= r.hi,
-                    "node {} value {} outside [{}, {}]", idx, values[i], r.lo, r.hi
-                );
-                let g = r.zero_lsbs.min(62);
-                prop_assert_eq!(
-                    values[i] & ((1i64 << g) - 1), 0,
-                    "node {} value {} violates {} zero LSBs", idx, values[i], g
+fn check_case(seed: u64) {
+    let mut rng = XorShift::new(seed);
+    let (netlist, input_bits) = random_netlist(&mut rng);
+    let width = netlist.width();
+    let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(input_bits, width));
+    let netlist = if rng.below(2) == 0 { netlist.with_sign_trimming(&ranges) } else { netlist };
+    let reach = Reachability::analyze(&netlist, input_bits);
+    let align = width - input_bits;
+    let samples: Vec<i64> = (0..CYCLES)
+        .map(|_| {
+            let shift = 64 - input_bits;
+            (((rng.next() << shift) as i64) >> shift) << align
+        })
+        .collect();
+
+    let mut scalar = ScalarSim::new(&netlist);
+    let mut walker = BitSlicedSim::new(&netlist);
+    for (cycle, &x) in samples.iter().enumerate() {
+        scalar.step(x);
+        walker.step(x);
+        let values = scalar.values();
+        for id in netlist.node_ids() {
+            let word = values[id.index()];
+            let kind = netlist.node(id).kind;
+            for lane in [0, 17] {
+                assert_eq!(
+                    walker.lane_value(id, lane),
+                    word,
+                    "cycle {cycle} {id} {kind:?} lane {lane}"
                 );
             }
-            for &idx in netlist.register_indices() {
-                let i = idx as usize;
-                if let NodeKind::Register { src } = netlist.nodes()[i].kind {
-                    state[i] = values[src.index()];
+            let r = ranges.range(id);
+            assert!(
+                r.lo <= word && word <= r.hi,
+                "{id} {kind:?}: {word} outside [{}, {}]",
+                r.lo,
+                r.hi
+            );
+            let low = (1i64 << r.zero_lsbs.min(62)) - 1;
+            assert_eq!(word & low, 0, "{id} {kind:?}: {word} below {} zero LSBs", r.zero_lsbs);
+            match kind {
+                NodeKind::Add { .. } | NodeKind::Sub { .. } | NodeKind::CsaSum { .. } => {
+                    check_cells(&netlist, &reach, id, values);
                 }
+                NodeKind::CsaCarry { sum, .. } => check_csa_carry(&netlist, id, sum, values),
+                _ => {}
             }
         }
     }
 
-    #[test]
-    fn reachability_is_sound_on_random_netlists(
-        ops in proptest::collection::vec(op_strategy(10), 1..10),
-        inputs in proptest::collection::vec(-128i64..=127, 1..40),
-    ) {
-        // Every (a, b, ci) combination observed in simulation must be
-        // predicted reachable.
-        let netlist = build(8, &ops);
-        let reach = Reachability::analyze(&netlist, 8);
-        let q = netlist.format();
-        let n = netlist.nodes().len();
-        let mut values = vec![0i64; n];
-        let mut state = vec![0i64; n];
-        for &x in &inputs {
-            for &idx in netlist.eval_order() {
-                let i = idx as usize;
-                let kind = netlist.nodes()[i].kind;
-                values[i] = match kind {
-                    NodeKind::Input => x,
-                    NodeKind::Const { raw } => raw,
-                    NodeKind::Register { .. } => state[i],
-                    NodeKind::Output { src } => values[src.index()],
-                    NodeKind::ShiftRight { src, amount } => values[src.index()] >> amount.min(62),
-                    NodeKind::Add { a, b } => q.wrap(values[a.index()] + values[b.index()]),
-                    NodeKind::Sub { a, b } => q.wrap(values[a.index()] - values[b.index()]),
-                    _ => unreachable!("builder never produces other kinds"),
-                };
-                if let NodeKind::Add { a, b } | NodeKind::Sub { a, b } = kind {
-                    let is_sub = matches!(kind, NodeKind::Sub { .. });
-                    let a_bits = q.to_bits(values[a.index()]);
-                    let b_raw = q.to_bits(values[b.index()]);
-                    let b_bits = if is_sub { !b_raw } else { b_raw };
-                    let mut carry: u64 = u64::from(is_sub);
-                    for cell in 0..8u32 {
-                        let av = (a_bits >> cell) & 1;
-                        let bv = (b_bits >> cell) & 1;
-                        let combo = (av << 2) | (bv << 1) | carry;
-                        let mask = reach.combo_mask(netlist.node_id(i), cell);
-                        prop_assert!(
-                            mask & (1 << combo) != 0,
-                            "node {} cell {} observed combo {} not in mask {:08b}",
-                            idx, cell, combo, mask
-                        );
-                        let x1 = av ^ bv;
-                        carry = (av & bv) | (x1 & carry);
-                    }
-                }
+    // A held sample fills every delay line; input-pure nodes then
+    // hold the cone evaluator's single-sample word.
+    let cone = ConeAnalysis::analyze(&netlist);
+    let mut eval = ConeEval::new(&netlist, input_bits);
+    for &x in samples.iter().take(6) {
+        eval.eval(x >> align);
+        scalar.reset();
+        for _ in 0..=netlist.register_indices().len() {
+            scalar.step(x);
+        }
+        for id in netlist.node_ids() {
+            if cone.purity(id) != Purity::Window {
+                assert_eq!(eval.value(id), scalar.values()[id.index()], "{id}: cone word");
             }
-            for &idx in netlist.register_indices() {
-                let i = idx as usize;
-                if let NodeKind::Register { src } = netlist.nodes()[i].kind {
-                    state[i] = values[src.index()];
-                }
-            }
+        }
+    }
+}
+
+/// The seed `BIST_RANDOM_SEED` names (decimal or `0x` hex), if set.
+fn replay_seed() -> Option<u64> {
+    let raw = std::env::var("BIST_RANDOM_SEED").ok()?;
+    let parsed = match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    Some(parsed.unwrap_or_else(|_| panic!("BIST_RANDOM_SEED={raw} is not a number")))
+}
+
+#[test]
+fn word_model_agrees_with_the_simulator_and_the_analyses() {
+    let seeds: Vec<u64> = match replay_seed() {
+        Some(seed) => vec![seed],
+        None => (0..CASES).map(|i| 0x0E7A_0000 + i).collect(),
+    };
+    for seed in seeds {
+        if let Err(cause) = catch_unwind(AssertUnwindSafe(|| check_case(seed))) {
+            let detail = cause
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| cause.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            panic!("random netlist seed {seed:#x} failed ({detail}); replay with BIST_RANDOM_SEED={seed:#x}");
         }
     }
 }
