@@ -22,8 +22,10 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # kernel change that moves a verdict fails here, not only in the
 # benchmark pipeline. proof-topoff is the one workload whose digests hold
 # SAT outcomes (redundant counts, top-off partitions), so a prover change
-# that moves a verdict fails here too.
-for workload in sig-lp trace-grid proof-topoff; do
+# that moves a verdict fails here too. daemon-mix checks every hot reply
+# against its digest and every cache hit byte for byte against the first
+# reply for its key, which covers the daemon's submit and cache paths.
+for workload in sig-lp trace-grid proof-topoff daemon-mix; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done

@@ -11,9 +11,15 @@
 //! byte-deterministic, a cache hit replays the artifact bit-identically
 //! to the run that produced it.
 //!
+//! An entry may also hold the admission diagnostics of its spec, for
+//! one effective deadline, so a hit answers without elaborating the
+//! design again. The diagnostics are a pure function of the canonical
+//! spec and the deadline, and they are never spilled: an entry
+//! reloaded from a spill file lints again on its first hit.
+//!
 //! [`CampaignSpec::canonical`]: bist_core::campaign::CampaignSpec::canonical
 
-use obs::JsonValue;
+use obs::{Diagnostic, JsonValue};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -36,6 +42,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 struct Entry {
     canonical: String,
     artifact: Arc<JsonValue>,
+    /// The admission diagnostics and the effective deadline they were
+    /// computed for; `None` until the entry's first linted hit.
+    admission: Option<(Option<u64>, Arc<[Diagnostic]>)>,
     last_used: u64,
 }
 
@@ -70,15 +79,48 @@ impl ResultCache {
     pub fn get(&mut self, canonical: &str) -> Option<Arc<JsonValue>> {
         self.clock += 1;
         let clock = self.clock;
-        let bucket = self.buckets.get_mut(&fnv1a(canonical.as_bytes()))?;
-        let entry = bucket.iter_mut().find(|e| e.canonical == canonical)?;
+        let entry = self.entry_mut(canonical)?;
         entry.last_used = clock;
         Some(Arc::clone(&entry.artifact))
     }
 
+    fn entry_mut(&mut self, canonical: &str) -> Option<&mut Entry> {
+        let bucket = self.buckets.get_mut(&fnv1a(canonical.as_bytes()))?;
+        bucket.iter_mut().find(|e| e.canonical == canonical)
+    }
+
+    /// The admission diagnostics stored with a cached key, if they were
+    /// computed for `deadline_ms`. Does not refresh the LRU position:
+    /// the caller decides whether the request is served.
+    pub fn admission(
+        &mut self,
+        canonical: &str,
+        deadline_ms: Option<u64>,
+    ) -> Option<Arc<[Diagnostic]>> {
+        match &self.entry_mut(canonical)?.admission {
+            Some((deadline, lint)) if *deadline == deadline_ms => Some(Arc::clone(lint)),
+            _ => None,
+        }
+    }
+
+    /// Stores a key's admission diagnostics for `deadline_ms`, replacing
+    /// any computed for another deadline. A no-op for an uncached key;
+    /// does not refresh the LRU position.
+    pub fn set_admission(
+        &mut self,
+        canonical: &str,
+        deadline_ms: Option<u64>,
+        lint: Arc<[Diagnostic]>,
+    ) {
+        if let Some(entry) = self.entry_mut(canonical) {
+            entry.admission = Some((deadline_ms, lint));
+        }
+    }
+
     /// Stores (or refreshes) an artifact, evicting the least recently
     /// used entry if the cache is at capacity. A zero-capacity cache
-    /// stores nothing.
+    /// stores nothing. Refreshing keeps the entry's admission
+    /// diagnostics, which depend on the key alone.
     pub fn insert(&mut self, canonical: &str, artifact: impl Into<Arc<JsonValue>>) {
         if self.capacity == 0 {
             return;
@@ -99,6 +141,7 @@ impl ResultCache {
         self.buckets.entry(hash).or_default().push(Entry {
             canonical: canonical.to_string(),
             artifact,
+            admission: None,
             last_used: clock,
         });
         self.len += 1;
@@ -224,6 +267,57 @@ mod tests {
         assert!(cache.get("a").is_some());
         assert!(cache.get("c").is_some());
         assert!(cache.get("d").is_some());
+    }
+
+    fn diagnostics(code: &str) -> Arc<[Diagnostic]> {
+        Arc::new([Diagnostic::new(code, obs::Severity::Warn, obs::Location::Design, "note")])
+    }
+
+    #[test]
+    fn admission_slot_holds_one_deadline_and_outlives_refreshes() {
+        let mut cache = ResultCache::new(8);
+        cache.set_admission("k", None, diagnostics("L101"));
+        assert!(cache.admission("k", None).is_none(), "an uncached key stores nothing");
+        cache.insert("k", artifact(1));
+        assert!(cache.admission("k", None).is_none(), "a fresh entry has an empty slot");
+        let stored = diagnostics("L101");
+        cache.set_admission("k", None, Arc::clone(&stored));
+        let reused = cache.admission("k", None).unwrap();
+        assert!(Arc::ptr_eq(&reused, &stored), "a hit shares the stored allocation");
+        assert!(cache.admission("k", Some(5)).is_none(), "another deadline misses the slot");
+        cache.set_admission("k", Some(5), diagnostics("L303"));
+        assert_eq!(cache.admission("k", Some(5)).unwrap()[0].code, "L303");
+        assert!(cache.admission("k", None).is_none(), "one slot: the new deadline replaced it");
+        cache.insert("k", artifact(2));
+        assert!(cache.admission("k", Some(5)).is_some(), "a refreshed artifact keeps its slot");
+    }
+
+    #[test]
+    fn admission_lookups_do_not_refresh_recency() {
+        let mut cache = ResultCache::new(2);
+        cache.insert("a", artifact(1));
+        cache.insert("b", artifact(2));
+        cache.set_admission("a", None, diagnostics("L101"));
+        assert!(cache.admission("a", None).is_some());
+        cache.insert("c", artifact(3));
+        assert!(cache.get("a").is_none(), "\"a\" stayed the LRU entry");
+        assert!(cache.admission("a", None).is_none(), "eviction drops the slot");
+    }
+
+    #[test]
+    fn admission_slots_are_not_spilled() {
+        let mut cache = ResultCache::new(8);
+        cache.insert("k", artifact(1));
+        let mut bare = Vec::new();
+        cache.spill(&mut bare).unwrap();
+        cache.set_admission("k", None, diagnostics("L101"));
+        let mut spilled = Vec::new();
+        cache.spill(&mut spilled).unwrap();
+        assert_eq!(spilled, bare, "the spill format does not change");
+        let mut reloaded = ResultCache::new(8);
+        reloaded.load(&spilled[..]);
+        assert!(reloaded.get("k").is_some());
+        assert!(reloaded.admission("k", None).is_none(), "a reloaded entry lints again");
     }
 
     #[test]

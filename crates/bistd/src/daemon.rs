@@ -45,7 +45,9 @@ pub enum LintMode {
     /// No admission linting; submits behave exactly as before.
     Off,
     /// Lint every submit and attach the diagnostics to the reply and
-    /// the job (they end up in the run artifact), but never refuse.
+    /// the job (they end up in the run artifact), but never refuse. A
+    /// cache hit reuses the diagnostics stored with its artifact for
+    /// the same effective deadline.
     #[default]
     Annotate,
     /// Like `Annotate`, but refuse submissions carrying an
@@ -405,12 +407,29 @@ impl Shared {
         // Admission-time static analysis: the cheap pairing and spec
         // passes, no fault-simulation cycle. `Annotate` attaches the
         // diagnostics; `Reject` additionally refuses on error severity.
+        // They depend on the canonical spec and the deadline alone, so a
+        // cached key reuses the diagnostics stored with its artifact and
+        // a hit does no design work.
+        let key = spec.canonical();
         let effective_deadline = deadline_ms.or(self.default_deadline_ms);
-        let lint = if self.lint == LintMode::Off {
-            Vec::new()
-        } else {
-            match lint::admission_lint(&spec, effective_deadline) {
-                Ok(diags) => diags,
+        let stored = match self.lint {
+            LintMode::Off => Some(Arc::from([])),
+            _ => crate::lock(&self.cache).admission(&key, effective_deadline),
+        };
+        let lint: Arc<[obs::Diagnostic]> = match stored {
+            Some(lint) => lint,
+            None => match lint::admission_lint(&spec, effective_deadline) {
+                Ok(diags) => {
+                    let diags: Arc<[obs::Diagnostic]> = diags.into();
+                    // Kept only if the key is cached; a miss's entry
+                    // is made by its worker and lints on its first hit.
+                    crate::lock(&self.cache).set_admission(
+                        &key,
+                        effective_deadline,
+                        Arc::clone(&diags),
+                    );
+                    diags
+                }
                 // `validate` passed, so this is a design-construction
                 // failure the worker would also hit; refuse it here.
                 Err(e) => {
@@ -421,7 +440,7 @@ impl Shared {
                         retry_after_ms: None,
                     };
                 }
-            }
+            },
         };
         self.metrics.counter("bistd.lint.diagnostics").add(lint.len() as u64);
         if self.lint == LintMode::Reject {
@@ -434,14 +453,15 @@ impl Shared {
                 };
             }
         }
-        let key = spec.canonical();
         let mode = spec.mode.as_str().to_string();
+        let reply = lint.to_vec();
+        // Looked up again only now, so a refused request neither counts
+        // as a hit nor refreshes the entry's LRU position.
         let hit = crate::lock(&self.cache).get(&key);
         if let Some(artifact) = hit {
             self.metrics.counter("bistd.cache.hits").inc();
-            let job = self.jobs.create_done(spec, key.clone(), artifact);
-            self.jobs.set_lint(job, lint.clone());
-            return Response::Submitted { job, cached: true, key, mode, lint };
+            let job = self.jobs.create_done(spec, key.clone(), artifact, lint);
+            return Response::Submitted { job, cached: true, key, mode, lint: reply };
         }
         self.metrics.counter("bistd.cache.misses").inc();
         let mut token = CancelToken::new();
@@ -449,11 +469,11 @@ impl Shared {
             token = token.with_deadline(Instant::now() + Duration::from_millis(ms));
         }
         let job = self.jobs.create(spec, key.clone(), token, JobState::Queued);
-        self.jobs.set_lint(job, lint.clone());
+        self.jobs.set_lint(job, lint);
         match self.queue.push(job) {
             Ok(()) => {
                 self.metrics.counter("bistd.jobs_submitted").inc();
-                Response::Submitted { job, cached: false, key, mode, lint }
+                Response::Submitted { job, cached: false, key, mode, lint: reply }
             }
             Err(PushError::Full) => {
                 self.jobs.finish(

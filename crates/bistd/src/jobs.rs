@@ -6,13 +6,23 @@
 //! concurrent `cancel` and a worker claiming the same job can never
 //! both win: [`JobTable::claim`] atomically checks the cancel token
 //! before flipping `queued → running`.
+//!
+//! The table is bounded: it keeps every queued and running job but at
+//! most [`MAX_FINISHED_JOBS`] terminal ones, dropping the oldest
+//! finished first. A dropped id answers like any unknown id; its record
+//! is freed, and its artifact and diagnostics with it once the result
+//! cache no longer shares them.
 
 use bist_core::campaign::CampaignSpec;
 use faultsim::CancelToken;
 use obs::JsonValue;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// How many terminal job records the table keeps. `status` and `fetch`
+/// of an older finished job answer `unknown_job`.
+pub const MAX_FINISHED_JOBS: usize = 1024;
 
 /// A job's position in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +77,9 @@ pub struct JobRecord {
     /// The cooperative cancellation handle shared with the worker.
     pub cancel: CancelToken,
     /// Admission-time static-analysis diagnostics, attached at submit
-    /// and carried into the run's artifact by the worker.
-    pub lint: Vec<obs::Diagnostic>,
+    /// and carried into the run's artifact by the worker. A cache hit
+    /// shares the allocation stored with its cache entry.
+    pub lint: Arc<[obs::Diagnostic]>,
 }
 
 /// The concurrent id → [`JobRecord`] map.
@@ -80,13 +91,40 @@ pub struct JobTable {
 struct Inner {
     jobs: HashMap<u64, JobRecord>,
     next_id: u64,
+    /// Terminal job ids, oldest finished first.
+    finished: VecDeque<u64>,
+    max_finished: usize,
+}
+
+impl Inner {
+    /// Records that `id` just reached a terminal state, dropping the
+    /// oldest finished records beyond the cap.
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > self.max_finished {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
 }
 
 impl JobTable {
-    /// An empty table.
+    /// An empty table keeping at most [`MAX_FINISHED_JOBS`] terminal
+    /// records.
     pub fn new() -> JobTable {
+        JobTable::with_finished_cap(MAX_FINISHED_JOBS)
+    }
+
+    /// An empty table keeping at most `max_finished` terminal records.
+    pub(crate) fn with_finished_cap(max_finished: usize) -> JobTable {
         JobTable {
-            inner: Mutex::new(Inner { jobs: HashMap::new(), next_id: 1 }),
+            inner: Mutex::new(Inner {
+                jobs: HashMap::new(),
+                next_id: 1,
+                finished: VecDeque::new(),
+                max_finished,
+            }),
             changed: Condvar::new(),
         }
     }
@@ -99,50 +137,63 @@ impl JobTable {
         cancel: CancelToken,
         state: JobState,
     ) -> u64 {
+        self.register(JobRecord {
+            id: 0,
+            spec,
+            key,
+            state,
+            detail: None,
+            artifact: None,
+            cached: false,
+            cancel,
+            lint: Arc::new([]),
+        })
+    }
+
+    /// Inserts `record` under the next id and returns that id.
+    fn register(&self, mut record: JobRecord) -> u64 {
         let mut inner = crate::lock(&self.inner);
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.jobs.insert(
-            id,
-            JobRecord {
-                id,
-                spec,
-                key,
-                state,
-                detail: None,
-                artifact: None,
-                cached: false,
-                cancel,
-                lint: Vec::new(),
-            },
-        );
+        record.id = id;
+        let terminal = record.state.is_terminal();
+        inner.jobs.insert(id, record);
+        if terminal {
+            inner.retire(id);
+        }
         id
     }
 
     /// Attaches admission-time lint diagnostics to a job. Workers read
     /// them back through [`JobTable::claim`] so they land in the run's
     /// artifact.
-    pub fn set_lint(&self, id: u64, lint: Vec<obs::Diagnostic>) {
+    pub fn set_lint(&self, id: u64, lint: Arc<[obs::Diagnostic]>) {
         let mut inner = crate::lock(&self.inner);
         if let Some(record) = inner.jobs.get_mut(&id) {
             record.lint = lint;
         }
     }
 
-    /// Registers an already-completed job (a cache hit) and returns its
-    /// id.
+    /// Registers an already-completed job (a cache hit) with its
+    /// admission diagnostics and returns its id.
     pub fn create_done(
         &self,
         spec: CampaignSpec,
         key: String,
         artifact: impl Into<Arc<JsonValue>>,
+        lint: Arc<[obs::Diagnostic]>,
     ) -> u64 {
-        let id = self.create(spec, key, CancelToken::new(), JobState::Done);
-        let mut inner = crate::lock(&self.inner);
-        let record = inner.jobs.get_mut(&id).expect("job just created");
-        record.artifact = Some(artifact.into());
-        record.cached = true;
-        id
+        self.register(JobRecord {
+            id: 0,
+            spec,
+            key,
+            state: JobState::Done,
+            detail: None,
+            artifact: Some(artifact.into()),
+            cached: true,
+            cancel: CancelToken::new(),
+            lint,
+        })
     }
 
     /// A snapshot of one job.
@@ -171,11 +222,12 @@ impl JobTable {
                 }
                 .into(),
             );
+            inner.retire(id);
             self.changed.notify_all();
             return None;
         }
         record.state = JobState::Running;
-        Some((record.spec.clone(), record.cancel.clone(), record.lint.clone()))
+        Some((record.spec.clone(), record.cancel.clone(), record.lint.to_vec()))
     }
 
     /// Moves a job to a terminal state, attaching artifact or detail.
@@ -189,9 +241,13 @@ impl JobTable {
         debug_assert!(state.is_terminal());
         let mut inner = crate::lock(&self.inner);
         if let Some(record) = inner.jobs.get_mut(&id) {
+            let was_terminal = record.state.is_terminal();
             record.state = state;
             record.detail = detail;
             record.artifact = artifact;
+            if !was_terminal {
+                inner.retire(id);
+            }
         }
         self.changed.notify_all();
     }
@@ -209,6 +265,7 @@ impl JobTable {
         if record.state == JobState::Queued {
             record.state = JobState::Cancelled;
             record.detail = Some("cancelled while queued".into());
+            inner.retire(id);
             self.changed.notify_all();
         }
         true
@@ -237,8 +294,9 @@ impl JobTable {
         }
     }
 
-    /// How many jobs are in each state, as `(state name, count)` pairs
-    /// in lifecycle order (for gauges).
+    /// How many jobs the table holds in each state, as `(state name,
+    /// count)` pairs in lifecycle order (for gauges). Terminal counts
+    /// cover only the records still kept.
     pub fn counts(&self) -> [(&'static str, usize); 5] {
         let inner = crate::lock(&self.inner);
         let mut out = [
@@ -303,10 +361,10 @@ mod tests {
             obs::Location::Node { label: "tap20.acc".into(), cell: Some(15) },
             "variance mismatch",
         );
-        table.set_lint(id, vec![diag.clone()]);
+        table.set_lint(id, Arc::new([diag.clone()]));
         let (_spec, _token, lint) = table.claim(id).unwrap();
         assert_eq!(lint, vec![diag]);
-        table.set_lint(999, vec![]); // unknown ids are a no-op
+        table.set_lint(999, Arc::new([])); // unknown ids are a no-op
     }
 
     #[test]
@@ -334,11 +392,47 @@ mod tests {
     #[test]
     fn cache_hits_register_as_done_and_cached() {
         let table = JobTable::new();
-        let id = table.create_done(spec(), "k".into(), JsonValue::object().push("schema", 1u64));
+        let lint: Arc<[obs::Diagnostic]> = Arc::new([]);
+        let artifact = JsonValue::object().push("schema", 1u64);
+        let id = table.create_done(spec(), "k".into(), artifact, Arc::clone(&lint));
         let record = table.get(id).unwrap();
         assert_eq!(record.state, JobState::Done);
         assert!(record.cached);
         assert!(record.artifact.is_some());
+        assert!(Arc::ptr_eq(&record.lint, &lint), "the hit shares the cached diagnostics");
+    }
+
+    #[test]
+    fn finished_records_beyond_the_cap_are_dropped_oldest_first() {
+        let table = JobTable::with_finished_cap(2);
+        let queued = table.create(spec(), "k".into(), CancelToken::new(), JobState::Queued);
+        let running = table.create(spec(), "k".into(), CancelToken::new(), JobState::Queued);
+        table.claim(running).unwrap();
+        let artifact = || JsonValue::object();
+        let first = table.create_done(spec(), "k".into(), artifact(), Arc::new([]));
+        let second = table.create(spec(), "k".into(), CancelToken::new(), JobState::Queued);
+        table.cancel(second);
+        assert!(table.get(first).is_some() && table.get(second).is_some(), "within the cap");
+        let third = table.create_done(spec(), "k".into(), artifact(), Arc::new([]));
+        assert!(table.get(first).is_none(), "the oldest finished record is dropped");
+        assert!(table.wait_terminal(first, Duration::from_millis(1)).is_none());
+        assert!(!table.cancel(first), "a dropped id is unknown");
+        assert_eq!(table.get(second).unwrap().state, JobState::Cancelled);
+        assert!(table.get(third).is_some());
+        // Queued and running jobs are never dropped, however many finish.
+        for _ in 0..4 {
+            table.create_done(spec(), "k".into(), artifact(), Arc::new([]));
+        }
+        assert_eq!(table.get(queued).unwrap().state, JobState::Queued);
+        assert_eq!(table.get(running).unwrap().state, JobState::Running);
+        // The running job's finish counts once, even if finished twice.
+        table.finish(running, JobState::Done, None, Some(artifact().into()));
+        table.finish(running, JobState::Failed, Some("again".into()), None);
+        let newest = table.create_done(spec(), "k".into(), artifact(), Arc::new([]));
+        assert!(table.get(running).is_some() && table.get(newest).is_some());
+        let counts: std::collections::HashMap<_, _> = table.counts().into_iter().collect();
+        assert_eq!(counts["queued"], 1);
+        assert_eq!(counts["done"] + counts["failed"] + counts["cancelled"], 2);
     }
 
     #[test]

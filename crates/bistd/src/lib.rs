@@ -12,10 +12,12 @@
 //! * [`queue`] — a bounded FIFO with blocking consumers and
 //!   reject-fast producers (the `queue_full` backpressure path).
 //! * [`jobs`] — the job table: every submission's lifecycle from
-//!   `queued` to a terminal state, with race-free cancellation.
+//!   `queued` to a terminal state, with race-free cancellation; it
+//!   keeps every live job and a bounded number of finished ones.
 //! * [`cache`] — FNV-1a content addressing of canonical campaign keys
 //!   to completed artifacts, LRU-bounded, with JSONL spill/reload.
-//!   Hits replay artifacts bit-identically to the run that made them.
+//!   Hits replay artifacts bit-identically to the run that made them,
+//!   and reuse the admission diagnostics stored with the entry.
 //! * [`worker`] — N threads driving `CampaignSpec::run` with per-job
 //!   [`faultsim::CancelToken`]s (deadlines and `cancel` both land at
 //!   fault-simulation stage boundaries).

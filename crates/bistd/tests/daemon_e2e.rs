@@ -477,3 +477,177 @@ fn bistctl_exits_quietly_when_its_stdout_is_closed() {
     client.shutdown().unwrap();
     daemon.join().unwrap();
 }
+
+/// A daemon counter's value, with a counter never touched reading 0.
+fn counter(client: &mut Client, name: &str) -> u64 {
+    let metrics = client.metrics().unwrap();
+    metrics.get("counters").and_then(|c| c.get(name)).and_then(JsonValue::as_u64).unwrap_or(0)
+}
+
+/// The four admission counters, in a fixed order:
+/// `(hits, misses, lint.diagnostics, lint.rejections)`.
+fn admission_counters(client: &mut Client) -> [u64; 4] {
+    ["bistd.cache.hits", "bistd.cache.misses", "bistd.lint.diagnostics", "bistd.lint.rejections"]
+        .map(|name| counter(client, name))
+}
+
+#[test]
+fn hits_reply_with_the_diagnostics_of_a_fresh_admission() {
+    let (daemon, addr) = tcp_daemon(DaemonConfig::default());
+    let mut client = Client::connect(&addr).unwrap();
+    let spec = mini_spec(1024);
+    let fresh = |deadline| lint::admission_lint(&spec, deadline).unwrap();
+    // A 1 ms deadline is below LP-MINI's cost bound at 1,024 vectors.
+    assert!(fresh(Some(1)).iter().any(|d| d.code == "L303"), "{:?}", fresh(Some(1)));
+    assert!(fresh(None).iter().all(|d| d.code != "L303"));
+
+    let cold = client.run_campaign(&spec, None).unwrap();
+    assert!(!cold.cached);
+    assert_eq!(cold.lint, fresh(None));
+    let mut diagnostics = cold.lint.len() as u64;
+    // Alternate the deadline on one key, then repeat one so a hit
+    // reuses what the previous hit stored.
+    let deadlines = [Some(1), None, Some(1), None, None, Some(1), Some(1)];
+    for deadline in deadlines {
+        let hit = client.submit(&spec, deadline).unwrap();
+        assert!(hit.cached, "deadline {deadline:?}");
+        assert_eq!(hit.lint, fresh(deadline), "deadline {deadline:?}");
+        diagnostics += hit.lint.len() as u64;
+        // Annotate never refuses, and a hit's artifact is the cold run's.
+        let (cached, artifact) = client.fetch_artifact(hit.job).unwrap();
+        assert!(cached);
+        assert_eq!(artifact.to_json(), cold.artifact.to_json());
+    }
+    let expected = [deadlines.len() as u64, 1, diagnostics, 0];
+    assert_eq!(admission_counters(&mut client), expected, "hits, misses, diagnostics, rejections");
+
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
+fn a_reject_daemon_refuses_reloaded_entries_whose_lint_has_an_error() {
+    use bist_bistd::LintMode;
+    let spill = temp_path("reject-spill.jsonl");
+    // LP-MINI x LFSR-1 draws the L201 spectral error; LFSR-D is clean
+    // until a deadline below its cost bound draws L303.
+    let incompatible = CampaignSpec { threads: 1, ..CampaignSpec::new("LP-MINI", "LFSR-1", 64) };
+    let clean = mini_spec(1024);
+    let fresh = |spec: &CampaignSpec, deadline| lint::admission_lint(spec, deadline).unwrap();
+    let has_error = |spec: &CampaignSpec, deadline| {
+        fresh(spec, deadline).iter().any(|d| d.severity == obs::Severity::Error)
+    };
+    assert!(has_error(&incompatible, None));
+    assert!(!has_error(&clean, None));
+    assert!(has_error(&clean, Some(1)));
+
+    // An annotating daemon runs and caches both, then spills them.
+    let (daemon, addr) =
+        tcp_daemon(DaemonConfig { spill: Some(spill.clone()), ..DaemonConfig::default() });
+    let mut client = Client::connect(&addr).unwrap();
+    let annotated = client.run_campaign(&incompatible, None).unwrap();
+    assert!(annotated.lint.iter().any(|d| d.code == "L201"), "{:?}", annotated.lint);
+    let served = client.run_campaign(&clean, None).unwrap();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+
+    let (daemon, addr) = tcp_daemon(DaemonConfig {
+        spill: Some(spill.clone()),
+        lint: LintMode::Reject,
+        ..DaemonConfig::default()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    assert_eq!(counter(&mut client, "bistd.cache.spill_loaded"), 2);
+    let requests = [
+        (&incompatible, None),
+        (&clean, None),
+        (&incompatible, None),
+        (&clean, Some(1)),
+        (&clean, None),
+        (&clean, Some(1)),
+    ];
+    let mut expected = [0u64; 4];
+    for (spec, deadline) in requests {
+        let diagnostics = fresh(spec, deadline);
+        expected[2] += diagnostics.len() as u64;
+        match client.submit(spec, deadline) {
+            Ok(hit) => {
+                assert!(!has_error(spec, deadline), "{spec:?} {deadline:?} was not refused");
+                assert!(hit.cached, "the reloaded entry serves {spec:?}");
+                assert_eq!(hit.lint, diagnostics);
+                let (_, artifact) = client.fetch_artifact(hit.job).unwrap();
+                assert_eq!(artifact.to_json(), served.artifact.to_json());
+                expected[0] += 1;
+            }
+            Err(ClientError::Server { code, message, .. }) => {
+                assert!(has_error(spec, deadline), "{spec:?} {deadline:?}: {message}");
+                assert_eq!(code, "lint_rejected");
+                let first = diagnostics.iter().find(|d| d.severity == obs::Severity::Error);
+                assert!(message.contains(&first.unwrap().code), "{message}");
+                expected[3] += 1;
+            }
+            Err(other) => panic!("{other}"),
+        }
+    }
+    assert_eq!(admission_counters(&mut client), expected, "hits, misses, diagnostics, rejections");
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_file(&spill);
+}
+
+#[test]
+fn cancel_racing_completion_never_caches_a_cancelled_run() {
+    // A Unix socket: each request's round trip is far shorter than the
+    // run, so a cancel can land at any point of it.
+    let socket = temp_path("cancel-race.sock");
+    let daemon = Daemon::start(DaemonConfig {
+        unix: Some(socket.clone()),
+        workers: 1,
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(&ServerAddr::Unix(socket)).unwrap();
+    // Time one short job end to end, then sweep the cancel delay from
+    // zero to twice that, so the cancel lands before, during and after
+    // the run. Each job has its own vector count, so its own key.
+    let started = std::time::Instant::now();
+    client.run_campaign(&mini_spec(320), None).unwrap();
+    let run = started.elapsed();
+    const STEPS: u32 = 12;
+    let (mut done, mut cancelled) = (0, 0);
+    for step in 0..STEPS {
+        let spec = mini_spec(321 + step as usize);
+        let job = client.submit(&spec, None).unwrap();
+        assert!(!job.cached, "{}", job.key);
+        std::thread::sleep(run * 2 * step / STEPS);
+        client.cancel(job.job).unwrap();
+        match client.fetch_artifact(job.job) {
+            Ok((cached, artifact)) => {
+                assert!(!cached);
+                assert_eq!(
+                    artifact.get("vectors").and_then(JsonValue::as_u64),
+                    Some(spec.vectors as u64),
+                    "a done job carries its artifact"
+                );
+                let again = client.run_campaign(&spec, None).unwrap();
+                assert!(again.cached, "a finished run reached the cache");
+                assert_eq!(again.artifact.to_json(), artifact.to_json());
+                done += 1;
+            }
+            Err(ClientError::Server { code, .. }) if code == "cancelled" => {
+                let again = client.submit(&spec, None).unwrap();
+                assert!(!again.cached, "a cancelled run never reaches the cache");
+                // Let it finish so the next step starts on an idle worker.
+                let (_, artifact) = client.fetch_artifact(again.job).unwrap();
+                assert!(artifact.get("vectors").is_some());
+                cancelled += 1;
+            }
+            Err(other) => panic!("step {step}: {other}"),
+        }
+    }
+    // An immediate cancel lands well inside the run and one at twice
+    // its length lands after it, so the sweep sees both outcomes.
+    assert!(done > 0 && cancelled > 0, "{done} done, {cancelled} cancelled");
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}

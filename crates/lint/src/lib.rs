@@ -144,10 +144,17 @@ pub fn lint_campaign(
     })
 }
 
-/// The cheap subset a daemon can afford on every submission: the
-/// `L1xx` variance, `L2xx` spectral, `L3xx` spec and `L4xx`
-/// response-compaction passes — design elaboration plus a few
-/// FFT-sized loops, no input-cone enumeration.
+/// The subset a daemon runs at admission: the generator-shaped `L102`
+/// and `L2xx` pairing pass, then the `L3xx` spec, `L4xx`
+/// response-compaction, `L5xx` top-off, `L6xx` SAT and `L7xx`
+/// structural passes (the last three only when the spec enables their
+/// stage), without a fault-simulation cycle.
+///
+/// The result depends only on the fields of
+/// [`CampaignSpec::canonical`] and on `deadline_ms` (read by `L303`
+/// alone), so `bistd` runs it on a cache miss and on a key's first hit,
+/// and later hits of the same key and effective deadline reuse the
+/// diagnostics stored with the cached artifact.
 ///
 /// # Errors
 ///

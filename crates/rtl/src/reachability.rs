@@ -22,17 +22,17 @@
 use crate::eval::{cell_combos, node_word};
 use crate::node::{NodeId, NodeKind};
 use crate::Netlist;
-use std::collections::HashMap;
 
 /// Reachable-combination masks for the arithmetic nodes of a netlist.
+/// Both tables are indexed by node index.
 #[derive(Debug, Clone)]
 pub struct Reachability {
     /// Exact per-cell combo masks for pure adders (bit `t` set ⇔
     /// `abc = t` reachable).
-    joint: HashMap<NodeId, Vec<u8>>,
+    joint: Vec<Option<Vec<u8>>>,
     /// Per-cell marginals for non-pure adders, as combo masks built
     /// from any pure operand's reachable bit values.
-    marginal: HashMap<NodeId, Vec<u8>>,
+    marginal: Vec<Option<Vec<u8>>>,
 }
 
 impl Reachability {
@@ -58,16 +58,20 @@ impl Reachability {
         // Joint masks for pure arithmetic nodes; bit-value marginals
         // (bit0: value-0 seen, bit1: value-1 seen) per cell for every
         // pure node (for the marginal constraints of non-pure adders).
-        let mut joint: HashMap<NodeId, Vec<u8>> = HashMap::new();
-        let mut seen_bits: HashMap<usize, Vec<u8>> = HashMap::new();
+        let cells = width as usize;
+        let mut joint: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut seen_bits: Vec<Option<Vec<u8>>> = vec![None; n];
         for (i, node) in netlist.nodes().iter().enumerate() {
-            if pure[i] && node.kind.is_arithmetic() {
-                joint.insert(NodeId(i as u32), vec![0u8; width as usize]);
-            }
             if pure[i] {
-                seen_bits.insert(i, vec![0u8; width as usize]);
+                seen_bits[i] = Some(vec![0u8; cells]);
+                if node.kind.is_arithmetic() {
+                    joint[i] = Some(vec![0u8; cells]);
+                }
             }
         }
+        // Only pure nodes are evaluated per sample.
+        let order: Vec<usize> =
+            netlist.eval_order().iter().map(|&idx| idx as usize).filter(|&i| pure[i]).collect();
 
         let mut values = vec![0i64; n];
         let lo = -(1i64 << (input_bits - 1));
@@ -75,24 +79,19 @@ impl Reachability {
         for v in lo..hi {
             let raw = v << align;
             values[input.index()] = raw;
-            for &idx in netlist.eval_order() {
-                let i = idx as usize;
-                if !pure[i] {
-                    continue;
-                }
+            for &i in &order {
                 // Pure nodes hold no register, so every word but the
                 // input's is a combinational function of the sample.
                 let kind = netlist.nodes()[i].kind;
                 if kind != NodeKind::Input {
                     values[i] = node_word(q, kind, &values);
                 }
-                if kind.is_arithmetic() {
-                    let masks = joint.get_mut(&NodeId(idx)).expect("pure adder registered");
+                if let Some(masks) = &mut joint[i] {
                     for (mask, combo) in masks.iter_mut().zip(cell_combos(q, kind, &values)) {
                         *mask |= 1 << combo;
                     }
                 }
-                if let Some(bits) = seen_bits.get_mut(&i) {
+                if let Some(bits) = &mut seen_bits[i] {
                     let pattern = q.to_bits(values[i]);
                     for (cell, b) in bits.iter_mut().enumerate() {
                         *b |= 1 << ((pattern >> cell) & 1);
@@ -102,7 +101,7 @@ impl Reachability {
         }
 
         // Marginal constraints for non-pure adders with pure operands.
-        let mut marginal: HashMap<NodeId, Vec<u8>> = HashMap::new();
+        let mut marginal: Vec<Option<Vec<u8>>> = vec![None; n];
         for (i, node) in netlist.nodes().iter().enumerate() {
             if pure[i] || !node.kind.is_arithmetic() {
                 continue;
@@ -115,15 +114,15 @@ impl Reachability {
                 NodeKind::CsaSum { .. } => continue,
                 _ => unreachable!("arithmetic is add, sub or csa"),
             };
-            let mut masks = vec![0xFFu8; width as usize];
+            let mut masks = vec![0xFFu8; cells];
             let mut constrained = false;
-            if let Some(bits) = seen_bits.get(&a.index()) {
+            if let Some(bits) = &seen_bits[a.index()] {
                 for (cell, &seen) in bits.iter().enumerate() {
                     masks[cell] &= a_marginal_mask(seen);
                 }
                 constrained = true;
             }
-            if let Some(bits) = seen_bits.get(&b.index()) {
+            if let Some(bits) = &seen_bits[b.index()] {
                 for (cell, &seen) in bits.iter().enumerate() {
                     // The cell's B line carries ~b for a subtractor.
                     let seen_line = if is_sub { swap_bits(seen) } else { seen };
@@ -132,7 +131,7 @@ impl Reachability {
                 constrained = true;
             }
             if constrained {
-                marginal.insert(NodeId(i as u32), masks);
+                marginal[i] = Some(masks);
             }
         }
 
@@ -143,10 +142,10 @@ impl Reachability {
     /// exact for pure adders, marginal-constrained otherwise, `0xFF`
     /// when nothing is known.
     pub fn combo_mask(&self, node: NodeId, cell: u32) -> u8 {
-        if let Some(m) = self.joint.get(&node) {
+        if let Some(Some(m)) = self.joint.get(node.index()) {
             return m.get(cell as usize).copied().unwrap_or(0);
         }
-        if let Some(m) = self.marginal.get(&node) {
+        if let Some(Some(m)) = self.marginal.get(node.index()) {
             return m.get(cell as usize).copied().unwrap_or(0xFF);
         }
         0xFF
@@ -155,7 +154,7 @@ impl Reachability {
     /// `true` if the node's combo masks are exact (the node is a pure
     /// function of the current input word).
     pub fn is_exact(&self, node: NodeId) -> bool {
-        self.joint.contains_key(&node)
+        matches!(self.joint.get(node.index()), Some(Some(_)))
     }
 }
 
