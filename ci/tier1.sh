@@ -43,30 +43,45 @@ if ./target/release/bistlint --design LP --gen LFSR-1 > /dev/null 2>&1; then
 fi
 echo "bistlint gate: roster clean, incompatible pairing flagged OK"
 
-# Daemon smoke test: a bistd on a Unix socket must serve a campaign,
-# answer the identical resubmission from its result cache, and drain
-# cleanly on shutdown.
+# Daemon smoke test, once over a Unix socket and once over TCP: a bistd
+# must serve a campaign, answer the identical resubmission from its
+# result cache, and drain cleanly on shutdown.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+smoke_checks() {
+    local server="$1" pid="$2" cold warm key
+    cold="$(./target/release/bistctl --server "$server" run \
+        --design LP-MINI --gen LFSR-D --vectors 64)"
+    warm="$(./target/release/bistctl --server "$server" run \
+        --design LP-MINI --gen LFSR-D --vectors 64)"
+    echo "$cold" | grep -q '"cached":false' || { echo "cold run over $server unexpectedly cached: $cold"; exit 1; }
+    echo "$warm" | grep -q '"cached":true' || { echo "warm run over $server missed the cache: $warm"; exit 1; }
+    # A default spec keeps its historical cache key byte for byte.
+    key='"key":"design=LP-MINI;generator=LFSR-D;vectors=64;misr=16;mode=trace;schedule=64,256,1024;threads=0;topoff=off"'
+    echo "$cold" | grep -qF "$key" || { echo "cold run over $server has the wrong cache key: $cold"; exit 1; }
+    ./target/release/bistctl --server "$server" shutdown > /dev/null
+    wait "$pid"
+    echo "bistd smoke test over $server: cache hit + graceful shutdown OK"
+}
+
 sock="$smoke_dir/bistd.sock"
-./target/release/bistd --unix "$sock" --workers 1 > "$smoke_dir/bistd.log" &
-bistd_pid=$!
+./target/release/bistd --unix "$sock" --workers 1 > "$smoke_dir/unix.log" &
+unix_pid=$!
 for _ in $(seq 1 50); do
     [ -S "$sock" ] && break
     sleep 0.1
 done
-[ -S "$sock" ] || { echo "bistd never created its socket"; cat "$smoke_dir/bistd.log"; exit 1; }
-smoke_run() {
-    ./target/release/bistctl --server "unix:$sock" run \
-        --design LP-MINI --gen LFSR-D --vectors 64
-}
-cold="$(smoke_run)"
-warm="$(smoke_run)"
-echo "$cold" | grep -q '"cached":false' || { echo "cold run unexpectedly cached: $cold"; exit 1; }
-echo "$warm" | grep -q '"cached":true' || { echo "warm run missed the cache: $warm"; exit 1; }
-# A default spec keeps its historical cache key byte for byte.
-key='"key":"design=LP-MINI;generator=LFSR-D;vectors=64;misr=16;mode=trace;schedule=64,256,1024;threads=0;topoff=off"'
-echo "$cold" | grep -qF "$key" || { echo "cold run has the wrong cache key: $cold"; exit 1; }
-./target/release/bistctl --server "unix:$sock" shutdown > /dev/null
-wait "$bistd_pid"
-echo "bistd smoke test: cache hit + graceful shutdown OK"
+[ -S "$sock" ] || { echo "bistd never created its socket"; cat "$smoke_dir/unix.log"; exit 1; }
+smoke_checks "unix:$sock" "$unix_pid"
+
+# Port 0 binds an ephemeral port; the daemon logs the address it got.
+./target/release/bistd --tcp 127.0.0.1:0 --workers 1 > "$smoke_dir/tcp.log" &
+tcp_pid=$!
+tcp_addr=""
+for _ in $(seq 1 50); do
+    tcp_addr="$(sed -n 's/^bistd: listening on tcp //p' "$smoke_dir/tcp.log")"
+    [ -n "$tcp_addr" ] && break
+    sleep 0.1
+done
+[ -n "$tcp_addr" ] || { echo "bistd never reported its tcp address"; cat "$smoke_dir/tcp.log"; exit 1; }
+smoke_checks "$tcp_addr" "$tcp_pid"

@@ -40,9 +40,9 @@ use crate::cone::{ConeAnalysis, ConeEval, Purity};
 use faultsim::FaultSite;
 use rtl::eval::{cell_combos, node_word};
 use rtl::{Netlist, NodeId, NodeKind};
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One row of a term's value menu: the term's word and the sample(s)
 /// realizing it.
@@ -79,7 +79,7 @@ impl Slots {
 struct Term {
     sign: i64,
     slots: Slots,
-    entries: Rc<Vec<Entry>>,
+    entries: Arc<Vec<Entry>>,
 }
 
 /// An operand decomposed as `constant + Σ sign·term`.
@@ -182,25 +182,47 @@ type PreMenu = Vec<(i64, i64, i64)>;
 /// constant plus the first `k` terms.
 type StageTable = Vec<ResidueSet>;
 
-/// The chain-decomposition engine for one netlist.
+/// One of the engine's memo tables. Every entry is a pure function of
+/// the netlist and its key, so threads may share the table: see
+/// [`memoized`].
+type Memo<K, V> = Mutex<HashMap<K, Arc<V>>>;
+
+/// Looks `key` up in `cache`, building and inserting the entry on a
+/// miss. The lock is held for the lookup and for the insert, never
+/// while `build` runs, so two threads missing the same key at once
+/// both build it; the entries are equal and the first insert wins. A
+/// poisoned lock is taken over: each update is one insert of a
+/// finished entry, so the map is valid whenever the lock is free.
+fn memoized<K: Eq + Hash, V>(cache: &Memo<K, V>, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+    let lock = || cache.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = lock().get(&key) {
+        return Arc::clone(hit);
+    }
+    let built = Arc::new(build());
+    Arc::clone(lock().entry(key).or_insert(built))
+}
+
+/// The chain-decomposition engine for one netlist. It is `Sync`: its
+/// memo tables sit behind locks, so the threads of one session share
+/// them.
 pub struct ChainJustifier<'n> {
     netlist: &'n Netlist,
     /// The owning justifier's purity classification.
-    purity: Rc<ConeAnalysis>,
+    purity: Arc<ConeAnalysis>,
     input_bits: u32,
     align: u32,
     /// Value menus for pure nodes, keyed by node index (one entry per
     /// input sample, in sample order; exhaustive by construction).
-    sample_tables: RefCell<HashMap<usize, Rc<Vec<Entry>>>>,
+    sample_tables: Memo<usize, Vec<Entry>>,
     /// Value menus for pair-factored subgraphs, keyed by the factored
     /// node's index (one entry per distinct reachable value;
     /// exhaustive by construction).
-    pair_tables: RefCell<HashMap<usize, Rc<Vec<Entry>>>>,
+    pair_tables: Memo<usize, Vec<Entry>>,
     /// Distinct reachable pre-sums per pair base — exhaustive by
     /// construction.
-    pre_menus: RefCell<HashMap<usize, Rc<PreMenu>>>,
+    pre_menus: Memo<usize, PreMenu>,
     /// Subset-sum stages per (operand node, modulus bits).
-    stage_cache: RefCell<HashMap<(usize, u32), Rc<StageTable>>>,
+    stage_cache: Memo<(usize, u32), StageTable>,
     /// Node values under the all-zero sample (constants included).
     const_values: Vec<i64>,
 }
@@ -208,7 +230,7 @@ pub struct ChainJustifier<'n> {
 impl<'n> ChainJustifier<'n> {
     /// An engine for `input_bits`-wide samples left-aligned into the
     /// datapath, over the netlist's purity classification `purity`.
-    pub fn new(netlist: &'n Netlist, purity: Rc<ConeAnalysis>, input_bits: u32) -> Self {
+    pub fn new(netlist: &'n Netlist, purity: Arc<ConeAnalysis>, input_bits: u32) -> Self {
         let mut ev = ConeEval::new(netlist, input_bits);
         ev.eval(0);
         let const_values = ev.values().to_vec();
@@ -217,10 +239,10 @@ impl<'n> ChainJustifier<'n> {
             purity,
             input_bits,
             align: netlist.width() - input_bits,
-            sample_tables: RefCell::new(HashMap::new()),
-            pair_tables: RefCell::new(HashMap::new()),
-            pre_menus: RefCell::new(HashMap::new()),
-            stage_cache: RefCell::new(HashMap::new()),
+            sample_tables: Mutex::default(),
+            pair_tables: Mutex::default(),
+            pre_menus: Mutex::default(),
+            stage_cache: Mutex::default(),
             const_values,
         }
     }
@@ -438,33 +460,29 @@ impl<'n> ChainJustifier<'n> {
     /// `stages[k]` holds the residues reachable by the constant plus
     /// the first `k` terms (so the last stage is the operand's exact
     /// reachable residue set).
-    fn stages(&self, op: NodeId, d: &Decomposition, m_bits: u32) -> Rc<Vec<ResidueSet>> {
-        let key = (op.index(), m_bits);
-        if let Some(s) = self.stage_cache.borrow().get(&key) {
-            return Rc::clone(s);
-        }
-        let m = 1usize << m_bits;
-        let mut stages = Vec::with_capacity(d.terms.len() + 1);
-        let mut first = ResidueSet::new(m);
-        first.set(residue(d.constant, m_bits));
-        stages.push(first);
-        for term in &d.terms {
-            let prev = stages.last().expect("stages start at the constant");
-            let mut next = ResidueSet::new(m);
-            if prev.is_full() {
-                next.fill();
-            } else {
-                let deltas: HashSet<usize> =
-                    term.entries.iter().map(|e| residue(term.sign * e.value, m_bits)).collect();
-                for delta in deltas {
-                    next.or_rotated(prev, delta);
+    fn stages(&self, op: NodeId, d: &Decomposition, m_bits: u32) -> Arc<StageTable> {
+        memoized(&self.stage_cache, (op.index(), m_bits), || {
+            let m = 1usize << m_bits;
+            let mut stages = Vec::with_capacity(d.terms.len() + 1);
+            let mut first = ResidueSet::new(m);
+            first.set(residue(d.constant, m_bits));
+            stages.push(first);
+            for term in &d.terms {
+                let prev = stages.last().expect("stages start at the constant");
+                let mut next = ResidueSet::new(m);
+                if prev.is_full() {
+                    next.fill();
+                } else {
+                    let deltas: HashSet<usize> =
+                        term.entries.iter().map(|e| residue(term.sign * e.value, m_bits)).collect();
+                    for delta in deltas {
+                        next.or_rotated(prev, delta);
+                    }
                 }
+                stages.push(next);
             }
-            stages.push(next);
-        }
-        let rc = Rc::new(stages);
-        self.stage_cache.borrow_mut().insert(key, Rc::clone(&rc));
-        rc
+            stages
+        })
     }
 
     /// The raw input pattern realizing one entry pick per term on each
@@ -663,102 +681,92 @@ impl<'n> ChainJustifier<'n> {
 
     /// The value menu of a pure node, one entry per input sample —
     /// exhaustive over the node's reachable values.
-    fn sample_table(&self, node: NodeId) -> Rc<Vec<Entry>> {
-        if let Some(t) = self.sample_tables.borrow().get(&node.index()) {
-            return Rc::clone(t);
-        }
-        let mut ev = ConeEval::new(self.netlist, self.input_bits);
-        let mut entries = Vec::with_capacity((self.hi() - self.lo()) as usize);
-        for u in self.lo()..self.hi() {
-            ev.eval(u);
-            entries.push(Entry { value: ev.value(node), u, v: 0 });
-        }
-        let rc = Rc::new(entries);
-        self.sample_tables.borrow_mut().insert(node.index(), Rc::clone(&rc));
-        rc
+    fn sample_table(&self, node: NodeId) -> Arc<Vec<Entry>> {
+        memoized(&self.sample_tables, node.index(), || {
+            let mut ev = ConeEval::new(self.netlist, self.input_bits);
+            (self.lo()..self.hi())
+                .map(|u| {
+                    ev.eval(u);
+                    Entry { value: ev.value(node), u, v: 0 }
+                })
+                .collect()
+        })
     }
 
     /// The value menu of a pair-factored subgraph: the node evaluated
     /// over **every** reachable pre-sum value (full `(u, v)` product
     /// enumeration), each with a concrete realizing sample pair —
     /// exhaustive over the term's reachable values.
-    fn pair_table(&self, node: NodeId, base: NodeId, p1: NodeId, p2: NodeId) -> Rc<Vec<Entry>> {
-        if let Some(t) = self.pair_tables.borrow().get(&node.index()) {
-            return Rc::clone(t);
-        }
-        let menu = self.pre_menu(base, p1, p2);
-        // Members of the cone between base and node, ascending id
-        // (creation order is topological).
-        let mut members: Vec<usize> = Vec::new();
-        let mut stack = vec![node];
-        let mut seen = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if n == base || !seen.insert(n.index()) {
-                continue;
-            }
-            members.push(n.index());
-            for op in self.netlist.node(n).kind.operands() {
-                if !matches!(self.purity.purity(op), Purity::Const) {
-                    stack.push(op);
+    fn pair_table(&self, node: NodeId, base: NodeId, p1: NodeId, p2: NodeId) -> Arc<Vec<Entry>> {
+        memoized(&self.pair_tables, node.index(), || {
+            let menu = self.pre_menu(base, p1, p2);
+            // Members of the cone between base and node, ascending id
+            // (creation order is topological).
+            let mut members: Vec<usize> = Vec::new();
+            let mut stack = vec![node];
+            let mut seen = HashSet::new();
+            while let Some(n) = stack.pop() {
+                if n == base || !seen.insert(n.index()) {
+                    continue;
+                }
+                members.push(n.index());
+                for op in self.netlist.node(n).kind.operands() {
+                    if !matches!(self.purity.purity(op), Purity::Const) {
+                        stack.push(op);
+                    }
                 }
             }
-        }
-        members.sort_unstable();
-        let q = self.netlist.format();
-        let mut values = self.const_values.clone();
-        let mut entries = Vec::new();
-        let mut seen_values = HashSet::new();
-        for &(s, u, v) in menu.iter() {
-            values[base.index()] = s;
-            for &m in &members {
-                values[m] = node_word(q, self.netlist.nodes()[m].kind, &values);
+            members.sort_unstable();
+            let q = self.netlist.format();
+            let mut values = self.const_values.clone();
+            let mut entries = Vec::new();
+            let mut seen_values = HashSet::new();
+            for &(s, u, v) in menu.iter() {
+                values[base.index()] = s;
+                for &m in &members {
+                    values[m] = node_word(q, self.netlist.nodes()[m].kind, &values);
+                }
+                let value = values[node.index()];
+                if seen_values.insert(value) {
+                    entries.push(Entry { value, u, v });
+                }
             }
-            let value = values[node.index()];
-            if seen_values.insert(value) {
-                entries.push(Entry { value, u, v });
-            }
-        }
-        let rc = Rc::new(entries);
-        self.pair_tables.borrow_mut().insert(node.index(), Rc::clone(&rc));
-        rc
+            entries
+        })
     }
 
     /// Every distinct reachable pre-sum of a pair base, ascending,
     /// each with the first realizing `(u, v)` sample pair — exhaustive
     /// by full product enumeration over the pure operands' menus.
-    fn pre_menu(&self, base: NodeId, p1: NodeId, p2: NodeId) -> Rc<Vec<(i64, i64, i64)>> {
-        if let Some(m) = self.pre_menus.borrow().get(&base.index()) {
-            return Rc::clone(m);
-        }
-        let (q, kind) = (self.netlist.format(), self.netlist.node(base).kind);
-        let f1 = self.sample_table(p1);
-        let f2 = self.sample_table(p2);
-        // Pre-sums are width-wrapped: index by offset from the most
-        // negative representable value.
-        let width = self.netlist.width();
-        let span = 1usize << width;
-        let offset = 1i64 << (width - 1);
-        let mut witness: Vec<Option<(i64, i64)>> = vec![None; span];
-        let mut values = vec![0i64; self.netlist.nodes().len()];
-        for e1 in f1.iter() {
-            values[p1.index()] = e1.value;
-            for e2 in f2.iter() {
-                values[p2.index()] = e2.value;
-                let s = node_word(q, kind, &values);
-                let idx = (s + offset) as usize;
-                if witness[idx].is_none() {
-                    witness[idx] = Some((e1.u, e2.u));
+    fn pre_menu(&self, base: NodeId, p1: NodeId, p2: NodeId) -> Arc<PreMenu> {
+        memoized(&self.pre_menus, base.index(), || {
+            let (q, kind) = (self.netlist.format(), self.netlist.node(base).kind);
+            let f1 = self.sample_table(p1);
+            let f2 = self.sample_table(p2);
+            // Pre-sums are width-wrapped: index by offset from the most
+            // negative representable value.
+            let width = self.netlist.width();
+            let span = 1usize << width;
+            let offset = 1i64 << (width - 1);
+            let mut witness: Vec<Option<(i64, i64)>> = vec![None; span];
+            let mut values = vec![0i64; self.netlist.nodes().len()];
+            for e1 in f1.iter() {
+                values[p1.index()] = e1.value;
+                for e2 in f2.iter() {
+                    values[p2.index()] = e2.value;
+                    let s = node_word(q, kind, &values);
+                    let idx = (s + offset) as usize;
+                    if witness[idx].is_none() {
+                        witness[idx] = Some((e1.u, e2.u));
+                    }
                 }
             }
-        }
-        let menu: Vec<(i64, i64, i64)> = witness
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, w)| w.map(|(u, v)| (idx as i64 - offset, u, v)))
-            .collect();
-        let rc = Rc::new(menu);
-        self.pre_menus.borrow_mut().insert(base.index(), Rc::clone(&rc));
-        rc
+            witness
+                .iter()
+                .enumerate()
+                .filter_map(|(idx, w)| w.map(|(u, v)| (idx as i64 - offset, u, v)))
+                .collect()
+        })
     }
 }
 
@@ -906,7 +914,7 @@ mod tests {
     use rtl::NetlistBuilder;
 
     fn engine(netlist: &Netlist, input_bits: u32) -> ChainJustifier<'_> {
-        ChainJustifier::new(netlist, Rc::new(ConeAnalysis::analyze(netlist)), input_bits)
+        ChainJustifier::new(netlist, Arc::new(ConeAnalysis::analyze(netlist)), input_bits)
     }
 
     /// The combination `cell` of `node` sees under `values`.

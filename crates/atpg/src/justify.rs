@@ -31,9 +31,8 @@ use faultsim::{FaultId, FaultSite, FaultUniverse};
 use rtl::eval::{cell_combos, ScalarSim};
 use rtl::sim::{BitSlicedSim, CellFault};
 use rtl::{Netlist, NodeId};
-use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 use tpg::{Lfsr1, ShiftDirection, TestGenerator};
 
 /// The justifier's ruling on one residual fault.
@@ -104,21 +103,25 @@ struct WitnessTable {
 /// Deterministic pattern justification over one netlist. Nothing it
 /// builds depends on a fault universe, so one justifier serves a run's
 /// pre-campaign screen and its top-off over any sub-universe.
+///
+/// It is `Send + Sync`, and its lazy tables are pure functions of
+/// `(netlist, input_bits)`: threads may share one justifier, and a
+/// verdict never depends on which faults it justified before.
 pub struct Justifier<'n> {
     pub(crate) netlist: &'n Netlist,
     pub(crate) input_bits: u32,
     align: u32,
     /// Shared with the chain engine.
-    cone: Rc<ConeAnalysis>,
+    cone: Arc<ConeAnalysis>,
     /// Indexed by node index; `Some` for pure arithmetic nodes.
     pure: Vec<Option<PureCells>>,
     screen: StaticScreen,
     /// Lazily built: only window-fault justification needs the
     /// (comparatively expensive) scalar stimulus sweeps.
-    witnesses: OnceCell<WitnessTable>,
+    witnesses: OnceLock<WitnessTable>,
     /// Lazily built: only faults the witness sweeps miss need the
     /// chain-decomposition search.
-    chain: OnceCell<ChainJustifier<'n>>,
+    chain: OnceLock<ChainJustifier<'n>>,
     flush: usize,
 }
 
@@ -180,11 +183,11 @@ impl<'n> Justifier<'n> {
             netlist,
             input_bits,
             align: netlist.width() - input_bits,
-            cone: Rc::new(cone),
+            cone: Arc::new(cone),
             pure,
             screen,
-            witnesses: OnceCell::new(),
-            chain: OnceCell::new(),
+            witnesses: OnceLock::new(),
+            chain: OnceLock::new(),
             flush,
         }
     }
@@ -261,7 +264,7 @@ impl<'n> Justifier<'n> {
         // controllable terms and solve the combination exactly over
         // the reachable residue sets.
         let chain = self.chain.get_or_init(|| {
-            ChainJustifier::new(self.netlist, Rc::clone(&self.cone), self.input_bits)
+            ChainJustifier::new(self.netlist, Arc::clone(&self.cone), self.input_bits)
         });
         match chain.solve(site, self.flush) {
             ChainOutcome::Patterns(patterns) => {

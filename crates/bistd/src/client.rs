@@ -16,6 +16,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Where a daemon lives: `unix:<path>` or a TCP `host:port`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,6 +152,8 @@ impl Client {
         match addr {
             ServerAddr::Tcp(addr) => {
                 let stream = TcpStream::connect(addr)?;
+                // Requests are whole frames: send each at once.
+                stream.set_nodelay(true)?;
                 let reader = BufReader::new(stream.try_clone()?);
                 Ok(Client { reader: Box::new(reader), writer: Box::new(stream) })
             }
@@ -204,7 +207,9 @@ impl Client {
     pub fn fetch_artifact(&mut self, job: u64) -> Result<(bool, JsonValue), ClientError> {
         loop {
             match self.request(&Request::Fetch { job, wait_ms: 30_000 })? {
-                Response::Artifact { cached, artifact, .. } => return Ok((cached, artifact)),
+                Response::Artifact { cached, artifact, .. } => {
+                    return Ok((cached, Arc::unwrap_or_clone(artifact)))
+                }
                 Response::JobStatus { .. } => continue,
                 other => return Err(unexpected(other)),
             }

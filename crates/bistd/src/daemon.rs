@@ -179,6 +179,9 @@ impl Daemon {
                         || listener.accept().map(|(s, _)| s),
                         |s| {
                             s.set_nonblocking(false)?;
+                            // Replies are whole frames: send each at
+                            // once, not after the peer's delayed ACK.
+                            s.set_nodelay(true)?;
                             let reader = BufReader::new(s.try_clone()?);
                             Ok((
                                 Box::new(reader) as Box<dyn BufRead + Send>,
@@ -328,7 +331,7 @@ fn serve_connection(
                         }
                     }
                 };
-                if frame::write_frame(&mut writer, &response.to_json().to_json()).is_err() {
+                if frame::write_frame(&mut writer, &response.to_wire()).is_err() {
                     break;
                 }
             }
@@ -520,7 +523,7 @@ impl Shared {
             JobState::Done => Response::Artifact {
                 job,
                 cached: record.cached,
-                artifact: record.artifact.map_or(obs::JsonValue::Null, Arc::unwrap_or_clone),
+                artifact: record.artifact.unwrap_or_else(|| Arc::new(obs::JsonValue::Null)),
             },
             JobState::Failed => Response::Error {
                 code: codes::JOB_FAILED.into(),
@@ -578,6 +581,25 @@ mod tests {
         .unwrap();
         assert!(daemon.tcp_addr().is_some());
         daemon.begin_shutdown();
+        daemon.begin_shutdown();
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn fetch_replies_with_the_stored_artifact_not_a_copy() {
+        let daemon = Daemon::start(DaemonConfig {
+            tcp: Some("127.0.0.1:0".into()),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let stored = Arc::new(obs::JsonValue::object().push("schema", 1u64));
+        let spec = CampaignSpec::new("LP-MINI", "LFSR-D", 64);
+        let job =
+            daemon.shared.jobs.create_done(spec, "k".into(), Arc::clone(&stored), Arc::new([]));
+        match daemon.shared.fetch(job, 0) {
+            Response::Artifact { artifact, .. } => assert!(Arc::ptr_eq(&artifact, &stored)),
+            other => panic!("expected an artifact reply, got {other:?}"),
+        }
         daemon.begin_shutdown();
         daemon.join().unwrap();
     }

@@ -116,7 +116,9 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<String>, FrameErro
         .map_err(|_| FrameError::BadHeader { detail: "payload is not valid UTF-8".into() })
 }
 
-/// Writes `payload` as one frame and flushes the stream.
+/// Writes `payload` as one frame and flushes the stream. Header,
+/// payload and closing newline go out in one write, so an unbuffered
+/// socket sends the frame as one segment instead of three.
 ///
 /// # Errors
 ///
@@ -126,9 +128,11 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> Result<(), FrameEr
     if payload.len() > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge { len: payload.len() });
     }
-    writer.write_all(format!("BISTD/{PROTOCOL_VERSION} {}\n", payload.len()).as_bytes())?;
-    writer.write_all(payload.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut frame = format!("BISTD/{PROTOCOL_VERSION} {}\n", payload.len()).into_bytes();
+    frame.reserve_exact(payload.len() + 1);
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }

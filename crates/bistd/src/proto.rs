@@ -10,6 +10,7 @@
 use bist_core::campaign::CampaignSpec;
 use obs::JsonValue;
 use std::fmt;
+use std::sync::Arc;
 
 /// Machine-readable error codes carried by [`Response::Error`].
 pub mod codes {
@@ -175,8 +176,9 @@ pub enum Response {
         job: u64,
         /// Whether the artifact came from the cache.
         cached: bool,
-        /// The `RunArtifact` JSON object.
-        artifact: JsonValue,
+        /// The `RunArtifact` JSON object, shared with the daemon's
+        /// job table and result cache.
+        artifact: Arc<JsonValue>,
     },
     /// A metrics snapshot (`obs::Snapshot::to_json` shape).
     Metrics {
@@ -222,11 +224,9 @@ impl Response {
                 }
                 v
             }
-            Response::Artifact { job, cached, artifact } => JsonValue::object()
-                .push("reply", "artifact")
-                .push("job", *job)
-                .push("cached", *cached)
-                .push("artifact", artifact.clone()),
+            Response::Artifact { job, cached, artifact } => {
+                Self::artifact_head(*job, *cached).push("artifact", JsonValue::clone(artifact))
+            }
             Response::Metrics { snapshot } => {
                 JsonValue::object().push("reply", "metrics").push("snapshot", snapshot.clone())
             }
@@ -242,6 +242,26 @@ impl Response {
                 v
             }
         }
+    }
+
+    /// The compact wire text of [`Response::to_json`]. An artifact
+    /// reply serializes its shared artifact in place, without copying
+    /// it into a reply tree first.
+    pub fn to_wire(&self) -> String {
+        let Response::Artifact { job, cached, artifact } = self else {
+            return self.to_json().to_json();
+        };
+        let mut out = Self::artifact_head(*job, *cached).to_json();
+        out.pop(); // the head's closing brace
+        out.push_str(",\"artifact\":");
+        artifact.write_json(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// An artifact reply's fields before the artifact itself.
+    fn artifact_head(job: u64, cached: bool) -> JsonValue {
+        JsonValue::object().push("reply", "artifact").push("job", job).push("cached", cached)
     }
 
     /// Parses a response from frame payload text.
@@ -290,6 +310,7 @@ impl Response {
                 artifact: v
                     .get("artifact")
                     .cloned()
+                    .map(Arc::new)
                     .ok_or_else(|| bad("artifact response without 'artifact'".into()))?,
             }),
             "metrics" => Ok(Response::Metrics {
@@ -388,7 +409,11 @@ mod tests {
             Response::Artifact {
                 job: 1,
                 cached: false,
-                artifact: JsonValue::object().push("schema", 1u64),
+                artifact: Arc::new(
+                    JsonValue::object()
+                        .push("schema", 1u64)
+                        .push("stages", JsonValue::Array(vec![JsonValue::object()])),
+                ),
             },
             Response::Metrics { snapshot: JsonValue::object() },
             Response::Ok,
@@ -399,7 +424,10 @@ mod tests {
             },
         ];
         for resp in all {
-            let wire = resp.to_json().to_json();
+            let wire = resp.to_wire();
+            // The in-place artifact serialization writes the same bytes
+            // as the reply tree.
+            assert_eq!(wire, resp.to_json().to_json());
             assert_eq!(Response::parse(&wire).unwrap(), resp, "{wire}");
         }
     }

@@ -55,29 +55,31 @@ fn run_one(id: u64, jobs: &JobTable, cache: &Mutex<ResultCache>, metrics: &Regis
         return;
     };
     let started = Instant::now();
+    // Each outcome is counted before the job turns terminal, so a
+    // client that has seen the job end also sees it in the metrics.
     match spec.run_linted(Some(token), lint) {
         Ok(run) => {
             let artifact = Arc::new(run.artifact.to_json());
             crate::lock(cache).insert(&spec.canonical(), Arc::clone(&artifact));
-            jobs.finish(id, JobState::Done, None, Some(artifact));
             metrics.counter("bistd.jobs_completed").inc();
             metrics.histogram("bistd.job_ms").record(started.elapsed().as_secs_f64() * 1000.0);
             for stage in &run.artifact.stages {
                 metrics.histogram(&format!("bistd.stage.{}", stage.name)).record(stage.millis);
             }
+            jobs.finish(id, JobState::Done, None, Some(artifact));
         }
         Err(SessionError::Cancelled { deadline_exceeded }) => {
             let detail =
                 if deadline_exceeded { "deadline exceeded" } else { "cancelled by request" };
-            jobs.finish(id, JobState::Cancelled, Some(detail.into()), None);
             metrics.counter("bistd.jobs_cancelled").inc();
             if deadline_exceeded {
                 metrics.counter("bistd.deadlines_exceeded").inc();
             }
+            jobs.finish(id, JobState::Cancelled, Some(detail.into()), None);
         }
         Err(err) => {
-            jobs.finish(id, JobState::Failed, Some(err.to_string()), None);
             metrics.counter("bistd.jobs_failed").inc();
+            jobs.finish(id, JobState::Failed, Some(err.to_string()), None);
         }
     }
 }

@@ -6,6 +6,7 @@ use bist_core::campaign::CampaignSpec;
 use bist_core::session::ResponseCheck;
 use obs::JsonValue;
 use std::path::PathBuf;
+use std::time::Instant;
 
 fn tcp_daemon(config: DaemonConfig) -> (Daemon, ServerAddr) {
     let daemon = Daemon::start(DaemonConfig { tcp: Some("127.0.0.1:0".into()), ..config }).unwrap();
@@ -68,6 +69,28 @@ fn resubmitted_campaign_hits_the_cache_bit_identically() {
     assert!(metrics.get("gauges").unwrap().get("bistd.queue_depth").is_some());
     assert!(metrics.get("histograms").unwrap().get("bistd.stage.session.fault_sim").is_some());
 
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
+fn tcp_round_trips_do_not_wait_out_a_delayed_ack() {
+    // A frame written in pieces, without TCP_NODELAY, waits for the
+    // peer's delayed ACK (tens of milliseconds) on every round trip.
+    let (daemon, addr) = tcp_daemon(DaemonConfig::default());
+    let mut client = Client::connect(&addr).unwrap();
+    let job = client.submit(&mini_spec(64), None).unwrap().job;
+    client.fetch_artifact(job).unwrap();
+    let mut trips_ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            assert_eq!(client.status(job).unwrap().0, "done");
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    trips_ms.sort_by(f64::total_cmp);
+    let median = trips_ms[trips_ms.len() / 2];
+    assert!(median < 20.0, "median status round trip {median:.1} ms over TCP: {trips_ms:?}");
     client.shutdown().unwrap();
     daemon.join().unwrap();
 }

@@ -17,6 +17,7 @@ use faultsim::{CancelToken, StageSchedule};
 use filters::FilterDesign;
 use obs::JsonValue;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use tpg::TestGenerator;
 
 /// Designs a campaign can name: the paper's three Table 1 circuits, the
@@ -320,16 +321,6 @@ impl CampaignSpec {
         Ok(spec)
     }
 
-    /// Elaborates the named design.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::InvalidConfig`] for an unknown name, or the
-    /// wrapped [`filters::FilterError`] from elaboration.
-    pub fn build_design(&self) -> Result<FilterDesign, SessionError> {
-        build_design(&self.design)
-    }
-
     /// Builds the named generator.
     ///
     /// # Errors
@@ -346,8 +337,9 @@ impl CampaignSpec {
         RunConfig { spec: self.clone(), metrics: None, cancel, lint: Vec::new() }
     }
 
-    /// Validates, elaborates and runs the whole campaign, checking
-    /// `cancel` (if given) at phase and stage boundaries.
+    /// Validates and runs the whole campaign on the design's
+    /// process-wide session ([`shared_session`]), checking `cancel`
+    /// (if given) at phase and stage boundaries.
     ///
     /// # Errors
     ///
@@ -372,7 +364,7 @@ impl CampaignSpec {
         lint: Vec<obs::Diagnostic>,
     ) -> Result<BistRun, SessionError> {
         self.validate()?;
-        let design = self.build_design()?;
+        let session = shared_session(&self.design)?;
         if let Some(token) = &cancel {
             if token.is_cancelled() {
                 return Err(SessionError::Cancelled {
@@ -380,7 +372,6 @@ impl CampaignSpec {
                 });
             }
         }
-        let session = BistSession::new(&design)?;
         let mut generator = self.build_generator()?;
         session.run(&mut *generator, &self.run_config(cancel).with_lint(lint))
     }
@@ -419,6 +410,29 @@ pub fn build_design(name: &str) -> Result<FilterDesign, SessionError> {
         other => return Err(unknown_design(other)),
     };
     Ok(design)
+}
+
+/// The process-wide [`BistSession`] of a registry design (see
+/// [`KNOWN_DESIGNS`]). The first call for a name elaborates the design
+/// and builds its session; every later call, from any thread, gets the
+/// same session, with whatever tables its runs have built since (see
+/// [`BistSession::justifier`]). Both stay alive until the process
+/// exits: the memo holds at most one design and one session per
+/// registry name, six of each. A failed build is remembered too.
+///
+/// # Errors
+///
+/// [`SessionError::InvalidConfig`] for an unknown name, or the error
+/// elaboration or [`BistSession::new`] returned.
+pub fn shared_session(name: &str) -> Result<&'static BistSession<'static>, SessionError> {
+    type Slots<T> = [OnceLock<Result<T, SessionError>>; KNOWN_DESIGNS.len()];
+    static DESIGNS: Slots<FilterDesign> = [const { OnceLock::new() }; KNOWN_DESIGNS.len()];
+    static SESSIONS: Slots<BistSession<'static>> = [const { OnceLock::new() }; KNOWN_DESIGNS.len()];
+    let index =
+        KNOWN_DESIGNS.iter().position(|&d| d == name).ok_or_else(|| unknown_design(name))?;
+    let design =
+        DESIGNS[index].get_or_init(|| build_design(name)).as_ref().map_err(Clone::clone)?;
+    SESSIONS[index].get_or_init(|| BistSession::new(design)).as_ref().map_err(Clone::clone)
 }
 
 /// Builds a 12-bit generator by registry name (see

@@ -20,7 +20,7 @@ use obs::{
 use rtl::range::RangeAnalysis;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tpg::TestGenerator;
 
 /// Unified error type at the session boundary: everything the lower
@@ -398,11 +398,30 @@ impl Default for RunConfig {
 }
 
 /// A reusable fault-simulation context for one filter design.
+///
+/// Besides the design's ranges and fault universe, a session owns the
+/// tables that depend only on the design: the ATPG justifier (with its
+/// screen, witness table and chain-engine memos) and the SAT
+/// equivalence certificate. Each is built the first time a run needs
+/// it and reused by every later run. A session is `Send + Sync`, so
+/// threads may run campaigns on one session at once; results do not
+/// depend on which runs came first.
 pub struct BistSession<'d> {
     design: &'d FilterDesign,
     ranges: RangeAnalysis,
     universe: FaultUniverse,
+    justifier: OnceLock<atpg::Justifier<'d>>,
+    equivalence: OnceLock<sat::EquivReport>,
 }
+
+// The session, and the justifier it shares, must stay shareable
+// across threads: `campaign::shared_session` hands one out to every
+// caller in the process.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<BistSession<'static>>();
+    assert_send_sync::<atpg::Justifier<'static>>();
+};
 
 impl<'d> BistSession<'d> {
     /// Builds the session: runs the scaling (range) analysis, the exact
@@ -431,7 +450,13 @@ impl<'d> BistSession<'d> {
         let ranges = design.claimed_ranges().clone();
         let reach = rtl::reachability::Reachability::analyze(netlist, design.spec().input_bits);
         let universe = FaultUniverse::enumerate_pruned(netlist, &ranges, &reach);
-        Ok(BistSession { design, ranges, universe })
+        Ok(BistSession {
+            design,
+            ranges,
+            universe,
+            justifier: OnceLock::new(),
+            equivalence: OnceLock::new(),
+        })
     }
 
     /// The design under test.
@@ -447,6 +472,16 @@ impl<'d> BistSession<'d> {
     /// The collapsed fault universe.
     pub fn universe(&self) -> &FaultUniverse {
         &self.universe
+    }
+
+    /// The design's ATPG justifier, built on the first call (the
+    /// exhaustive pure-node sweep and the static screen) and shared by
+    /// every later run's screen and top-off. Its witness table and
+    /// chain engine fill in lazily on first use, also once.
+    pub fn justifier(&self) -> &atpg::Justifier<'d> {
+        self.justifier.get_or_init(|| {
+            atpg::Justifier::new(self.design.netlist(), self.design.spec().input_bits)
+        })
     }
 
     /// Runs [`RunConfig::vectors`] test patterns from `generator`
@@ -516,15 +551,14 @@ impl<'d> BistSession<'d> {
         // Both optional proof stages start from the ATPG static
         // screen: the top-off stage removes everything it flags, the
         // SAT stage treats its output as the redundancy-prover
-        // candidate set. One justifier serves the screen and the
-        // top-off stage; it is built under the screen's span.
-        let (justifier, screen) = if config.top_off().is_some() || config.sat_prune().is_some() {
+        // candidate set. The session's justifier serves the screen and
+        // the top-off stage; the first run to need it builds it under
+        // the screen's span.
+        let screen = if config.top_off().is_some() || config.sat_prune().is_some() {
             let _span = registry.span("session.atpg_screen");
-            let justifier = atpg::Justifier::new(self.design.netlist(), input_bits);
-            let screen = justifier.untestable(&self.universe);
-            (Some(justifier), screen)
+            self.justifier().untestable(&self.universe)
         } else {
-            (None, Vec::new())
+            Vec::new()
         };
 
         // SAT proof stage: prove the screened candidates redundant
@@ -542,7 +576,7 @@ impl<'d> BistSession<'d> {
             };
             sat_redundant = self.prove_redundant(&self.universe, &screen, scfg, &mut report);
             if scfg.equiv {
-                let eq = sat::check_equivalence(self.design);
+                let eq = self.equivalence.get_or_init(|| sat::check_equivalence(self.design));
                 report.equiv_proved = eq.proved;
                 report.equiv_lemmas = eq.lemmas_proved;
                 report.conflicts += eq.stats.conflicts;
@@ -649,8 +683,7 @@ impl<'d> BistSession<'d> {
         if let Some(tcfg) = config.top_off() {
             let top = {
                 let _span = registry.span("session.top_off");
-                let justifier = justifier.as_ref().expect("top-off runs build the justifier");
-                atpg::top_off_with(justifier, sim_universe, &result.missed(), tcfg)
+                atpg::top_off_with(self.justifier(), sim_universe, &result.missed(), tcfg)
             };
             // SAT verdict pass: faults the justifier left unresolved
             // are retried by the redundancy prover; proven-redundant

@@ -37,7 +37,7 @@ pub mod structural;
 pub mod testability;
 pub mod topoff;
 
-use bist_core::campaign::CampaignSpec;
+use bist_core::campaign::{shared_session, CampaignSpec};
 use bist_core::session::SessionError;
 use filters::FilterDesign;
 use obs::{diag, Diagnostic, JsonValue, Severity};
@@ -117,9 +117,10 @@ pub fn lint_pairing(design: &FilterDesign, generator: &str, bins: usize) -> Vec<
     out
 }
 
-/// Runs every pass over a campaign spec: elaborates the design, then
-/// the dataflow, testability, spectral, spec and response-compaction
-/// passes in order.
+/// Runs every pass over a campaign spec on the design's process-wide
+/// session ([`shared_session`]): the dataflow, testability, spectral,
+/// spec, response-compaction, top-off, SAT and structural passes in
+/// order.
 ///
 /// # Errors
 ///
@@ -129,14 +130,15 @@ pub fn lint_campaign(
     deadline_ms: Option<u64>,
 ) -> Result<LintReport, SessionError> {
     spec.validate()?;
-    let design = spec.build_design()?;
-    let mut diagnostics = lint_design(&design);
-    diagnostics.extend(lint_pairing(&design, &spec.generator, DEFAULT_BINS));
-    diagnostics.extend(campaign::lint_spec(&design, spec, deadline_ms));
-    diagnostics.extend(aliasing::lint_aliasing(&design, spec));
-    diagnostics.extend(topoff::lint_topoff(&design, spec));
-    diagnostics.extend(satcheck::lint_satcheck(&design, spec));
-    diagnostics.extend(structural::lint_structure(&design, spec));
+    let session = shared_session(&spec.design)?;
+    let design = session.design();
+    let mut diagnostics = lint_design(design);
+    diagnostics.extend(lint_pairing(design, &spec.generator, DEFAULT_BINS));
+    diagnostics.extend(campaign::lint_spec(design, spec, deadline_ms));
+    diagnostics.extend(aliasing::lint_aliasing(design, spec));
+    diagnostics.extend(topoff::lint_topoff(design, spec));
+    diagnostics.extend(satcheck::lint_satcheck(session, spec));
+    diagnostics.extend(structural::lint_structure(session, spec));
     Ok(LintReport {
         design: spec.design.clone(),
         generator: Some(spec.generator.clone()),
@@ -154,7 +156,10 @@ pub fn lint_campaign(
 /// [`CampaignSpec::canonical`] and on `deadline_ms` (read by `L303`
 /// alone), so `bistd` runs it on a cache miss and on a key's first hit,
 /// and later hits of the same key and effective deadline reuse the
-/// diagnostics stored with the cached artifact.
+/// diagnostics stored with the cached artifact. It lints on the
+/// design's process-wide session ([`shared_session`]), the one the
+/// admitted run executes on, so both share one elaboration and one
+/// ATPG screen.
 ///
 /// # Errors
 ///
@@ -164,13 +169,14 @@ pub fn admission_lint(
     deadline_ms: Option<u64>,
 ) -> Result<Vec<Diagnostic>, SessionError> {
     spec.validate()?;
-    let design = spec.build_design()?;
-    let mut out = lint_pairing(&design, &spec.generator, DEFAULT_BINS);
-    out.extend(campaign::lint_spec(&design, spec, deadline_ms));
-    out.extend(aliasing::lint_aliasing(&design, spec));
-    out.extend(topoff::lint_topoff(&design, spec));
-    out.extend(satcheck::lint_satcheck(&design, spec));
-    out.extend(structural::lint_structure(&design, spec));
+    let session = shared_session(&spec.design)?;
+    let design = session.design();
+    let mut out = lint_pairing(design, &spec.generator, DEFAULT_BINS);
+    out.extend(campaign::lint_spec(design, spec, deadline_ms));
+    out.extend(aliasing::lint_aliasing(design, spec));
+    out.extend(topoff::lint_topoff(design, spec));
+    out.extend(satcheck::lint_satcheck(session, spec));
+    out.extend(structural::lint_structure(session, spec));
     Ok(out)
 }
 

@@ -22,7 +22,6 @@ use std::collections::BTreeSet;
 
 use bist_core::campaign::CampaignSpec;
 use bist_core::BistSession;
-use filters::FilterDesign;
 use obs::{Diagnostic, Location, Severity};
 use rtl::{Netlist, NodeId};
 
@@ -43,18 +42,16 @@ fn node_label(netlist: &Netlist, id: NodeId) -> String {
     }
 }
 
-/// Runs the SAT proof-stage pass. No-op for specs without the stage.
-pub fn lint_satcheck(design: &FilterDesign, spec: &CampaignSpec) -> Vec<Diagnostic> {
+/// Runs the SAT proof-stage pass over the design of `session`, whose
+/// justifier screens the candidates exactly as the run will. No-op for
+/// specs without the stage.
+pub fn lint_satcheck(session: &BistSession<'_>, spec: &CampaignSpec) -> Vec<Diagnostic> {
     let Some(cfg) = &spec.sat else {
         return Vec::new();
     };
-    // Elaboration problems are the spec passes' findings, not ours.
-    let Ok(session) = BistSession::new(design) else {
-        return Vec::new();
-    };
+    let design = session.design();
     let netlist = design.netlist();
-    let input_bits = design.spec().input_bits;
-    let candidates = atpg::untestable_faults(netlist, session.universe(), input_bits);
+    let candidates = session.justifier().untestable(session.universe());
     let mut out = vec![Diagnostic::new(
         "L601",
         Severity::Info,
@@ -82,7 +79,7 @@ pub fn lint_satcheck(design: &FilterDesign, spec: &CampaignSpec) -> Vec<Diagnost
         .collect();
     let outcome = sat::prove_faults(
         netlist,
-        input_bits,
+        design.spec().input_bits,
         &sample,
         &sat::PruneConfig { max_conflicts: cfg.max_conflicts },
     );
@@ -146,11 +143,11 @@ mod tests {
     use super::*;
     use bist_core::SatConfig;
 
-    fn mini() -> FilterDesign {
-        filters::designs::lowpass_mini().unwrap()
+    fn mini() -> &'static BistSession<'static> {
+        bist_core::campaign::shared_session("LP-MINI").unwrap()
     }
 
-    fn small_sym() -> FilterDesign {
+    fn small_sym() -> filters::FilterDesign {
         filters::FilterDesign::elaborate_full(
             filters::FilterSpec {
                 name: "T-SYM".into(),
@@ -174,23 +171,35 @@ mod tests {
 
     #[test]
     fn specs_without_the_stage_emit_nothing() {
-        let d = mini();
         let spec = CampaignSpec::new("LP-MINI", "LFSR-D", 4096);
-        assert!(lint_satcheck(&d, &spec).is_empty());
+        assert!(lint_satcheck(mini(), &spec).is_empty());
     }
 
     #[test]
     fn candidate_free_designs_report_only_the_census() {
         // LP-MINI's reachability-pruned universe has no screen
         // candidates: the stage is a no-op the L601 census records.
-        let d = mini();
         let spec = CampaignSpec::new("LP-MINI", "LFSR-D", 4096)
             .with_sat(SatConfig { max_conflicts: 500, equiv: true });
-        let diags = lint_satcheck(&d, &spec);
+        let diags = lint_satcheck(mini(), &spec);
         assert_eq!(codes(&diags), ["L601"]);
         assert_eq!(diags[0].severity, Severity::Info);
         assert!(diags[0].message.contains("0 screen candidate(s)"), "{}", diags[0]);
         assert!(diags[0].message.contains("max_conflicts 500"), "{}", diags[0]);
+    }
+
+    #[test]
+    fn l601_counts_the_candidates_of_the_sessions_own_screen() {
+        let d = small_sym();
+        let session = BistSession::new(&d).unwrap();
+        let spec = CampaignSpec::new("LP", "LFSR-D", 4096)
+            .with_sat(SatConfig { max_conflicts: 1, equiv: false });
+        let diags = lint_satcheck(&session, &spec);
+        let screened = session.justifier().untestable(session.universe()).len();
+        assert!(screened > 0, "the symmetric design has screen candidates");
+        assert_eq!(diags[0].code, "L601");
+        let count = format!("): {screened} screen candidate(s)");
+        assert!(diags[0].message.contains(&count), "{}", diags[0]);
     }
 
     #[test]
@@ -199,9 +208,10 @@ mod tests {
         // screen candidates; the miter proves the sample redundant
         // and the census compares the proofs to the L1xx node set.
         let d = small_sym();
+        let session = BistSession::new(&d).unwrap();
         let spec = CampaignSpec::new("LP", "LFSR-D", 4096)
             .with_sat(SatConfig { max_conflicts: 2_000, equiv: false });
-        let diags = lint_satcheck(&d, &spec);
+        let diags = lint_satcheck(&session, &spec);
         assert!(diags.len() >= 2, "{diags:?}");
         assert_eq!(diags[0].code, "L601");
         assert_eq!(diags[1].code, "L602");

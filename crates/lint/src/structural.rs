@@ -20,7 +20,6 @@ use std::collections::BTreeSet;
 
 use bist_core::campaign::CampaignSpec;
 use bist_core::BistSession;
-use filters::FilterDesign;
 use obs::{Diagnostic, Location, Severity};
 use structure::SCOAP_INF;
 
@@ -31,16 +30,13 @@ use crate::testability;
 /// stays deterministic and the warning volume bounded.
 const HARDEST_TIER: usize = 3;
 
-/// Runs the structural-analysis pass. No-op for specs without the
-/// collapse stage.
-pub fn lint_structure(design: &FilterDesign, spec: &CampaignSpec) -> Vec<Diagnostic> {
+/// Runs the structural-analysis pass over the design and universe of
+/// `session`. No-op for specs without the collapse stage.
+pub fn lint_structure(session: &BistSession<'_>, spec: &CampaignSpec) -> Vec<Diagnostic> {
     if !spec.collapse {
         return Vec::new();
     }
-    // Elaboration problems are the spec passes' findings, not ours.
-    let Ok(session) = BistSession::new(design) else {
-        return Vec::new();
-    };
+    let design = session.design();
     let netlist = design.netlist();
     let analysis = structure::analyze(netlist, session.universe());
     let r = &analysis.report;
@@ -129,22 +125,20 @@ pub fn lint_structure(design: &FilterDesign, spec: &CampaignSpec) -> Vec<Diagnos
 mod tests {
     use super::*;
 
-    fn mini() -> FilterDesign {
-        filters::designs::lowpass_mini().unwrap()
+    fn mini() -> &'static BistSession<'static> {
+        bist_core::campaign::shared_session("LP-MINI").unwrap()
     }
 
     #[test]
     fn specs_without_the_stage_emit_nothing() {
-        let d = mini();
         let spec = CampaignSpec::new("LP-MINI", "LFSR-D", 4096);
-        assert!(lint_structure(&d, &spec).is_empty());
+        assert!(lint_structure(mini(), &spec).is_empty());
     }
 
     #[test]
     fn collapse_specs_carry_the_census_and_scoap_summary() {
-        let d = mini();
         let spec = CampaignSpec::new("LP-MINI", "LFSR-D", 4096).with_collapse(true);
-        let diags = lint_structure(&d, &spec);
+        let diags = lint_structure(mini(), &spec);
         assert!(diags.len() >= 2, "{diags:?}");
         assert_eq!(diags[0].code, "L701");
         assert_eq!(diags[0].severity, Severity::Info);
@@ -161,8 +155,7 @@ mod tests {
 
     #[test]
     fn the_pass_is_deterministic() {
-        let d = mini();
         let spec = CampaignSpec::new("LP-MINI", "LFSR-D", 4096).with_collapse(true);
-        assert_eq!(lint_structure(&d, &spec), lint_structure(&d, &spec));
+        assert_eq!(lint_structure(mini(), &spec), lint_structure(mini(), &spec));
     }
 }

@@ -63,7 +63,7 @@ impl JsonValue {
     /// Serializes to a compact, single-line JSON string.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_into(&mut out);
+        self.write_json(&mut out);
         out
     }
 
@@ -75,7 +75,9 @@ impl JsonValue {
         out
     }
 
-    fn write_into(&self, out: &mut String) {
+    /// Appends the compact serialization ([`JsonValue::to_json`]) to
+    /// `out`.
+    pub fn write_json(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -93,7 +95,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_into(out);
+                    item.write_json(out);
                 }
                 out.push(']');
             }
@@ -105,7 +107,7 @@ impl JsonValue {
                     }
                     write_escaped(out, k);
                     out.push(':');
-                    v.write_into(out);
+                    v.write_json(out);
                 }
                 out.push('}');
             }
@@ -142,7 +144,7 @@ impl JsonValue {
                 indent(out, depth);
                 out.push('}');
             }
-            other => other.write_into(out),
+            other => other.write_json(out),
         }
     }
 }
