@@ -1,10 +1,23 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the workspace must build, lint and test fully offline.
-# Every dependency is a workspace path dependency; the registry dep
-# (proptest) is commented out in the manifests and only needed for the
-# opt-in `proptest` feature.
+# Every dependency is a workspace path dependency, and every randomized
+# suite runs on the workspace's own seeded driver (crates/testkit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# No test or code path may hide behind a Cargo feature, where an offline
+# `cargo test` never builds it: no workspace manifest declares
+# [features], and nothing under crates/, tests/ or examples/ gates code
+# on a feature or names the registry property-testing crate (its name is
+# split below so that this script does not match itself).
+if grep -l '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+    echo "the manifests above declare [features]"
+    exit 1
+fi
+if grep -rlE 'cfg\(feature|prop''test' crates tests examples; then
+    echo "the files above gate code on a feature or use the registry property-testing crate"
+    exit 1
+fi
 
 cargo fmt --check
 cargo clippy --offline --all-targets -- -D warnings \

@@ -1,6 +1,6 @@
 //! Campaign-level artifact collection for the experiments binary.
 //!
-//! Every [`crate::run_experiment`] call records its run's
+//! Every [`crate::run_session`] call records its run's
 //! [`RunArtifact`] here and reports its metrics into a shared campaign
 //! [`Registry`]. When the binary was invoked with `--json <path>`, the
 //! accumulated artifacts are written out as one `BENCH_*.json`

@@ -45,10 +45,10 @@
 //! ```
 
 use bist_bench::{
-    cell_lint, cell_lint_mode, generator, mixed_generator, paper_designs, plot, run_config,
-    run_config_mode, run_session, table, SECTION8_GENERATORS,
+    cell_lint, cell_lint_mode, generator, paper_designs, plot, run_config, run_config_mode,
+    run_session, table, SECTION8_GENERATORS,
 };
-use bist_core::campaign::CampaignSpec;
+use bist_core::campaign::{shared_session, CampaignSpec};
 use bist_core::session::{BistSession, ResponseCheck};
 use bist_core::{compat, distribution, variance, zones};
 use bistd::{Client, ServerAddr};
@@ -148,7 +148,7 @@ fn table1() {
         .iter()
         .map(|d| {
             let s = d.netlist().stats();
-            let session = BistSession::new(d).expect("session");
+            let session = shared_session(d.name()).expect("registry design");
             vec![
                 d.name().to_string(),
                 s.arithmetic().to_string(),
@@ -287,7 +287,7 @@ fn table4(server: Option<&ServerAddr>, mode: ResponseCheck) {
     let mut rows5 = Vec::new();
     let mut rows_aliased = Vec::new();
     for d in &designs {
-        let session = server.is_none().then(|| BistSession::new(d).expect("session"));
+        let session = server.is_none().then(|| shared_session(d.name()).expect("registry design"));
         let adders = d.netlist().stats().arithmetic() as f64;
         let mut row4 = vec![d.name().to_string()];
         let mut row5 = vec![d.name().to_string()];
@@ -364,15 +364,15 @@ fn table6(server: Option<&ServerAddr>, mode: ResponseCheck) {
                 (missed, aliased, best)
             }
             None => {
-                let session = BistSession::new(d).expect("session");
-                let mut gen = mixed_generator(SECTION8_VECTORS as u64);
+                let session = shared_session(d.name()).expect("registry design");
+                let mut gen = generator(&format!("Mixed@{SECTION8_VECTORS}"));
                 let run =
-                    run_session(&session, &mut *gen, &run_config_mode(2 * SECTION8_VECTORS, mode));
+                    run_session(session, &mut *gen, &run_config_mode(2 * SECTION8_VECTORS, mode));
                 let mut best = usize::MAX;
                 for name in SECTION8_GENERATORS {
                     let mut g = generator(name);
                     best = best.min(
-                        run_session(&session, &mut *g, &run_config_mode(SECTION8_VECTORS, mode))
+                        run_session(session, &mut *g, &run_config_mode(SECTION8_VECTORS, mode))
                             .missed(),
                     );
                 }
@@ -421,9 +421,9 @@ fn fig1() {
 fn fig2() {
     banner("Figs. 2 & 3: a serious fault missed by the LFSR-1 test (sine response)");
     let d = paper_designs().remove(0);
-    let session = BistSession::new(&d).expect("session");
+    let session = shared_session(d.name()).expect("registry design");
     let mut gen = generator("LFSR-1");
-    let run = run_session(&session, &mut *gen, &run_config(SECTION8_VECTORS));
+    let run = run_session(session, &mut *gen, &run_config(SECTION8_VECTORS));
     println!(
         "LFSR-1 @4k coverage on LP: {:.2}% ({} faults missed)",
         100.0 * run.coverage(),
@@ -608,13 +608,13 @@ fn fig8() {
 fn fig10() {
     banner("Figs. 10-12: fault-coverage curves, 4 generators x 3 designs");
     for d in paper_designs() {
-        let session = BistSession::new(&d).expect("session");
+        let session = shared_session(d.name()).expect("registry design");
         println!("--- {} (universe {} faults) ---", d.name(), session.universe().len());
         let checkpoints: Vec<u32> = vec![16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
         let mut series: Vec<(String, Vec<f64>)> = Vec::new();
         for name in SECTION8_GENERATORS {
             let mut gen = generator(name);
-            let run = run_session(&session, &mut *gen, &run_config(SECTION8_VECTORS));
+            let run = run_session(session, &mut *gen, &run_config(SECTION8_VECTORS));
             // Zoom to the knee region, as the paper's figures do
             // ("the vertical scale has been changed to accommodate the
             // Ramp curve"): clamp below 80% coverage.
@@ -647,15 +647,15 @@ fn fig13() {
     banner("Fig. 13: mixed-mode advantage on LP (switch to max-variance after 2k vectors)");
     let designs = paper_designs();
     let d = &designs[0];
-    let session = BistSession::new(d).expect("session");
+    let session = shared_session(d.name()).expect("registry design");
     let checkpoints: Vec<u32> = vec![16, 64, 256, 1024, 1536, 2048, 2560, 3072, 4096];
     let mut series: Vec<(String, Vec<f64>)> = Vec::new();
     for (label, mut gen) in [
         ("LFSR-1".to_string(), generator("LFSR-1")),
         ("LFSR-M".to_string(), generator("LFSR-M")),
-        ("mixed@2k".to_string(), mixed_generator(2048)),
+        ("mixed@2k".to_string(), generator("Mixed@2048")),
     ] {
-        let run = run_session(&session, &mut *gen, &run_config(SECTION8_VECTORS));
+        let run = run_session(session, &mut *gen, &run_config(SECTION8_VECTORS));
         let curve: Vec<f64> =
             run.result.curve(&checkpoints).iter().map(|&(_, c)| (100.0 * c).max(80.0)).collect();
         println!(
@@ -684,15 +684,15 @@ fn fig13() {
 fn severity() {
     banner("Severity of missed faults under an operating sine (paper Section 5, quantified)");
     let d = paper_designs().remove(0);
-    let session = BistSession::new(&d).expect("session");
+    let session = shared_session(d.name()).expect("registry design");
     let mut sine = tpg::Sine::new(12, 0.85, 0.015).expect("sine");
     let stimulus: Vec<i64> = (0..2048).map(|_| d.align_input(sine.next_word())).collect();
     let mut rows = Vec::new();
     for name in SECTION8_GENERATORS {
         let mut gen = generator(name);
-        let run = run_session(&session, &mut *gen, &run_config(SECTION8_VECTORS));
+        let run = run_session(session, &mut *gen, &run_config(SECTION8_VECTORS));
         let missed = run.result.missed();
-        let (_, summary) = bist_core::analysis::assess_missed(&session, &missed, &stimulus);
+        let (_, summary) = bist_core::analysis::assess_missed(session, &missed, &stimulus);
         rows.push(vec![
             name.to_string(),
             missed.len().to_string(),
@@ -721,11 +721,11 @@ fn extensions() {
         "Extensions (paper Conclusion): larger LFSRs and a deterministic tuned phase (LP design)",
     );
     let d = paper_designs().remove(0);
-    let session = BistSession::new(&d).expect("session");
+    let session = shared_session(d.name()).expect("registry design");
     let mut rows = Vec::new();
 
     let mut run_one = |label: &str, gen: &mut dyn TestGenerator, vectors: usize| {
-        let run = run_session(&session, gen, &run_config(vectors));
+        let run = run_session(session, gen, &run_config(vectors));
         rows.push(vec![
             label.to_string(),
             vectors.to_string(),
@@ -748,11 +748,11 @@ fn extensions() {
     // The mixed scheme, then mixed + deterministic tuned phase.
     run_one(
         "LFSR-1/LFSR-M mixed",
-        &mut *mixed_generator(SECTION8_VECTORS as u64),
+        &mut *generator(&format!("Mixed@{SECTION8_VECTORS}")),
         2 * SECTION8_VECTORS,
     );
     let tuned = bist_core::selection::tuned_sweep_for(&d).expect("tuned sweep");
-    let mixed = mixed_generator(SECTION8_VECTORS as u64);
+    let mixed = generator(&format!("Mixed@{SECTION8_VECTORS}"));
     let mut three_phase =
         tpg::Mixed::new(mixed, Box::new(tuned), 2 * SECTION8_VECTORS as u64).expect("widths match");
     run_one("mixed + ZoneSweep phase", &mut three_phase, 3 * SECTION8_VECTORS);
@@ -826,13 +826,11 @@ fn scaling() {
 /// generators, both architectures.
 fn csa() {
     banner("Architecture comparison: ripple-carry vs carry-save vs folded-symmetric LP (paper Section 3)");
-    let ripple = paper_designs().remove(0);
-    let carry_save = filters::designs::lowpass_carry_save().expect("CSA design");
-    let symmetric = filters::designs::lowpass_symmetric().expect("symmetric design");
     let mut rows = Vec::new();
-    for d in [&ripple, &carry_save, &symmetric] {
+    for design in ["LP", "LP-CSA", "LP-SYM"] {
+        let session = shared_session(design).expect("registry design");
+        let d = session.design();
         let s = d.netlist().stats();
-        let session = BistSession::new(d).expect("session");
         let mut row = vec![
             d.name().to_string(),
             format!("{}+{}csa", s.adders + s.subtractors, s.csa_stages),
@@ -841,7 +839,7 @@ fn csa() {
         ];
         for name in ["LFSR-1", "LFSR-D"] {
             let mut gen = generator(name);
-            let run = run_session(&session, &mut *gen, &run_config(SECTION8_VECTORS));
+            let run = run_session(session, &mut *gen, &run_config(SECTION8_VECTORS));
             row.push(run.missed().to_string());
         }
         rows.push(row);

@@ -12,59 +12,28 @@ pub mod artifacts;
 pub mod plot;
 pub mod table;
 
-use bist_core::campaign::CampaignSpec;
-use bist_core::session::{BistRun, BistSession, ResponseCheck, RunConfig, SessionError};
+use bist_core::campaign::{build_generator, CampaignSpec};
+use bist_core::session::{BistRun, BistSession, ResponseCheck, RunConfig};
 use filters::FilterDesign;
-use tpg::{Mixed, TestGenerator};
+use tpg::TestGenerator;
 
 /// The paper's generator roster for the Section 8 experiments.
 pub const SECTION8_GENERATORS: [&str; 4] = ["LFSR-1", "LFSR-D", "LFSR-M", "Ramp"];
 
-/// Builds a 12-bit generator by display name, via the campaign
-/// registry (so the name set here and in [`bist_core::campaign`] can
-/// never drift apart).
-///
-/// # Errors
-///
-/// [`SessionError::InvalidConfig`] for an unknown name, listing the
-/// known ones — CLI callers print this as a usage message.
-pub fn try_generator(name: &str) -> Result<Box<dyn TestGenerator>, SessionError> {
-    bist_core::campaign::build_generator(name)
-}
-
-/// Builds a 12-bit generator by display name.
+/// Builds a 12-bit generator by registry name
+/// ([`bist_core::campaign::build_generator`], `Mixed@<n>` included).
 ///
 /// # Panics
 ///
-/// Panics on an unknown name (callers pass compile-time names; use
-/// [`try_generator`] for user-supplied ones).
+/// Panics on an unknown name (callers pass compile-time names).
 pub fn generator(name: &str) -> Box<dyn TestGenerator> {
-    try_generator(name).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The mixed scheme of the paper's Section 9: LFSR-1 for
-/// `switch_after` vectors, then LFSR-M.
-pub fn mixed_generator(switch_after: u64) -> Box<dyn TestGenerator> {
-    Box::new(Mixed::lfsr1_then_maxvar(12, switch_after).expect("12-bit mixed"))
+    build_generator(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Elaborates the three paper designs (LP, BP, HP). Building all three
 /// takes well under a second.
 pub fn paper_designs() -> Vec<FilterDesign> {
     filters::designs::paper_designs().expect("paper designs elaborate")
-}
-
-/// Runs one generator against one design and returns the run.
-///
-/// Test length comes from the config; MISR width, stage schedule and
-/// thread count follow it too (see [`run_config`] for the experiment
-/// harness's defaults). Every run reports into the process-wide
-/// campaign registry and records its [`obs::RunArtifact`] for the
-/// `--json` output (see [`artifacts`]).
-pub fn run_experiment(design: &FilterDesign, gen_name: &str, config: &RunConfig) -> BistRun {
-    let session = BistSession::new(design).expect("paper designs build valid sessions");
-    let mut gen = generator(gen_name);
-    run_session(&session, &mut *gen, config)
 }
 
 /// Runs one generator against an existing session, reporting into the
@@ -149,14 +118,14 @@ mod tests {
             assert_eq!(g.width(), 12);
             g.next_word();
         }
-        let mut m = mixed_generator(4);
+        let mut m = build_generator("Mixed@4").expect("registry spells mixed as Mixed@<n>");
         assert_eq!(m.width(), 12);
         m.next_word();
     }
 
     #[test]
     fn unknown_generator_is_a_structured_error_naming_the_registry() {
-        let message = match try_generator("nope") {
+        let message = match build_generator("nope") {
             Err(e) => e.to_string(),
             Ok(_) => panic!("'nope' must not build"),
         };
@@ -166,7 +135,7 @@ mod tests {
 
     #[test]
     fn mixed_scheme_builds_by_name_too() {
-        let mut m = try_generator("Mixed@2048").expect("registry spells mixed as Mixed@<n>");
+        let mut m = build_generator("Mixed@2048").expect("registry spells mixed as Mixed@<n>");
         assert_eq!(m.width(), 12);
         m.next_word();
     }

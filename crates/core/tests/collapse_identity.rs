@@ -10,14 +10,13 @@
 //!
 //! The deterministic roster sweep runs first, then [`CASES`] seeded
 //! random cells over design × generator × test length × threads ×
-//! response check. The generator is a hand-rolled xorshift, so the
-//! suite builds offline. A failure names its seed, and
-//! `BIST_RANDOM_SEED=<seed>` replays just that cell.
+//! response check, drawn with `testkit::Rng`. A failure names its
+//! seed, and `BIST_RANDOM_SEED=<seed>` replays just that cell.
 
 use bist_core::campaign::{build_generator, shared_session};
 use bist_core::session::{BistRun, BistSession, ResponseCheck, RunConfig};
 use filters::FilterDesign;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use testkit::{for_each_seed, Rng};
 
 /// The satellite roster: the paper's three filters plus the gated mini
 /// variant.
@@ -107,42 +106,18 @@ fn collapsed_runs_are_byte_identical_across_the_roster() {
 /// Seeded random cells per run.
 const CASES: u64 = 12;
 
-/// Marsaglia xorshift64: small, seedable, dependency-free.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        // Splitmix the seed so neighbouring seeds diverge at once.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        XorShift((z ^ (z >> 31)) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// Uniform in `lo..hi`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi - lo) as u64) as usize
-    }
-}
-
 /// Checks one seeded random cell: a roster design (on its shared
 /// session), one of four generators, 16..160 vectors, 1..4 threads,
 /// either response check.
 fn check_cell(seed: u64) {
-    let mut rng = XorShift::new(seed);
+    let mut rng = Rng::new(seed);
     let name = ["LP", "BP", "HP", "LP-MINI"][rng.range(0, 4)];
     let session = shared_session(name).expect("registry design");
     let gen_name = ["LFSR-1", "LFSR-D", "LFSR-M", "Ramp"][rng.range(0, 4)];
     let vectors = rng.range(16, 160);
     let threads = rng.range(1, 4);
-    let mode = if rng.next() & 1 == 1 { ResponseCheck::Signature } else { ResponseCheck::Trace };
+    let mode =
+        if rng.next_u64() & 1 == 1 { ResponseCheck::Signature } else { ResponseCheck::Trace };
     let config = RunConfig::new(vectors).with_threads(threads).with_response_check(mode);
     let plain = run_on(session, gen_name, &config);
     let collapsed = run_on(session, gen_name, &config.with_collapse(true));
@@ -150,33 +125,7 @@ fn check_cell(seed: u64) {
     assert_identical(&plain, &collapsed, &cell);
 }
 
-/// The seed `BIST_RANDOM_SEED` names (decimal or `0x` hex), if set.
-fn replay_seed() -> Option<u64> {
-    let raw = std::env::var("BIST_RANDOM_SEED").ok()?;
-    let parsed = match raw.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    Some(parsed.unwrap_or_else(|_| panic!("BIST_RANDOM_SEED={raw} is not a number")))
-}
-
 #[test]
 fn collapse_identity_holds_for_random_cells() {
-    let seeds: Vec<u64> = match replay_seed() {
-        Some(seed) => vec![seed],
-        None => (0..CASES).map(|i| 0xC011_0000 + i).collect(),
-    };
-    for seed in seeds {
-        if let Err(cause) = catch_unwind(AssertUnwindSafe(|| check_cell(seed))) {
-            let msg = cause
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| cause.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic");
-            panic!(
-                "random collapse-identity cell failed for seed {seed:#x} \
-                 (replay with BIST_RANDOM_SEED={seed:#x}): {msg}"
-            );
-        }
-    }
+    for_each_seed(0xC011_0000, CASES, check_cell);
 }

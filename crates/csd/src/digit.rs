@@ -153,6 +153,7 @@ impl fmt::Display for Csd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     #[test]
     fn zero_has_no_digits() {
@@ -207,35 +208,41 @@ mod tests {
         assert_eq!(c.digits()[0].power, 3);
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    /// Uniform in `-bound..bound`.
+    fn int(rng: &mut Rng, bound: usize) -> i64 {
+        rng.below(2 * bound) as i64 - bound as i64
+    }
 
-        proptest! {
-            #[test]
-            fn prop_round_trip(v in -100_000i64..100_000) {
-                let c = Csd::from_integer(v);
-                prop_assert_eq!(c.to_integer(), v);
-            }
+    #[test]
+    fn round_trip() {
+        for_each_seed(0xC5D0_0000, 256, |seed| {
+            let v = int(&mut Rng::new(seed), 100_000);
+            assert_eq!(Csd::from_integer(v).to_integer(), v);
+        });
+    }
 
-            #[test]
-            fn prop_always_canonic(v in -1_000_000i64..1_000_000) {
-                prop_assert!(Csd::from_integer(v).is_canonic());
-            }
+    #[test]
+    fn always_canonic() {
+        for_each_seed(0xC5D1_0000, 256, |seed| {
+            let v = int(&mut Rng::new(seed), 1_000_000);
+            assert!(Csd::from_integer(v).is_canonic(), "{v}");
+        });
+    }
 
-            #[test]
-            fn prop_digit_count_at_most_binary_ones(v in 0i64..1_000_000) {
-                // CSD never uses more nonzero digits than plain binary.
-                let c = Csd::from_integer(v);
-                prop_assert!(c.nonzero_digits() <= v.count_ones() as usize);
-            }
+    #[test]
+    fn digit_count_at_most_binary_ones() {
+        // CSD never uses more nonzero digits than plain binary.
+        for_each_seed(0xC5D2_0000, 256, |seed| {
+            let v = Rng::new(seed).below(1_000_000) as i64;
+            assert!(Csd::from_integer(v).nonzero_digits() <= v.count_ones() as usize, "{v}");
+        });
+    }
 
-            #[test]
-            fn prop_f64_matches_integer(v in -100_000i64..100_000) {
-                let c = Csd::from_integer(v);
-                prop_assert!((c.to_f64() - v as f64).abs() < 1e-9);
-            }
-        }
+    #[test]
+    fn f64_matches_integer() {
+        for_each_seed(0xC5D3_0000, 256, |seed| {
+            let v = int(&mut Rng::new(seed), 100_000);
+            assert!((Csd::from_integer(v).to_f64() - v as f64).abs() < 1e-9, "{v}");
+        });
     }
 }

@@ -91,6 +91,7 @@ fn greedy_spt(x: f64, terms: usize) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     #[test]
     fn exact_values_pass_through() {
@@ -138,37 +139,38 @@ mod tests {
         quantize(0.5, 15, 0);
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    #[test]
+    fn error_bounded_for_generous_budget() {
+        for_each_seed(0xC5D4_0000, 256, |seed| {
+            let t = Rng::new(seed).uniform(-0.999, 0.999);
+            // With 4 digits at 14 fractional bits the error for smooth
+            // FIR coefficients stays small; here we only guarantee a
+            // loose bound.
+            let q = quantize(t, 14, 4);
+            assert!(q.error.abs() <= 0.05, "target {t} error {}", q.error);
+            assert!(q.csd.nonzero_digits() <= 4, "target {t}");
+        });
+    }
 
-        proptest! {
-            #[test]
-            fn prop_error_bounded_for_generous_budget(t in -0.999..0.999f64) {
-                // With 4 digits at 14 fractional bits the error for smooth FIR
-                // coefficients stays small; here we only guarantee a loose bound.
-                let q = quantize(t, 14, 4);
-                prop_assert!(q.error.abs() <= 0.05, "target {t} error {}", q.error);
-                prop_assert!(q.csd.nonzero_digits() <= 4);
-            }
+    #[test]
+    fn result_is_canonic_and_consistent() {
+        for_each_seed(0xC5D5_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let (t, digits) = (rng.uniform(-0.999, 0.999), rng.range(1, 6));
+            let q = quantize(t, 12, digits);
+            assert!(q.csd.is_canonic(), "target {t}");
+            assert!(q.csd.nonzero_digits() <= digits, "target {t}");
+            assert_eq!(q.csd.to_integer(), q.raw, "target {t}");
+            assert!((q.value - q.raw as f64 / 4096.0).abs() < 1e-12, "target {t}");
+        });
+    }
 
-            #[test]
-            fn prop_result_is_canonic_and_consistent(t in -0.999..0.999f64,
-                                                     digits in 1usize..6) {
-                let q = quantize(t, 12, digits);
-                prop_assert!(q.csd.is_canonic());
-                prop_assert!(q.csd.nonzero_digits() <= digits);
-                prop_assert_eq!(q.csd.to_integer(), q.raw);
-                prop_assert!((q.value - q.raw as f64 / 4096.0).abs() < 1e-12);
-            }
-
-            #[test]
-            fn prop_quantizing_a_quantized_value_is_identity(t in -0.999..0.999f64) {
-                let q1 = quantize(t, 13, 4);
-                let q2 = quantize(q1.value, 13, 4);
-                prop_assert_eq!(q1.raw, q2.raw);
-            }
-        }
+    #[test]
+    fn quantizing_a_quantized_value_is_identity() {
+        for_each_seed(0xC5D6_0000, 256, |seed| {
+            let t = Rng::new(seed).uniform(-0.999, 0.999);
+            let q1 = quantize(t, 13, 4);
+            assert_eq!(quantize(q1.value, 13, 4).raw, q1.raw, "target {t}");
+        });
     }
 }

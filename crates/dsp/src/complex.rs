@@ -146,6 +146,7 @@ impl fmt::Display for Complex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     #[test]
     fn basic_arithmetic() {
@@ -172,30 +173,28 @@ mod tests {
         assert_eq!(Complex::new(1.0, -2.0).to_string(), "1-2i");
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    #[test]
+    fn mul_conj_is_norm_sqr() {
+        for_each_seed(0xD5FA_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let z = Complex::new(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0));
+            let p = z * z.conj();
+            assert!((p.re - z.norm_sqr()).abs() < 1e-9 * (1.0 + z.norm_sqr()), "{z:?}");
+            assert!(p.im.abs() < 1e-9 * (1.0 + z.norm_sqr()), "{z:?}");
+        });
+    }
 
-        proptest! {
-            #[test]
-            fn prop_mul_conj_is_norm_sqr(re in -100.0..100.0f64, im in -100.0..100.0f64) {
-                let z = Complex::new(re, im);
-                let p = z * z.conj();
-                prop_assert!((p.re - z.norm_sqr()).abs() < 1e-9 * (1.0 + z.norm_sqr()));
-                prop_assert!(p.im.abs() < 1e-9 * (1.0 + z.norm_sqr()));
-            }
-
-            #[test]
-            fn prop_mul_distributes(a in -10.0..10.0f64, b in -10.0..10.0f64,
-                                    c in -10.0..10.0f64, d in -10.0..10.0f64) {
-                let x = Complex::new(a, b);
-                let y = Complex::new(c, d);
-                let z = Complex::new(d, a);
-                let lhs = x * (y + z);
-                let rhs = x * y + x * z;
-                prop_assert!((lhs - rhs).norm() < 1e-9);
-            }
-        }
+    #[test]
+    fn mul_distributes() {
+        for_each_seed(0xD5FB_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let [a, b, c, d] = [0; 4].map(|_| rng.uniform(-10.0, 10.0));
+            let x = Complex::new(a, b);
+            let y = Complex::new(c, d);
+            let z = Complex::new(d, a);
+            let lhs = x * (y + z);
+            let rhs = x * y + x * z;
+            assert!((lhs - rhs).norm() < 1e-9, "{x:?} * ({y:?} + {z:?})");
+        });
     }
 }

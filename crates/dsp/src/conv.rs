@@ -90,6 +90,7 @@ pub fn filter(h: &[f64], x: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     #[test]
     fn convolve_with_impulse_is_identity() {
@@ -135,31 +136,32 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    fn uniform_vec(rng: &mut Rng, lo: usize, hi: usize) -> Vec<f64> {
+        (0..rng.range(lo, hi)).map(|_| rng.uniform(-5.0, 5.0)).collect()
+    }
 
-        proptest! {
-            #[test]
-            fn prop_convolution_commutes(a in proptest::collection::vec(-5.0..5.0f64, 1..10),
-                                         b in proptest::collection::vec(-5.0..5.0f64, 1..10)) {
-                let ab = convolve(&a, &b);
-                let ba = convolve(&b, &a);
-                prop_assert_eq!(ab.len(), ba.len());
-                for i in 0..ab.len() {
-                    prop_assert!((ab[i] - ba[i]).abs() < 1e-9);
-                }
+    #[test]
+    fn convolution_commutes() {
+        for_each_seed(0xD5F8_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let a = uniform_vec(&mut rng, 1, 10);
+            let b = uniform_vec(&mut rng, 1, 10);
+            let ab = convolve(&a, &b);
+            let ba = convolve(&b, &a);
+            assert_eq!(ab.len(), ba.len());
+            for i in 0..ab.len() {
+                assert!((ab[i] - ba[i]).abs() < 1e-9);
             }
+        });
+    }
 
-            #[test]
-            fn prop_zero_lag_autocorrelation_is_energy(
-                h in proptest::collection::vec(-5.0..5.0f64, 1..16)
-            ) {
-                let r = autocorrelate(&h);
-                let energy: f64 = h.iter().map(|x| x * x).sum();
-                prop_assert!((r[h.len() - 1] - energy).abs() < 1e-9);
-            }
-        }
+    #[test]
+    fn zero_lag_autocorrelation_is_energy() {
+        for_each_seed(0xD5F9_0000, 256, |seed| {
+            let h = uniform_vec(&mut Rng::new(seed), 1, 16);
+            let r = autocorrelate(&h);
+            let energy: f64 = h.iter().map(|x| x * x).sum();
+            assert!((r[h.len() - 1] - energy).abs() < 1e-9);
+        });
     }
 }

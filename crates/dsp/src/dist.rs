@@ -263,6 +263,7 @@ impl Distribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     const STEP: f64 = 1.0 / 256.0;
 
@@ -333,27 +334,24 @@ mod tests {
         let _ = a.convolve(&b);
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    #[test]
+    fn convolution_conserves_mass() {
+        for_each_seed(0xD5FC_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let w: Vec<f64> = (0..rng.range(1, 8)).map(|_| rng.uniform(-0.9, 0.9)).collect();
+            let d = Distribution::sum_of_bernoulli(&w, STEP);
+            assert!((d.total_mass() - 1.0).abs() < 1e-9, "{w:?}");
+        });
+    }
 
-        proptest! {
-            #[test]
-            fn prop_convolution_conserves_mass(
-                w in proptest::collection::vec(-0.9..0.9f64, 1..8)
-            ) {
-                let d = Distribution::sum_of_bernoulli(&w, STEP);
-                prop_assert!((d.total_mass() - 1.0).abs() < 1e-9);
-            }
-
-            #[test]
-            fn prop_mix_interpolates_mean(p in 0.0..1.0f64) {
-                let a = Distribution::delta(-0.5, STEP);
-                let b = Distribution::delta(0.5, STEP);
-                let m = a.mix(&b, p);
-                prop_assert!((m.mean() - (p * -0.5 + (1.0 - p) * 0.5)).abs() < 1e-9);
-            }
-        }
+    #[test]
+    fn mix_interpolates_mean() {
+        for_each_seed(0xD5FD_0000, 256, |seed| {
+            let p = Rng::new(seed).uniform(0.0, 1.0);
+            let a = Distribution::delta(-0.5, STEP);
+            let b = Distribution::delta(0.5, STEP);
+            let m = a.mix(&b, p);
+            assert!((m.mean() - (p * -0.5 + (1.0 - p) * 0.5)).abs() < 1e-9, "p {p}");
+        });
     }
 }

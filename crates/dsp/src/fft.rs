@@ -139,6 +139,7 @@ fn bit_reverse_permute(data: &mut [Complex]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     fn close(a: Complex, b: Complex, tol: f64) -> bool {
         (a - b).norm() < tol
@@ -197,42 +198,48 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    fn uniform_vec(rng: &mut Rng, len: usize, bound: f64) -> Vec<f64> {
+        (0..len).map(|_| rng.uniform(-bound, bound)).collect()
+    }
 
-        proptest! {
-            #[test]
-            fn prop_ifft_inverts_fft(values in proptest::collection::vec(-10.0..10.0f64, 16)) {
-                let mut data: Vec<Complex> = values.iter().map(|&x| Complex::from_re(x)).collect();
-                fft(&mut data).unwrap();
-                ifft(&mut data).unwrap();
-                for (z, &x) in data.iter().zip(&values) {
-                    prop_assert!((z.re - x).abs() < 1e-9);
-                    prop_assert!(z.im.abs() < 1e-9);
-                }
+    #[test]
+    fn ifft_inverts_fft() {
+        for_each_seed(0xD5F2_0000, 256, |seed| {
+            let values = uniform_vec(&mut Rng::new(seed), 16, 10.0);
+            let mut data: Vec<Complex> = values.iter().map(|&x| Complex::from_re(x)).collect();
+            fft(&mut data).unwrap();
+            ifft(&mut data).unwrap();
+            for (z, &x) in data.iter().zip(&values) {
+                assert!((z.re - x).abs() < 1e-9);
+                assert!(z.im.abs() < 1e-9);
             }
+        });
+    }
 
-            #[test]
-            fn prop_parseval(values in proptest::collection::vec(-10.0..10.0f64, 32)) {
-                let time_energy: f64 = values.iter().map(|x| x * x).sum();
-                let spec = fft_real(&values).unwrap();
-                let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / 32.0;
-                prop_assert!((time_energy - freq_energy).abs() < 1e-7 * (1.0 + time_energy));
-            }
+    #[test]
+    fn parseval() {
+        for_each_seed(0xD5F3_0000, 256, |seed| {
+            let values = uniform_vec(&mut Rng::new(seed), 32, 10.0);
+            let time_energy: f64 = values.iter().map(|x| x * x).sum();
+            let spec = fft_real(&values).unwrap();
+            let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / 32.0;
+            assert!((time_energy - freq_energy).abs() < 1e-7 * (1.0 + time_energy));
+        });
+    }
 
-            #[test]
-            fn prop_linearity(a in proptest::collection::vec(-5.0..5.0f64, 16),
-                              b in proptest::collection::vec(-5.0..5.0f64, 16)) {
-                let fa = fft_real(&a).unwrap();
-                let fb = fft_real(&b).unwrap();
-                let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-                let fsum = fft_real(&sum).unwrap();
-                for i in 0..16 {
-                    prop_assert!(close(fsum[i], fa[i] + fb[i], 1e-9));
-                }
+    #[test]
+    fn linearity() {
+        for_each_seed(0xD5F4_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let a = uniform_vec(&mut rng, 16, 5.0);
+            let b = uniform_vec(&mut rng, 16, 5.0);
+            let fa = fft_real(&a).unwrap();
+            let fb = fft_real(&b).unwrap();
+            let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+            let fsum = fft_real(&sum).unwrap();
+            for i in 0..16 {
+                assert!(close(fsum[i], fa[i] + fb[i], 1e-9), "bin {i}");
             }
-        }
+        });
     }
 }

@@ -208,6 +208,7 @@ fn sinc(x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::response::magnitude_at;
+    use testkit::{for_each_seed, Rng};
 
     #[test]
     fn rejects_bad_edges() {
@@ -274,26 +275,26 @@ mod tests {
         assert!((l1 - 0.999).abs() < 1e-9);
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_designs_are_symmetric(taps in 3usize..80, cutoff in 0.05..0.45f64) {
-                let h = FirSpec::new(BandKind::Lowpass { cutoff }, taps).design().unwrap();
-                for i in 0..taps {
-                    prop_assert!((h[i] - h[taps - 1 - i]).abs() < 1e-12);
-                }
+    #[test]
+    fn designs_are_symmetric() {
+        for_each_seed(0xD5F6_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let (taps, cutoff) = (rng.range(3, 80), rng.uniform(0.05, 0.45));
+            let h = FirSpec::new(BandKind::Lowpass { cutoff }, taps).design().unwrap();
+            for i in 0..taps {
+                assert!((h[i] - h[taps - 1 - i]).abs() < 1e-12, "{taps} taps, cutoff {cutoff}");
             }
+        });
+    }
 
-            #[test]
-            fn prop_dc_gain_is_unity(taps in 9usize..80, cutoff in 0.05..0.45f64) {
-                let h = FirSpec::new(BandKind::Lowpass { cutoff }, taps).design().unwrap();
-                let dc: f64 = h.iter().sum();
-                prop_assert!((dc - 1.0).abs() < 1e-9);
-            }
-        }
+    #[test]
+    fn dc_gain_is_unity() {
+        for_each_seed(0xD5F7_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let (taps, cutoff) = (rng.range(9, 80), rng.uniform(0.05, 0.45));
+            let h = FirSpec::new(BandKind::Lowpass { cutoff }, taps).design().unwrap();
+            let dc: f64 = h.iter().sum();
+            assert!((dc - 1.0).abs() < 1e-9, "{taps} taps, cutoff {cutoff}");
+        });
     }
 }

@@ -146,6 +146,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     #[test]
     fn summary_of_empty_is_none() {
@@ -201,33 +202,29 @@ mod tests {
         Histogram::new(0.0, 1.0, 0);
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    #[test]
+    fn variance_nonnegative_and_shift_invariant() {
+        for_each_seed(0xD5F0_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let x: Vec<f64> = (0..rng.range(1, 50)).map(|_| rng.uniform(-100.0, 100.0)).collect();
+            let shift = rng.uniform(-10.0, 10.0);
+            let s1 = Summary::of(&x).unwrap();
+            let shifted: Vec<f64> = x.iter().map(|v| v + shift).collect();
+            let s2 = Summary::of(&shifted).unwrap();
+            assert!(s1.variance >= 0.0);
+            assert!((s1.variance - s2.variance).abs() < 1e-6 * (1.0 + s1.variance));
+        });
+    }
 
-        proptest! {
-            #[test]
-            fn prop_variance_nonnegative_and_shift_invariant(
-                x in proptest::collection::vec(-100.0..100.0f64, 1..50),
-                shift in -10.0..10.0f64,
-            ) {
-                let s1 = Summary::of(&x).unwrap();
-                let shifted: Vec<f64> = x.iter().map(|v| v + shift).collect();
-                let s2 = Summary::of(&shifted).unwrap();
-                prop_assert!(s1.variance >= 0.0);
-                prop_assert!((s1.variance - s2.variance).abs() < 1e-6 * (1.0 + s1.variance));
-            }
-
-            #[test]
-            fn prop_histogram_conserves_samples(
-                x in proptest::collection::vec(-2.0..2.0f64, 0..200)
-            ) {
-                let mut h = Histogram::new(-1.0, 1.0, 16);
-                h.extend_from(&x);
-                let binned: u64 = h.counts().iter().sum();
-                prop_assert_eq!(binned + h.outliers(), x.len() as u64);
-            }
-        }
+    #[test]
+    fn histogram_conserves_samples() {
+        for_each_seed(0xD5F1_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let x: Vec<f64> = (0..rng.below(200)).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let mut h = Histogram::new(-1.0, 1.0, 16);
+            h.extend_from(&x);
+            let binned: u64 = h.counts().iter().sum();
+            assert_eq!(binned + h.outliers(), x.len() as u64);
+        });
     }
 }

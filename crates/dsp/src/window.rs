@@ -109,6 +109,7 @@ pub fn bessel_i0(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{for_each_seed, Rng};
 
     #[test]
     fn degenerate_lengths() {
@@ -156,29 +157,25 @@ mod tests {
         assert!((high - 0.1102 * 71.3).abs() < 1e-12);
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_windows_symmetric_and_bounded(n in 2usize..64, which in 0usize..5) {
-                let w = match which {
-                    0 => Window::Rectangular,
-                    1 => Window::Hann,
-                    2 => Window::Hamming,
-                    3 => Window::Blackman,
-                    _ => Window::Kaiser { beta: 6.0 },
-                };
-                let c = w.coefficients(n);
-                prop_assert_eq!(c.len(), n);
-                for i in 0..n {
-                    prop_assert!(c[i] <= 1.0 + 1e-12);
-                    prop_assert!(c[i] >= -1e-12);
-                    prop_assert!((c[i] - c[n - 1 - i]).abs() < 1e-12, "asymmetric at {}", i);
-                }
+    #[test]
+    fn windows_symmetric_and_bounded() {
+        for_each_seed(0xD5F5_0000, 256, |seed| {
+            let mut rng = Rng::new(seed);
+            let n = rng.range(2, 64);
+            let w = match rng.below(5) {
+                0 => Window::Rectangular,
+                1 => Window::Hann,
+                2 => Window::Hamming,
+                3 => Window::Blackman,
+                _ => Window::Kaiser { beta: 6.0 },
+            };
+            let c = w.coefficients(n);
+            assert_eq!(c.len(), n);
+            for i in 0..n {
+                assert!(c[i] <= 1.0 + 1e-12);
+                assert!(c[i] >= -1e-12);
+                assert!((c[i] - c[n - 1 - i]).abs() < 1e-12, "{w:?} asymmetric at {i}");
             }
-        }
+        });
     }
 }

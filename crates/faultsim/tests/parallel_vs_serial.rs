@@ -1,82 +1,41 @@
 //! The load-bearing correctness property of the fault simulator: the
 //! staged 64-lane parallel engine must return *exactly* the detection
-//! cycles of one-fault-at-a-time serial simulation — on arbitrary
-//! netlists, universes and stage schedules, and at every worker-thread
-//! count.
-//!
-//! The deterministic tests below always run. The randomized
-//! (property-based) tests need the `proptest` crate and are gated
-//! behind the off-by-default `proptest` feature so the workspace
-//! builds offline; see the workspace `Cargo.toml` for how to re-enable
-//! them.
+//! cycles and signatures of one-fault-at-a-time serial simulation
+//! (`common::serial_reference`) at every stage schedule and
+//! worker-thread count. These are the fixed-netlist cases; the seeded
+//! random netlists are in `random_differential.rs`.
 
-use bist_faultsim::{FaultUniverse, ParallelFaultSimulator, SimOptions, StageSchedule};
+mod common;
+
+use bist_faultsim::{
+    FaultUniverse, ParallelFaultSimulator, SignatureConfig, SimOptions, StageSchedule,
+};
+use common::serial_reference;
 use rtl::range::{aligned_input_range, RangeAnalysis};
-use rtl::sim::{BitSlicedSim, CellFault};
-use rtl::{Netlist, NetlistBuilder, NodeId};
+use rtl::{Netlist, NetlistBuilder};
+use testkit::Rng;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Register(usize),
-    ShiftRight(usize, u32),
-    Add(usize, usize),
-    Sub(usize, usize),
-}
-
-fn build(width: u32, ops: &[Op]) -> Netlist {
-    let mut b = NetlistBuilder::new(width).expect("width valid");
-    let mut ids: Vec<NodeId> = vec![b.input("x")];
-    for op in ops {
-        let pick = |i: usize| ids[i % ids.len()];
-        let id = match *op {
-            Op::Register(s) => b.register(pick(s)),
-            Op::ShiftRight(s, k) => b.shift_right(pick(s), k),
-            Op::Add(a, c) => b.add(pick(a), pick(c)),
-            Op::Sub(a, c) => b.sub(pick(a), pick(c)),
-        };
-        ids.push(id);
-    }
-    let last = *ids.last().expect("nonempty");
-    b.output(last, "y");
-    b.finish().expect("DAG by construction")
-}
-
-fn serial_reference(n: &Netlist, u: &FaultUniverse, inputs: &[i64]) -> Vec<Option<u32>> {
-    u.ids()
-        .map(|fid| {
-            let site = u.site(fid);
-            let mut sim = BitSlicedSim::new(n);
-            sim.set_faults(
-                site.node,
-                vec![CellFault { cell: site.cell, fault: site.representative, lanes: 2 }],
-            );
-            for (cycle, &x) in inputs.iter().enumerate() {
-                sim.step(x);
-                if sim.output_diff_lanes(0) & 2 != 0 {
-                    return Some(cycle as u32);
-                }
-            }
-            None
-        })
-        .collect()
-}
+/// The workspace's tabulated 16-bit primitive polynomial
+/// (`x^16 + x^12 + x^3 + x + 1`).
+const SIG16: SignatureConfig = SignatureConfig { width: 16, poly: 0x1100B };
 
 /// A fixed netlist big enough to span several 63-fault shards: a short
 /// tapped delay line with adds, subs and shifts.
 fn sharded_fixture() -> Netlist {
-    let ops = [
-        Op::Register(0),
-        Op::Register(1),
-        Op::ShiftRight(0, 2),
-        Op::Add(1, 3),
-        Op::Register(4),
-        Op::Sub(4, 2),
-        Op::Add(5, 6),
-        Op::ShiftRight(7, 1),
-        Op::Add(7, 8),
-        Op::Sub(9, 0),
-    ];
-    build(10, &ops)
+    let mut b = NetlistBuilder::new(10).expect("width valid");
+    let x = b.input("x");
+    let d1 = b.register(x);
+    let d2 = b.register(d1);
+    let t0 = b.shift_right(x, 2);
+    let a1 = b.add(d1, t0);
+    let d3 = b.register(a1);
+    let s1 = b.sub(a1, d2);
+    let a2 = b.add(d3, s1);
+    let t1 = b.shift_right(a2, 1);
+    let a3 = b.add(a2, t1);
+    let y = b.sub(a3, x);
+    b.output(y, "y");
+    b.finish().expect("DAG by construction")
 }
 
 fn fixture_universe(n: &Netlist) -> FaultUniverse {
@@ -101,7 +60,10 @@ fn threaded_runs_are_bit_identical_to_single_threaded() {
     let baseline = ParallelFaultSimulator::new(&netlist, &universe)
         .with_options(SimOptions::new().with_schedule(schedule.clone()).with_threads(1))
         .run(&inputs);
-    assert_eq!(baseline.detection_cycles(), &serial_reference(&netlist, &universe, &inputs)[..]);
+    assert_eq!(
+        baseline.detection_cycles(),
+        &serial_reference(&netlist, &universe, &inputs, SIG16).detection[..]
+    );
 
     for threads in [2usize, 4, 8] {
         let run = ParallelFaultSimulator::new(&netlist, &universe)
@@ -125,7 +87,7 @@ fn stage_boundary_past_total_cycles_is_harmless() {
     // Boundaries beyond the run length (and a degenerate duplicate-free
     // in-range one) must not change results at any thread count.
     let schedule = StageSchedule::with_boundaries(vec![10, 1000, 4096]);
-    let serial = serial_reference(&netlist, &universe, &inputs);
+    let serial = serial_reference(&netlist, &universe, &inputs, SIG16).detection;
     for threads in [1usize, 3] {
         let run = ParallelFaultSimulator::new(&netlist, &universe)
             .with_options(SimOptions::new().with_schedule(schedule.clone()).with_threads(threads))
@@ -139,7 +101,12 @@ fn stage_boundary_past_total_cycles_is_harmless() {
 fn empty_universe_runs_with_worker_threads() {
     // A netlist whose only node chain carries no arithmetic yields an
     // empty fault universe; the sharded loop must handle zero shards.
-    let netlist = build(8, &[Op::Register(0), Op::ShiftRight(1, 1)]);
+    let mut b = NetlistBuilder::new(8).expect("width valid");
+    let x = b.input("x");
+    let d = b.register(x);
+    let t = b.shift_right(d, 1);
+    b.output(t, "y");
+    let netlist = b.finish().expect("DAG by construction");
     let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(8, 8));
     let universe = FaultUniverse::enumerate(&netlist, &ranges);
     assert!(universe.is_empty());
@@ -152,163 +119,78 @@ fn empty_universe_runs_with_worker_threads() {
     assert_eq!(run.total_cycles(), inputs.len() as u32);
 }
 
-#[cfg(feature = "proptest")]
-mod proptests {
-    use super::*;
-    use bist_faultsim::SignatureConfig;
-    use proptest::prelude::*;
+/// A three-tap FIR-ish structure with shifts and a subtractor.
+fn filterish(width: u32) -> Netlist {
+    let mut b = NetlistBuilder::new(width).expect("width valid");
+    let x = b.input("x");
+    let t0 = b.shift_right(x, 1);
+    let d1 = b.register(x);
+    let t1 = b.shift_right(d1, 2);
+    let a1 = b.add_labeled(t0, t1, "a1");
+    let d2 = b.register(d1);
+    let t2 = b.shift_right(d2, 3);
+    let a2 = b.sub_labeled(a1, t2, "a2");
+    b.output(a2, "y");
+    b.finish().expect("DAG by construction")
+}
 
-    fn op_strategy(max_src: usize) -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0..max_src).prop_map(Op::Register),
-            (0..max_src, 0u32..5).prop_map(|(s, k)| Op::ShiftRight(s, k)),
-            (0..max_src, 0..max_src).prop_map(|(a, b)| Op::Add(a, b)),
-            (0..max_src, 0..max_src).prop_map(|(a, b)| Op::Sub(a, b)),
-        ]
+fn universe(n: &Netlist) -> FaultUniverse {
+    let r = RangeAnalysis::analyze(n, aligned_input_range(n.width(), n.width()));
+    FaultUniverse::enumerate(n, &r)
+}
+
+fn pseudo_inputs(n: usize, width: u32) -> Vec<i64> {
+    let mut rng = Rng::new(0x0123_4567_89AB_CDEF);
+    (0..n).map(|_| rng.signed(width)).collect()
+}
+
+#[test]
+fn parallel_matches_serial_reference() {
+    let n = filterish(10);
+    let u = universe(&n);
+    let inputs = pseudo_inputs(100, 10);
+    let parallel = ParallelFaultSimulator::new(&n, &u)
+        .with_schedule(StageSchedule::with_boundaries(vec![16, 48]))
+        .run(&inputs);
+    let serial = serial_reference(&n, &u, &inputs, SIG16).detection;
+    assert_eq!(parallel.detection_cycles(), &serial[..]);
+}
+
+#[test]
+fn sharded_runs_match_serial_at_every_thread_count() {
+    let n = filterish(10);
+    let u = universe(&n);
+    let inputs = pseudo_inputs(150, 10);
+    let serial = serial_reference(&n, &u, &inputs, SIG16).detection;
+    for threads in [1usize, 2, 3, 4, 8] {
+        let result = ParallelFaultSimulator::new(&n, &u)
+            .with_schedule(StageSchedule::with_boundaries(vec![16, 48, 96]))
+            .with_threads(threads)
+            .run(&inputs);
+        assert_eq!(
+            result.detection_cycles(),
+            &serial[..],
+            "threads = {threads} diverged from serial"
+        );
     }
+}
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn parallel_equals_serial_on_random_netlists(
-            ops in proptest::collection::vec(op_strategy(10), 2..10),
-            inputs in proptest::collection::vec(-128i64..=127, 4..40),
-            boundaries in proptest::collection::btree_set(1u32..38, 0..4),
-        ) {
-            let netlist = build(8, &ops);
-            if netlist.arithmetic_ids().is_empty() {
-                return Ok(());
-            }
-            let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(8, 8));
-            let reach = rtl::reachability::Reachability::analyze(&netlist, 8);
-            let universe = FaultUniverse::enumerate_pruned(&netlist, &ranges, &reach);
-            if universe.is_empty() {
-                return Ok(());
-            }
-            let schedule = StageSchedule::with_boundaries(boundaries.into_iter().collect());
-            let parallel = ParallelFaultSimulator::new(&netlist, &universe)
-                .with_schedule(schedule)
-                .run(&inputs);
-            let serial = serial_reference(&netlist, &universe, &inputs);
-            prop_assert_eq!(parallel.detection_cycles(), &serial[..]);
-        }
-
-        #[test]
-        fn signature_verdicts_invariant_across_threads_and_schedules(
-            ops in proptest::collection::vec(op_strategy(10), 2..10),
-            inputs in proptest::collection::vec(-128i64..=127, 4..40),
-            boundaries in proptest::collection::btree_set(1u32..38, 0..4),
-            threads in 2usize..6,
-        ) {
-            // Signature-mode determinism: the per-fault end-of-test
-            // signatures, the good signature and the detection cycles
-            // must not depend on the worker-thread count or on where
-            // the StageSchedule places its repack boundaries.
-            let netlist = build(8, &ops);
-            if netlist.arithmetic_ids().is_empty() {
-                return Ok(());
-            }
-            let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(8, 8));
-            let reach = rtl::reachability::Reachability::analyze(&netlist, 8);
-            let universe = FaultUniverse::enumerate_pruned(&netlist, &ranges, &reach);
-            if universe.is_empty() {
-                return Ok(());
-            }
-            let cfg = SignatureConfig { width: 16, poly: 0x1100B };
-            let reference = ParallelFaultSimulator::new(&netlist, &universe)
-                .with_options(
-                    SimOptions::new()
-                        .with_schedule(StageSchedule::with_boundaries(vec![]))
-                        .with_threads(1)
-                        .with_signature(cfg),
-                )
-                .run(&inputs);
-            let schedule = StageSchedule::with_boundaries(boundaries.into_iter().collect());
-            let run = ParallelFaultSimulator::new(&netlist, &universe)
-                .with_options(
-                    SimOptions::new()
-                        .with_schedule(schedule)
-                        .with_threads(threads)
-                        .with_signature(cfg),
-                )
-                .run(&inputs);
-            prop_assert_eq!(run.detection_cycles(), reference.detection_cycles());
-            prop_assert_eq!(run.signatures(), reference.signatures());
-            prop_assert_eq!(run.aliased(), reference.aliased());
-        }
-
-        #[test]
-        fn pruned_universe_never_contains_more_than_unpruned(
-            ops in proptest::collection::vec(op_strategy(8), 2..8),
-        ) {
-            let netlist = build(8, &ops);
-            let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(8, 8));
-            let reach = rtl::reachability::Reachability::analyze(&netlist, 8);
-            let pruned = FaultUniverse::enumerate_pruned(&netlist, &ranges, &reach);
-            let plain = FaultUniverse::enumerate(&netlist, &ranges);
-            prop_assert!(pruned.len() <= plain.len());
-            prop_assert!(pruned.uncollapsed_len() <= plain.uncollapsed_len());
-        }
-
-        #[test]
-        fn pruning_never_removes_a_detectable_fault(
-            ops in proptest::collection::vec(op_strategy(8), 2..8),
-            inputs in proptest::collection::vec(-128i64..=127, 4..32),
-        ) {
-            // Soundness of redundancy elimination: every fault detected when
-            // simulating the UNPRUNED universe must still exist (and be
-            // detected at the same cycle) in the pruned universe's results.
-            let netlist = build(8, &ops);
-            if netlist.arithmetic_ids().is_empty() {
-                return Ok(());
-            }
-            let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(8, 8));
-            let reach = rtl::reachability::Reachability::analyze(&netlist, 8);
-            let plain = FaultUniverse::enumerate(&netlist, &ranges);
-            let pruned = FaultUniverse::enumerate_pruned(&netlist, &ranges, &reach);
-
-            let plain_result = ParallelFaultSimulator::new(&netlist, &plain).run(&inputs);
-            // Detected (site-identified) faults from the plain run.
-            let mut detected_sites = std::collections::HashSet::new();
-            for fid in plain.ids() {
-                if plain_result.detection_cycles()[fid.index()].is_some() {
-                    let s = plain.site(fid);
-                    detected_sites.insert((s.node, s.cell, s.representative));
-                }
-            }
-            // Every *representative* that was detected and survives pruning
-            // keeps its detectability; representatives removed by pruning
-            // must never have been detected (they are provably redundant).
-            let mut pruned_sites = std::collections::HashSet::new();
-            for fid in pruned.ids() {
-                let s = pruned.site(fid);
-                pruned_sites.insert((s.node, s.cell, s.representative));
-            }
-            for site in &detected_sites {
-                // A detected representative may have been merged into a
-                // different class representative under the tighter mask, so
-                // only assert on sites that vanish entirely: the (node, cell)
-                // must still carry some faults unless every fault there was
-                // pruned as redundant — in which case detection would have
-                // been impossible. Check the strong per-representative form
-                // only when the representative itself survives.
-                if pruned_sites.contains(site) {
-                    continue;
-                }
-                // Representative merged or pruned: the cell must still exist
-                // in the pruned universe if a fault there was detectable.
-                let cell_survives = pruned
-                    .sites()
-                    .iter()
-                    .any(|s| s.node == site.0 && s.cell == site.1);
-                prop_assert!(
-                    cell_survives,
-                    "cell {:?}/{} had a detectable fault but was fully pruned",
-                    site.0,
-                    site.1
-                );
-            }
-        }
-    }
+#[test]
+fn signature_mode_matches_serial_scalar_misrs() {
+    let n = filterish(10);
+    let u = universe(&n);
+    let inputs = pseudo_inputs(100, 10);
+    let serial = serial_reference(&n, &u, &inputs, SIG16);
+    let (good, per_fault) = (serial.good, serial.signatures);
+    let result = ParallelFaultSimulator::new(&n, &u)
+        .with_options(
+            SimOptions::new()
+                .with_schedule(StageSchedule::with_boundaries(vec![16, 48]))
+                .with_signature(SIG16),
+        )
+        .run(&inputs);
+    let sigs = result.signatures().expect("signature mode reports signatures");
+    assert_eq!(sigs.good, good);
+    assert_eq!(sigs.per_fault, per_fault);
+    assert_eq!(result.good_signature(), Some(good));
 }

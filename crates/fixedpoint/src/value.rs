@@ -279,62 +279,66 @@ mod tests {
         Fx::zero(fmt).bit(4);
     }
 
-    #[cfg(feature = "proptest")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    /// Every raw pair of the 8-bit Q1.7 format.
+    fn q8_pairs() -> impl Iterator<Item = (Fx, Fx)> {
+        let fmt = q(8, 7);
+        let all = move || (-128..=127).map(move |raw| Fx::from_raw(raw, fmt).unwrap());
+        all().flat_map(move |x| all().map(move |y| (x, y)))
+    }
 
-        proptest! {
-            #[test]
-            fn prop_round_trip_raw(raw in -32768i64..=32767) {
-                let fmt = q(16, 15);
-                let x = Fx::from_raw(raw, fmt).unwrap();
-                prop_assert_eq!(Fx::from_f64(x.to_f64(), fmt).unwrap(), x);
-            }
+    #[test]
+    fn round_trip_raw() {
+        let fmt = q(16, 15);
+        for raw in -32768..=32767 {
+            let x = Fx::from_raw(raw, fmt).unwrap();
+            assert_eq!(Fx::from_f64(x.to_f64(), fmt).unwrap(), x, "raw {raw}");
+        }
+    }
 
-            #[test]
-            fn prop_wrapping_add_is_modular(a in -128i64..=127, b in -128i64..=127) {
-                let fmt = q(8, 7);
-                let x = Fx::from_raw(a, fmt).unwrap();
-                let y = Fx::from_raw(b, fmt).unwrap();
-                let s = x.wrapping_add(y);
-                prop_assert_eq!((s.raw() - (a + b)).rem_euclid(256), 0);
-                prop_assert!(fmt.contains_raw(s.raw()));
-            }
+    #[test]
+    fn wrapping_add_is_modular() {
+        for (x, y) in q8_pairs() {
+            let s = x.wrapping_add(y);
+            assert_eq!((s.raw() - (x.raw() + y.raw())).rem_euclid(256), 0, "{x:?} + {y:?}");
+            assert!(x.format().contains_raw(s.raw()), "{x:?} + {y:?}");
+        }
+    }
 
-            #[test]
-            fn prop_add_commutes(a in -128i64..=127, b in -128i64..=127) {
-                let fmt = q(8, 7);
-                let x = Fx::from_raw(a, fmt).unwrap();
-                let y = Fx::from_raw(b, fmt).unwrap();
-                prop_assert_eq!(x.wrapping_add(y), y.wrapping_add(x));
-            }
+    #[test]
+    fn add_commutes() {
+        for (x, y) in q8_pairs() {
+            assert_eq!(x.wrapping_add(y), y.wrapping_add(x), "{x:?} + {y:?}");
+        }
+    }
 
-            #[test]
-            fn prop_sub_is_add_neg(a in -128i64..=127, b in -128i64..=127) {
-                let fmt = q(8, 7);
-                let x = Fx::from_raw(a, fmt).unwrap();
-                let y = Fx::from_raw(b, fmt).unwrap();
-                prop_assert_eq!(x.wrapping_sub(y), x.wrapping_add(y.wrapping_neg()));
-            }
+    #[test]
+    fn sub_is_add_neg() {
+        for (x, y) in q8_pairs() {
+            assert_eq!(x.wrapping_sub(y), x.wrapping_add(y.wrapping_neg()), "{x:?} - {y:?}");
+        }
+    }
 
-            #[test]
-            fn prop_shift_halves(raw in -32768i64..=32767, n in 0u32..8) {
-                let fmt = q(16, 15);
-                let x = Fx::from_raw(raw, fmt).unwrap();
-                let shifted = x.shifted_right(n);
+    #[test]
+    fn shift_halves() {
+        let fmt = q(16, 15);
+        for raw in -32768..=32767 {
+            let x = Fx::from_raw(raw, fmt).unwrap();
+            for n in 0..8 {
+                let shifted = x.shifted_right(n).to_f64();
                 let exact = x.to_f64() / 2f64.powi(n as i32);
                 // Truncation error is bounded by one LSB, always toward -inf.
-                prop_assert!(shifted.to_f64() <= exact + 1e-12);
-                prop_assert!(shifted.to_f64() > exact - fmt.lsb() - 1e-12);
+                assert!(shifted <= exact + 1e-12, "raw {raw} >> {n}");
+                assert!(shifted > exact - fmt.lsb() - 1e-12, "raw {raw} >> {n}");
             }
+        }
+    }
 
-            #[test]
-            fn prop_sign_extension_consistent(raw in -2048i64..=2047) {
-                let fmt = q(12, 11);
-                let x = Fx::from_raw(raw, fmt).unwrap();
-                prop_assert_eq!(fmt.sign_extend(x.to_bits()), raw);
-            }
+    #[test]
+    fn sign_extension_consistent() {
+        let fmt = q(12, 11);
+        for raw in -2048..=2047 {
+            let x = Fx::from_raw(raw, fmt).unwrap();
+            assert_eq!(fmt.sign_extend(x.to_bits()), raw);
         }
     }
 }

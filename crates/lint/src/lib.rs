@@ -118,9 +118,8 @@ pub fn lint_pairing(design: &FilterDesign, generator: &str, bins: usize) -> Vec<
 }
 
 /// Runs every pass over a campaign spec on the design's process-wide
-/// session ([`shared_session`]): the dataflow, testability, spectral,
-/// spec, response-compaction, top-off, SAT and structural passes in
-/// order.
+/// session ([`shared_session`]): the design passes ([`lint_design`])
+/// followed by the admission passes ([`admission_lint`]).
 ///
 /// # Errors
 ///
@@ -130,15 +129,8 @@ pub fn lint_campaign(
     deadline_ms: Option<u64>,
 ) -> Result<LintReport, SessionError> {
     spec.validate()?;
-    let session = shared_session(&spec.design)?;
-    let design = session.design();
-    let mut diagnostics = lint_design(design);
-    diagnostics.extend(lint_pairing(design, &spec.generator, DEFAULT_BINS));
-    diagnostics.extend(campaign::lint_spec(design, spec, deadline_ms));
-    diagnostics.extend(aliasing::lint_aliasing(design, spec));
-    diagnostics.extend(topoff::lint_topoff(design, spec));
-    diagnostics.extend(satcheck::lint_satcheck(session, spec));
-    diagnostics.extend(structural::lint_structure(session, spec));
+    let mut diagnostics = lint_design(shared_session(&spec.design)?.design());
+    diagnostics.extend(admission_lint(spec, deadline_ms)?);
     Ok(LintReport {
         design: spec.design.clone(),
         generator: Some(spec.generator.clone()),

@@ -15,8 +15,6 @@
 //! * [`JsonValue`] — a hand-rolled JSON writer *and* parser (no serde)
 //!   with insertion-ordered objects; the campaign daemon's wire
 //!   protocol and cache spill files ride on it.
-//! * [`JsonlSink`] — a thread-safe one-JSON-document-per-line event
-//!   writer.
 //! * [`RunArtifact`] — the structured end-of-run record (coverage,
 //!   missed-fault census by difficult-test class, per-stage durations)
 //!   that `bench`'s experiments binary aggregates into `BENCH_*.json`
@@ -50,7 +48,6 @@ pub mod diag;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod sink;
 pub mod span;
 
 pub use artifact::{
@@ -61,5 +58,4 @@ pub use diag::{Diagnostic, Location, Severity};
 pub use hist::{Histogram, HistogramSnapshot, DURATION_MS_BOUNDS};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Counter, Registry, Snapshot, SpanRecord};
-pub use sink::JsonlSink;
 pub use span::Span;

@@ -3,11 +3,12 @@
 //!
 //! Each case draws a single-input netlist over every builder node kind
 //! (constants, inverters, set-lsb ties, carry-save sum/carry pairs,
-//! registers and register chains, shifts, adders and subtractors), an
-//! input narrower than or as wide as the datapath, sometimes sign
-//! trimming, and a stimulus of aligned input samples. The reference is
-//! [`ScalarSim`], the plain simulator over [`bist_rtl::eval`]'s one
-//! word-level model. Every cycle, at every node:
+//! registers and register chains, shifts, adders and subtractors;
+//! sometimes with a second output), an input narrower than or as wide
+//! as the datapath, sometimes sign trimming, and a stimulus of aligned
+//! input samples. The reference is [`ScalarSim`], the plain simulator
+//! over [`bist_rtl::eval`]'s one word-level model. Every cycle, at
+//! every node:
 //!
 //! * the bit-sliced simulator's lanes 0 and 17 carry the reference
 //!   word;
@@ -21,80 +22,23 @@
 //! every input-pure node the word the reference holds once the sample
 //! has filled the pipeline.
 //!
-//! The generator is a hand-rolled xorshift, so the suite builds
-//! offline. It runs [`CASES`] seeded cases; a failure names its seed,
-//! and `BIST_RANDOM_SEED=<seed>` replays just that case.
+//! Netlists come from `testkit::random_netlist`. The suite runs
+//! [`CASES`] seeded cases; a failure names its seed, and
+//! `BIST_RANDOM_SEED=<seed>` replays just that case.
 
 use atpg::{ConeAnalysis, ConeEval, Purity};
 use bist_rtl::eval::{cell_combos, ScalarSim};
 use bist_rtl::range::{aligned_input_range, RangeAnalysis};
 use bist_rtl::reachability::Reachability;
 use bist_rtl::sim::BitSlicedSim;
-use bist_rtl::{Netlist, NetlistBuilder, NodeId, NodeKind};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use bist_rtl::{Netlist, NodeId, NodeKind};
+use testkit::{for_each_seed, random_netlist, Rng};
 
 /// Seeded cases per run.
 const CASES: u64 = 128;
 
 /// Cycles of stimulus per case.
 const CYCLES: usize = 48;
-
-/// Marsaglia xorshift64: small, seedable, dependency-free.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        // Splitmix the seed so neighbouring seeds diverge at once.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        XorShift((z ^ (z >> 31)) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// A random netlist over every builder node kind, and its input width.
-fn random_netlist(rng: &mut XorShift) -> (Netlist, u32) {
-    let width = 4 + rng.below(9) as u32; // 4..=12
-    let input_bits = width - rng.below(4) as u32;
-    let mut b = NetlistBuilder::new(width).expect("valid width");
-    let mut ids: Vec<NodeId> = vec![b.input("x")];
-    for _ in 0..3 + rng.below(16) {
-        let [x, y, z] = [0; 3].map(|_| ids[rng.below(ids.len())]);
-        let id = match rng.below(12) {
-            0 => b.constant(rng.next() as i64),
-            1 => b.not_word(x),
-            2 => b.set_lsb(x),
-            3 => {
-                let (sum, carry) = b.csa(x, y, z, "");
-                ids.push(sum);
-                carry
-            }
-            4 => b.register(x),
-            // A clean delay line on the input: its taps stay pure.
-            5 => (0..1 + rng.below(3)).fold(ids[0], |d, _| b.register(d)),
-            6 | 7 => b.shift_right(x, rng.below(width as usize + 1) as u32),
-            8 | 9 => b.add(x, y),
-            _ => b.sub(x, y),
-        };
-        ids.push(id);
-    }
-    let last = *ids.last().expect("nonempty");
-    let y = b.add(last, ids[rng.below(ids.len())]);
-    b.output(y, "y");
-    (b.finish().expect("operands point backwards"), input_bits)
-}
 
 /// Bit `i` of a raw word.
 fn bit(q: fixedpoint::QFormat, word: i64, i: u32) -> u8 {
@@ -145,19 +89,16 @@ fn check_csa_carry(netlist: &Netlist, carry: NodeId, sum: NodeId, values: &[i64]
 }
 
 fn check_case(seed: u64) {
-    let mut rng = XorShift::new(seed);
-    let (netlist, input_bits) = random_netlist(&mut rng);
-    let width = netlist.width();
+    let mut rng = Rng::new(seed);
+    let width = 4 + rng.below(9) as u32; // 4..=12
+    let input_bits = width - rng.below(4) as u32;
+    let nodes = 3 + rng.below(16);
+    let netlist = random_netlist(&mut rng, width, nodes);
     let ranges = RangeAnalysis::analyze(&netlist, aligned_input_range(input_bits, width));
     let netlist = if rng.below(2) == 0 { netlist.with_sign_trimming(&ranges) } else { netlist };
     let reach = Reachability::analyze(&netlist, input_bits);
     let align = width - input_bits;
-    let samples: Vec<i64> = (0..CYCLES)
-        .map(|_| {
-            let shift = 64 - input_bits;
-            (((rng.next() << shift) as i64) >> shift) << align
-        })
-        .collect();
+    let samples: Vec<i64> = (0..CYCLES).map(|_| rng.signed(input_bits) << align).collect();
 
     let mut scalar = ScalarSim::new(&netlist);
     let mut walker = BitSlicedSim::new(&netlist);
@@ -212,30 +153,7 @@ fn check_case(seed: u64) {
     }
 }
 
-/// The seed `BIST_RANDOM_SEED` names (decimal or `0x` hex), if set.
-fn replay_seed() -> Option<u64> {
-    let raw = std::env::var("BIST_RANDOM_SEED").ok()?;
-    let parsed = match raw.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    Some(parsed.unwrap_or_else(|_| panic!("BIST_RANDOM_SEED={raw} is not a number")))
-}
-
 #[test]
 fn word_model_agrees_with_the_simulator_and_the_analyses() {
-    let seeds: Vec<u64> = match replay_seed() {
-        Some(seed) => vec![seed],
-        None => (0..CASES).map(|i| 0x0E7A_0000 + i).collect(),
-    };
-    for seed in seeds {
-        if let Err(cause) = catch_unwind(AssertUnwindSafe(|| check_case(seed))) {
-            let detail = cause
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| cause.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            panic!("random netlist seed {seed:#x} failed ({detail}); replay with BIST_RANDOM_SEED={seed:#x}");
-        }
-    }
+    for_each_seed(0x0E7A_0000, CASES, check_case);
 }

@@ -611,6 +611,7 @@ mod tests {
     use crate::solver::SolveResult;
     use rtl::sim::{BitSlicedSim, CellFault};
     use rtl::NetlistBuilder;
+    use testkit::Rng;
 
     /// A small feed-forward netlist exercising every node kind except CSA.
     fn mixed_netlist(width: u32) -> Netlist {
@@ -689,22 +690,15 @@ mod tests {
         netlist.format().sign_extend(bits)
     }
 
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
     #[test]
     fn good_machine_matches_simulator_on_random_vectors() {
         for netlist in [mixed_netlist(10), csa_netlist(10)] {
-            let mut rng = 0xDEAD_BEEF_u64;
+            let mut rng = Rng::new(0xDEAD_BEEF);
             for round in 0..12 {
                 let len = 1 + (round % 5);
                 let seq: Vec<i64> = (0..len)
                     .map(|_| {
-                        let raw = xorshift(&mut rng) % (1 << 10);
+                        let raw = rng.next_u64() % (1 << 10);
                         netlist.format().sign_extend(raw)
                     })
                     .collect();
@@ -721,13 +715,13 @@ mod tests {
     fn faulty_machine_matches_simulator_on_every_line() {
         let netlist = mixed_netlist(8);
         let node = netlist.find_label("s").unwrap();
-        let mut rng = 0x1234_5678_u64;
+        let mut rng = Rng::new(0x1234_5678);
         for line in rtl::fulladder::ALL_LINES {
             for stuck_one in [false, true] {
                 let f = FaultSpec { node, cell: 1, fault: FaFault { line, stuck_one } };
                 let seq: Vec<i64> = (0..3)
                     .map(|_| {
-                        let raw = xorshift(&mut rng) % (1 << 8);
+                        let raw = rng.next_u64() % (1 << 8);
                         netlist.format().sign_extend(raw)
                     })
                     .collect();
@@ -745,14 +739,14 @@ mod tests {
     fn faulty_csa_pair_matches_simulator() {
         let netlist = csa_netlist(8);
         let sum_node = netlist.find_label("csa0").unwrap();
-        let mut rng = 0x0BAD_CAFE_u64;
+        let mut rng = Rng::new(0x0BAD_CAFE);
         for cell in [0u32, 3, 7] {
             for line in [Line::Sum, Line::Cout, Line::AStem, Line::X1And] {
                 let f =
                     FaultSpec { node: sum_node, cell, fault: FaFault { line, stuck_one: true } };
                 let seq: Vec<i64> = (0..4)
                     .map(|_| {
-                        let raw = xorshift(&mut rng) % (1 << 8);
+                        let raw = rng.next_u64() % (1 << 8);
                         netlist.format().sign_extend(raw)
                     })
                     .collect();

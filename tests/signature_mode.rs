@@ -71,8 +71,8 @@ fn lp_mini_roster_verdicts_are_identical_in_both_modes() {
 #[test]
 fn lp_mini_signature_goldens_hold_at_every_thread_count_and_schedule() {
     // The golden values are schedule- and thread-invariant — the
-    // real-design counterpart of the randomized determinism proptest
-    // in `crates/faultsim/tests/parallel_vs_serial.rs`.
+    // real-design counterpart of the seeded random netlists in
+    // `crates/faultsim/tests/random_differential.rs`.
     let d = mini();
     let session = BistSession::new(&d).expect("session");
     let base = RunConfig::new(VECTORS).with_response_check(ResponseCheck::Signature);
