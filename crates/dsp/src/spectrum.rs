@@ -176,16 +176,9 @@ mod tests {
 
     #[test]
     fn welch_mean_power_tracks_variance() {
-        // Deterministic pseudo-noise via an xorshift-style recurrence.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let x: Vec<f64> = (0..8192)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-            })
-            .collect();
+        // Seeded uniform noise on [-1, 1).
+        let mut rng = testkit::Rng::new(0x2545_F491_4F6C_DD1D);
+        let x: Vec<f64> = (0..8192).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mean = x.iter().sum::<f64>() / x.len() as f64;
         let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / x.len() as f64;
         let s = welch(&x, 512, Window::Hann).unwrap();

@@ -110,15 +110,8 @@ mod tests {
     }
 
     fn noise(n: usize) -> Vec<i64> {
-        let mut state = 0xBEEFu64;
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                fixedpoint::QFormat::new(10, 9).unwrap().sign_extend(state >> 54)
-            })
-            .collect()
+        let mut rng = testkit::Rng::new(0xBEEF);
+        (0..n).map(|_| rng.signed(10)).collect()
     }
 
     #[test]

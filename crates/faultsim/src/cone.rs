@@ -72,6 +72,9 @@ pub(crate) struct Cone {
     /// `(slot, rank in the stage trace)` of every boundary slot,
     /// ascending by slot; [`GoodTrace::record_stage`] assigns the ranks.
     pub(crate) boundary: Vec<(u32, u32)>,
+    /// The cone's nodes, ascending: a topological order even through
+    /// registers, which a cycle-lane machine runs in.
+    pub(crate) nodes: Vec<u32>,
 }
 
 impl Cone {
@@ -81,6 +84,7 @@ impl Cone {
             segments: tape.segments.clone(),
             latches: (0..tape.latches.len() as u32).collect(),
             boundary: Vec::new(),
+            nodes: (0..tape.node_ops.len() as u32).collect(),
         }
     }
 }
@@ -88,10 +92,10 @@ impl Cone {
 /// Per-run cone metadata: the fanout cone of every fault node.
 #[derive(Debug)]
 pub(crate) struct ConeIndex<'t> {
-    tape: &'t Tape,
+    pub(crate) tape: &'t Tape,
     /// Register ordinal of each node ([`Netlist::register_indices`]
     /// position), `NO_SLOT` for non-registers.
-    register_of: Vec<u32>,
+    pub(crate) register_of: Vec<u32>,
     /// Forward closure of each fault node (with a carry-save sum's
     /// paired carry node), as a node bitset; empty for other nodes.
     cones: Vec<Vec<u64>>,
@@ -168,9 +172,11 @@ impl<'t> ConeIndex<'t> {
             }
         }
 
+        let nodes: Vec<u32> = members(&union).map(|i| i as u32).collect();
         let mut ranges: Vec<(u32, u32)> = Vec::new();
         let mut latches: Vec<u32> = Vec::new();
-        for i in members(&union) {
+        for &i in &nodes {
+            let i = i as usize;
             match self.register_of[i] {
                 NO_SLOT => {
                     let (s, e) = t.node_ops[i];
@@ -228,7 +234,7 @@ impl<'t> ConeIndex<'t> {
             *r &= !(fixed | written);
         }
         let boundary = members(&read).map(|slot| (slot as u32, NO_SLOT)).collect();
-        Cone { segments, latches, boundary }
+        Cone { segments, latches, boundary, nodes }
     }
 }
 
@@ -340,14 +346,7 @@ impl<'i> GoodTrace<'i> {
         let w = tape.width;
         let block = self.evaluated;
         let in_base = tape.inputs[0].1 as usize;
-        let chunk = &self.inputs[block * 64..self.inputs.len().min(block * 64 + 64)];
-        for b in 0..w {
-            let mut plane = 0u64;
-            for (t, &x) in chunk.iter().enumerate() {
-                plane |= ((x as u64 >> b) & 1) << t;
-            }
-            self.buf[in_base + b] = plane;
-        }
+        input_planes(self.inputs, block, &mut self.buf[in_base..in_base + w]);
         for (i, &reg) in index.register_of.iter().enumerate() {
             if reg == NO_SLOT {
                 let (s, e) = tape.node_ops[i];
@@ -467,6 +466,21 @@ impl<'i> GoodTrace<'i> {
         }
     }
 
+    /// The fault-free output planes of `cycle`'s block and of every
+    /// later block evaluated so far, block-major, each block's planes in
+    /// [`Netlist::output_ids`] order, `width` per output. Taking the
+    /// outputs before `cycle` ([`GoodTrace::take_outputs`]) leaves
+    /// `cycle`'s block the first one held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the planes of an earlier block are still held, or
+    /// those of `cycle`'s block are gone.
+    pub(crate) fn outputs_from(&self, cycle: u32) -> &[u64] {
+        assert_eq!(cycle as usize / 64, self.outputs_from, "outputs taken up to cycle {cycle}");
+        &self.outputs
+    }
+
     /// The fault-free register state entering `cycle` (one of the
     /// snapshot cycles, once its block is evaluated).
     ///
@@ -479,6 +493,16 @@ impl<'i> GoodTrace<'i> {
             .binary_search_by_key(&cycle, |&(c, _)| c)
             .unwrap_or_else(|_| panic!("no register snapshot at cycle {cycle}"));
         &self.snapshots[i].1
+    }
+}
+
+/// Fills `planes[b]` with bit `b` of the input words of 64-cycle block
+/// `block`: lane `t` is cycle `64 * block + t`; lanes past the end of
+/// the test read zero.
+pub(crate) fn input_planes(inputs: &[i64], block: usize, planes: &mut [u64]) {
+    let chunk = &inputs[block * 64..inputs.len().min(block * 64 + 64)];
+    for (b, plane) in planes.iter_mut().enumerate() {
+        *plane = chunk.iter().enumerate().fold(0, |p, (t, &x)| p | ((x as u64 >> b) & 1) << t);
     }
 }
 

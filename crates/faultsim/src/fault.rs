@@ -488,12 +488,9 @@ mod tests {
         let q = fixedpoint::QFormat::new(10, 9).unwrap();
         let mut prev = 0i64;
         let mut observed = [0u8; 10];
-        let mut state = 0xACE1u64;
+        let mut rng = testkit::Rng::new(0xACE1);
         for _ in 0..2000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let v = q.sign_extend(state >> 54);
+            let v = rng.signed(10);
             let a_bits = q.to_bits(v);
             let b_bits = q.to_bits(prev >> 3);
             let b_line = !b_bits;

@@ -424,14 +424,7 @@ impl Tape {
             "every (node, bit) plane must resolve to a physical slot"
         );
 
-        // Uniform-kind segments over the finished tape.
-        let mut segments: Vec<(OpKind, u32, u32)> = Vec::new();
-        for (op, &k) in kind.iter().enumerate() {
-            match segments.last_mut() {
-                Some((sk, _, end)) if *sk == k && *end == op as u32 => *end = op as u32 + 1,
-                _ => segments.push((k, op as u32, op as u32 + 1)),
-            }
-        }
+        let segments = uniform_runs(&kind);
 
         let outputs =
             netlist.output_ids().iter().map(|out| slot_of[out.index() * w]).collect::<Vec<_>>();
@@ -488,6 +481,23 @@ impl Tape {
             .iter()
             .filter(|k| !matches!(k, OpKind::Not | OpKind::Copy | OpKind::Carry))
             .count()
+    }
+
+    /// The tape ops a fault on `cell` of arithmetic node `node` patches:
+    /// the cell's own op, plus, for a carry-save sum node, the paired
+    /// carry node's op, because the cell's gates also drive that node's
+    /// bit `cell + 1` (the top cell's carry is discarded, hence no op).
+    /// Cells above the trimmed MSB have no hardware and patch nothing;
+    /// the walker's per-bit fault scan never reaches them either.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` (a node index) is not an arithmetic node.
+    pub(crate) fn cell_ops(&self, node: u32, cell: u32) -> impl Iterator<Item = u32> {
+        let info = self.arith[&node];
+        let own = (cell <= info.top).then_some(info.base_op + cell);
+        let carry = info.carry_base.filter(|_| cell < info.top).map(|base| base + cell);
+        own.into_iter().chain(carry)
     }
 
     /// Number of uniform-kind segments the hot loop executes.
@@ -556,7 +566,7 @@ impl Tape {
 
 /// The faulted words of one patched op: `(word, folded line masks)`
 /// entries sorted by word index.
-type WordPatches = Vec<(u32, LineMasks)>;
+pub(crate) type WordPatches = Vec<(u32, LineMasks)>;
 
 /// A machine executing a [`Tape`]: the engine behind the parallel
 /// fault simulator.
@@ -752,31 +762,9 @@ impl<'t> KernelSim<'t> {
     fn rebuild_patches(&mut self) {
         let mut per_op: BTreeMap<u32, BTreeMap<u32, Vec<(FaFault, u64)>>> = BTreeMap::new();
         for (&(word, node), faults) in &self.node_faults {
-            let info = self.tape.arith[&node];
             for f in faults {
-                // Cells above the trimmed MSB have no hardware; the
-                // walker's per-bit fault scan never reaches them.
-                if f.cell > info.top {
-                    continue;
-                }
-                per_op
-                    .entry(info.base_op + f.cell)
-                    .or_default()
-                    .entry(word)
-                    .or_default()
-                    .push((f.fault, f.lanes));
-                // A carry-save cell's gates also drive the paired
-                // carry node's bit+1 output (the top cell's carry is
-                // discarded, hence no op to patch).
-                if let Some(carry_base) = info.carry_base {
-                    if f.cell < info.top {
-                        per_op
-                            .entry(carry_base + f.cell)
-                            .or_default()
-                            .entry(word)
-                            .or_default()
-                            .push((f.fault, f.lanes));
-                    }
+                for op in self.tape.cell_ops(node, f.cell) {
+                    per_op.entry(op).or_default().entry(word).or_default().push((f.fault, f.lanes));
                 }
             }
         }
@@ -864,25 +852,8 @@ impl<'t> KernelSim<'t> {
         let (program, w) = (&self.program, self.words);
         let ops = &program.streams[self.phase];
         let buf = &mut self.buf[..];
-        if self.patches.is_empty() {
-            for &(k, lo, hi) in &program.segments {
-                run_segment(ops, buf, w, k, lo as usize, hi as usize);
-            }
-        } else {
-            // Split the straight-line stream at the patch points: clean
-            // runs stay on the segment fast path, each patched cell
-            // runs on it too and then recomputes its faulted words
-            // through the masked gate model, preserving the carry chain
-            // through it.
-            let mut seg = 0usize;
-            let mut cursor = 0u32;
-            for (op, words) in &self.patches {
-                seg = run_range(&program.segments, ops, buf, w, seg, cursor, *op);
-                run_patched(program.kind[*op as usize], ops, buf, w, *op as usize, words);
-                cursor = op + 1;
-            }
-            run_range(&program.segments, ops, buf, w, seg, cursor, program.op_count() as u32);
-        }
+        let end = program.op_count() as u32;
+        PatchWalk::new(&self.patches).run_to(&program.segments, &program.kind, ops, buf, w, end);
         for &(dst, src) in &program.copies[self.phase] {
             let src = src as usize * w;
             buf.copy_within(src..src + w, dst as usize * w);
@@ -1114,6 +1085,64 @@ impl<'t> KernelSim<'t> {
                 self.set_state_bit(r * w + b, word, lane, (bits >> b) & 1 == 1);
             }
         }
+    }
+}
+
+/// Groups a straight-line op list into maximal uniform-kind runs
+/// `(kind, start, end)`, which the hot loop executes without per-op
+/// dispatch.
+pub(crate) fn uniform_runs(kind: &[OpKind]) -> Vec<(OpKind, u32, u32)> {
+    let mut runs: Vec<(OpKind, u32, u32)> = Vec::new();
+    for (op, &k) in kind.iter().enumerate() {
+        match runs.last_mut() {
+            Some((rk, _, end)) if *rk == k => *end = op as u32 + 1,
+            _ => runs.push((k, op as u32, op as u32 + 1)),
+        }
+    }
+    runs
+}
+
+/// A walk through one step of a machine's op stream that stops at its
+/// patched ops: clean runs stay on the segment fast path, and each
+/// patched cell runs on it too and then recomputes its faulted words
+/// through the masked gate model, preserving the carry chain through
+/// it.
+pub(crate) struct PatchWalk<'p> {
+    /// Patches not yet run, sorted by op.
+    patches: &'p [(u32, WordPatches)],
+    /// Segment the walk resumes in.
+    seg: usize,
+    /// First op not yet run.
+    op: u32,
+}
+
+impl<'p> PatchWalk<'p> {
+    /// A walk from op 0 over a stream with `patches` (sorted by op).
+    pub(crate) fn new(patches: &'p [(u32, WordPatches)]) -> Self {
+        PatchWalk { patches, seg: 0, op: 0 }
+    }
+
+    /// Runs the stream's ops up to `to` (exclusive) over `buf`, which
+    /// holds `words` words per slot.
+    pub(crate) fn run_to(
+        &mut self,
+        segments: &[(OpKind, u32, u32)],
+        kind: &[OpKind],
+        ops: &Operands,
+        buf: &mut [u64],
+        words: usize,
+        to: u32,
+    ) {
+        while let Some(((op, patch), rest)) =
+            self.patches.split_first().filter(|((op, _), _)| *op < to)
+        {
+            self.seg = run_range(segments, ops, buf, words, self.seg, self.op, *op);
+            run_patched(kind[*op as usize], ops, buf, words, *op as usize, patch);
+            self.op = op + 1;
+            self.patches = rest;
+        }
+        self.seg = run_range(segments, ops, buf, words, self.seg, self.op, to);
+        self.op = to;
     }
 }
 
@@ -1404,14 +1433,8 @@ mod tests {
     }
 
     fn pseudo_inputs(width: u32, n: usize) -> Vec<i64> {
-        let hi = (1i64 << (width - 1)) - 1;
-        let mut x = 0x1234_5678u64;
-        (0..n)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((x >> 16) as i64 % (2 * hi + 1)) - hi
-            })
-            .collect()
+        let mut rng = testkit::Rng::new(0x1234_5678);
+        (0..n).map(|_| rng.signed(width)).collect()
     }
 
     fn assert_machines_agree(netlist: &Netlist, walker: &BitSlicedSim<'_>, kernel: &KernelSim<'_>) {

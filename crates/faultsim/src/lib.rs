@@ -22,7 +22,10 @@
 //!   folds its output stream into a per-lane MISR, so the run also
 //!   reports end-of-test signatures and the exact set of
 //!   compare-detected faults that would escape a signature-only check
-//!   ([`FaultSimResult::aliased`]).
+//!   ([`FaultSimResult::aliased`]). A compare-mode tail too small to
+//!   fill every thread runs *cycle-lane* instead: one fault per word,
+//!   lane `t` being cycle `t` of a 64-cycle block, with the same
+//!   results.
 //! * [`kernel`] — the execution engine: the netlist compiled once into
 //!   a flat structure-of-arrays op tape ([`Tape`]) run by a
 //!   straight-line machine ([`KernelSim`]). Tests hold it bit-identical
@@ -59,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 mod cone;
+mod cycle;
 mod fault;
 mod program;
 mod sim;

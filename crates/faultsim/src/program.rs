@@ -22,7 +22,7 @@
 //! `kernel` module docs.
 
 use crate::cone::Cone;
-use crate::kernel::{OpKind, Operands, Tape, NO_SLOT};
+use crate::kernel::{uniform_runs, OpKind, Operands, Tape, NO_SLOT};
 
 /// Per tape slot: written by the program every cycle.
 const WRITTEN: u8 = 1;
@@ -147,13 +147,7 @@ impl Program {
             }
         });
         let kind: Vec<OpKind> = tape_op.iter().map(|&op| tape.kind[op as usize]).collect();
-        let mut segments: Vec<(OpKind, u32, u32)> = Vec::new();
-        for (op, &k) in kind.iter().enumerate() {
-            match segments.last_mut() {
-                Some((sk, _, end)) if *sk == k => *end = op as u32 + 1,
-                _ => segments.push((k, op as u32, op as u32 + 1)),
-            }
-        }
+        let segments = uniform_runs(&kind);
         let input = [0, 1].map(|q| match tape.inputs.first() {
             Some(&(_, base)) => (base..base + w).map(|s| at(s, q)).collect(),
             None => Vec::new(),

@@ -1,4 +1,5 @@
-use crate::cone::{Cone, ConeIndex, GoodTrace, StageTrace};
+use crate::cone::{input_planes, Cone, ConeIndex, GoodTrace, StageTrace};
+use crate::cycle::{LaneFault, LaneMachine, LaneProgram};
 use crate::fault::{FaultId, FaultUniverse};
 use crate::kernel::{KernelSim, Tape};
 use obs::Registry;
@@ -9,7 +10,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A shared cooperative-cancellation handle: an atomic flag plus an
@@ -227,10 +228,21 @@ impl SimOptions {
     }
 
     /// Attaches a metric registry. The simulator records per-stage
-    /// spans (`faultsim.stage<i>`), per-shard and merge latency
+    /// spans (`faultsim.stage<i>`), per-dispatch and merge latency
     /// histograms (`faultsim.shard_ms`, `faultsim.merge_ms`) and
     /// stage/shard/fault counters into it. Purely observational:
     /// detection results are bit-identical with and without metrics.
+    ///
+    /// `faultsim.stages`, `faultsim.shards` and `faultsim.groups` count,
+    /// per stage entered, one stage, ⌈survivors / 63⌉ shards and
+    /// ⌈shards / 16⌉ groups: the fault-lane packing of the stage's
+    /// survivors, whichever executor runs the stage, so the three are a
+    /// function of the detection map alone.
+    /// `faultsim.stage<i>.survivors` counts the faults entering stage
+    /// `i`. A compare-mode tail stage that runs cycle-lane adds its
+    /// survivors to `faultsim.cycle_lane_faults`, its machines to
+    /// `faultsim.cycle_lane_machines` and the 64-cycle blocks they run
+    /// to `faultsim.cycle_lane_blocks`.
     pub fn with_metrics(mut self, metrics: Arc<Registry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -479,6 +491,10 @@ struct Stage<'s> {
     /// The fault-free register state leaving the stage: the state of
     /// every register outside a group's cone.
     good_end: &'s [u64],
+    /// A cycle-lane stage's fault-free output planes, block-major from
+    /// the block of `start` ([`GoodTrace::outputs_from`]); empty for a
+    /// fault-lane stage, whose lane 0 is the good machine.
+    good_outputs: &'s [u64],
     /// Carried states of the faults that survived earlier stages,
     /// indexed by [`FaultId::index`].
     states: &'s [Option<MachineState>],
@@ -631,22 +647,56 @@ impl<'a> ParallelFaultSimulator<'a> {
                 return Err(Cancelled { at_cycle: start });
             }
             let stage_span = metrics.map(|m| obs::span!(m, "faultsim.stage{}", stage_index));
+            // The counters count shards and groups as the fault-lane
+            // scheduler packs them, whichever executor runs the stage,
+            // so they stay a pure function of the detection map.
             let shards: Vec<&[FaultId]> = active.chunks(LANES_PER_PASS).collect();
             let groups: Vec<&[&[FaultId]]> = shards.chunks(KERNEL_WORDS).collect();
-            let workers = threads.min(groups.len());
+            // A compare-mode tail too small to give every thread a full
+            // group runs cycle-lane: one fault per word, 64 cycles per
+            // pass (the `cycle` module), in machines of up to
+            // `KERNEL_WORDS` faults, same node first.
+            let cycle_lane = stage_index > 0
+                && self.options.signature.is_none()
+                && shards.len() < threads * KERNEL_WORDS;
+            let machines: Vec<&[FaultId]> =
+                if cycle_lane { active.chunks(KERNEL_WORDS).collect() } else { Vec::new() };
             if let Some(m) = metrics {
                 m.counter("faultsim.stages").inc();
                 m.counter("faultsim.shards").add(shards.len() as u64);
                 m.counter("faultsim.groups").add(groups.len() as u64);
+                m.counter(&format!("faultsim.stage{stage_index}.survivors"))
+                    .add(active.len() as u64);
+                if cycle_lane {
+                    m.counter("faultsim.cycle_lane_faults").add(active.len() as u64);
+                    m.counter("faultsim.cycle_lane_machines").add(machines.len() as u64);
+                }
             }
-            let mut group_cones: Vec<Cone> = groups
-                .iter()
-                .map(|g| {
-                    let sites = g.iter().flat_map(|shard| shard.iter());
-                    cones.group_cone(sites.map(|&fid| self.universe.site(fid).node))
-                })
-                .collect();
-            let stage_trace = trace.record_stage(start, end, &mut group_cones);
+            let node = |fid: &FaultId| self.universe.site(*fid).node;
+            // Neighbouring machines over the same fault nodes share one
+            // cone and one compiled program, which the first worker to
+            // need it builds.
+            let mut cone_of_machine: Vec<usize> = Vec::with_capacity(machines.len());
+            let mut machine_nodes: Vec<Vec<rtl::NodeId>> = Vec::new();
+            for m in &machines {
+                let mut nodes: Vec<rtl::NodeId> = m.iter().map(node).collect();
+                nodes.dedup();
+                if machine_nodes.last() != Some(&nodes) {
+                    machine_nodes.push(nodes);
+                }
+                cone_of_machine.push(machine_nodes.len() - 1);
+            }
+            let programs: Vec<OnceLock<LaneProgram>> =
+                machine_nodes.iter().map(|_| OnceLock::new()).collect();
+            let mut unit_cones: Vec<Cone> = if cycle_lane {
+                machine_nodes.iter().map(|nodes| cones.group_cone(nodes.iter().copied())).collect()
+            } else {
+                groups
+                    .iter()
+                    .map(|g| cones.group_cone(g.iter().flat_map(|shard| shard.iter()).map(node)))
+                    .collect()
+            };
+            let stage_trace = trace.record_stage(start, end, &mut unit_cones);
             good.take(&mut trace, start);
             if let Some(m) = metrics {
                 m.histogram("faultsim.trace_words").record(stage_trace.word_count() as f64);
@@ -662,40 +712,23 @@ impl<'a> ParallelFaultSimulator<'a> {
                     misr: good.misr.as_ref().map_or(0, Misr::signature),
                 },
                 good_end: trace.registers_at(end),
+                good_outputs: if cycle_lane { trace.outputs_from(start) } else { &[] },
                 states: &states,
             };
-            let run_group =
-                |i: usize| self.simulate_shard_group(&stage, groups[i], &group_cones[i]);
-
-            let outcomes: Vec<ShardOutcome> = if workers <= 1 {
-                (0..groups.len()).map(run_group).collect()
+            let outcomes: Vec<ShardOutcome> = if cycle_lane {
+                dispatch(threads, machines.len(), |i| {
+                    let c = cone_of_machine[i];
+                    let program =
+                        programs[c].get_or_init(|| LaneProgram::compile(cones, &unit_cones[c]));
+                    self.simulate_cycle_lane(&stage, program, machines[i])
+                })
             } else {
-                // Workers pull group indices from a shared counter so a
-                // straggler group cannot serialize the stage.
-                let next = AtomicUsize::new(0);
-                let collected: Mutex<Vec<(usize, ShardOutcome)>> =
-                    Mutex::new(Vec::with_capacity(groups.len()));
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| {
-                            let mut local: Vec<(usize, ShardOutcome)> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= groups.len() {
-                                    break;
-                                }
-                                local.push((i, run_group(i)));
-                            }
-                            collected.lock().expect("no panics hold the lock").extend(local);
-                        });
-                    }
-                });
-                let mut indexed = collected.into_inner().expect("workers joined");
-                indexed.sort_by_key(|&(i, _)| i);
-                indexed.into_iter().map(|(_, o)| o).collect()
+                dispatch(threads, groups.len(), |i| {
+                    self.simulate_shard_group(&stage, groups[i], &unit_cones[i])
+                })
             };
 
-            // Stage-boundary merge, in shard order.
+            // Stage-boundary merge, in shard (or machine) order.
             let merge_started = metrics.map(|_| Instant::now());
             for &fid in &active {
                 states[fid.index()] = None;
@@ -878,6 +911,96 @@ impl<'a> ParallelFaultSimulator<'a> {
         ShardOutcome { detections, survivors }
     }
 
+    /// Simulates up to [`KERNEL_WORDS`] faults over one stage on a
+    /// cycle-lane machine (the `cycle` module) running `program`, the
+    /// union cone of their nodes: one fault per word, one 64-cycle block per
+    /// pass, each word entering from its fault's stage-entry state. A
+    /// fault's first detection is the lowest lane of the first block
+    /// where its outputs differ from the good trace's, counted only from
+    /// the stage's first cycle; it then leaves the machine, which
+    /// narrows to the next power of two once half its words are done.
+    /// The survivors' states are read from the stage's last cycle.
+    fn simulate_cycle_lane(
+        &self,
+        stage: &Stage<'_>,
+        program: &LaneProgram,
+        faults: &[FaultId],
+    ) -> ShardOutcome {
+        let metrics = self.options.metrics.as_deref();
+        let started = metrics.map(|_| Instant::now());
+        let lane_faults = faults.iter().map(|&fid| {
+            let site = self.universe.site(fid);
+            LaneFault {
+                node: site.node.index() as u32,
+                cell: site.cell,
+                fault: site.representative,
+            }
+        });
+        let entry: Vec<&[u64]> = faults
+            .iter()
+            .map(|fid| stage.states[fid.index()].as_ref().map_or(&stage.good.regs, |s| &s.regs))
+            .map(|regs| &regs[..])
+            .collect();
+        let mut machine = LaneMachine::new(stage.tape, program, lane_faults.collect(), &entry);
+        let buffer_words = machine.buffer_words();
+
+        let width = stage.tape.width;
+        let planes = stage.tape.outputs.len() * width;
+        let mut input = vec![0u64; width];
+        // `live[k]`: the fault of word `k` while it is undetected.
+        let mut live: Vec<Option<FaultId>> = faults.iter().copied().map(Some).collect();
+        let mut detections: Vec<(FaultId, u32)> = Vec::new();
+        let (first, last) = (stage.start / 64, (stage.end - 1) / 64);
+        let (mut blocks, mut patched_ops) = (0u64, 0u64);
+        for block in first..=last {
+            let base = 64 * block;
+            let entry_lane = stage.start.max(base) - base;
+            let stage_lanes = (!0u64 << entry_lane) & (!0u64 >> (64 - (stage.end - base).min(64)));
+            input_planes(stage.inputs, block as usize, &mut input);
+            machine.run_block(&input, stage.trace.block_row(base).0, entry_lane);
+            blocks += 1;
+            patched_ops += machine.patched_ops() as u64;
+            let good = &stage.good_outputs[(block - first) as usize * planes..][..planes];
+            for (k, slot) in live.iter_mut().enumerate() {
+                let Some(fid) = *slot else { continue };
+                let diff = machine.output_diff(k, good) & stage_lanes;
+                if diff != 0 {
+                    detections.push((fid, base + diff.trailing_zeros()));
+                    *slot = None;
+                }
+            }
+            let remaining = live.iter().filter(|f| f.is_some()).count();
+            if remaining == 0 {
+                break;
+            }
+            // The survivors' states come from the last block's planes,
+            // so the machine narrows only between blocks.
+            if block < last && remaining <= machine.words() / 2 {
+                let keep: Vec<usize> = (0..live.len()).filter(|&k| live[k].is_some()).collect();
+                machine.retain(&keep);
+                live.retain(Option::is_some);
+            }
+        }
+        let lane = (stage.end - 1) % 64;
+        let survivors = live
+            .iter()
+            .enumerate()
+            .filter_map(|(k, fid)| fid.map(|fid| (k, fid)))
+            .map(|(k, fid)| {
+                (fid, MachineState { regs: machine.state(k, lane, stage.good_end), misr: 0 })
+            })
+            .collect();
+        if let (Some(m), Some(t)) = (metrics, started) {
+            m.histogram("faultsim.shard_ms").record(t.elapsed().as_secs_f64() * 1000.0);
+            m.counter("faultsim.cycle_lane_blocks").add(blocks);
+            m.counter("faultsim.ops_executed").add(program.op_count() as u64 * blocks);
+            m.counter("faultsim.tape_ops").add(stage.tape.op_count() as u64 * blocks);
+            m.counter("faultsim.patched_ops").add(patched_ops);
+            m.histogram("faultsim.group_buffer_words").record(buffer_words as f64);
+        }
+        ShardOutcome { detections, survivors }
+    }
+
     /// A shard's faults batched per node, slot `i` on lane `i + 1`.
     fn shard_faults(&self, shard: &[FaultId]) -> HashMap<rtl::NodeId, Vec<CellFault>> {
         let mut per_node: HashMap<rtl::NodeId, Vec<CellFault>> = HashMap::new();
@@ -960,6 +1083,36 @@ impl<'a> ParallelFaultSimulator<'a> {
     }
 }
 
+/// Runs `run(i)` for every `i < count` on up to `threads` scoped
+/// workers and returns the results in index order. Workers pull indices
+/// from a shared counter, so a straggler cannot serialize the stage.
+fn dispatch<T: Send>(threads: usize, count: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = threads.min(count);
+    if workers <= 1 {
+        return (0..count).map(run).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut local: Vec<(usize, T)> = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    local.push((i, run(i)));
+                }
+                collected.lock().expect("no panics hold the lock").extend(local);
+            });
+        }
+    });
+    let mut indexed = collected.into_inner().expect("workers joined");
+    indexed.sort_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
 /// The lanes a shard's faults occupy: lanes `1..=shard.len()`.
 fn fault_lanes(shard: &[FaultId]) -> u64 {
     ((1u64 << shard.len()) - 1) << 1
@@ -1010,23 +1163,29 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// A delay line below a faulted adder: `a` feeds register `p1`,
+    /// which feeds register `p2` (a register-fed register), which feeds
+    /// the output adder.
+    fn delay_chain() -> Netlist {
+        let mut b = NetlistBuilder::new(8).unwrap();
+        let x = b.input("x");
+        let d = b.register(x);
+        let a = b.add_labeled(x, d, "a");
+        let p1 = b.register(a);
+        let p2 = b.register(p1);
+        let y = b.add_labeled(p2, x, "y");
+        b.output(y, "y");
+        b.finish().unwrap()
+    }
+
     fn universe(n: &Netlist) -> FaultUniverse {
         let r = RangeAnalysis::analyze(n, aligned_input_range(n.width(), n.width()));
         FaultUniverse::enumerate(n, &r)
     }
 
     fn pseudo_inputs(n: usize, width: u32) -> Vec<i64> {
-        let mut state = 0x123456789ABCDEFu64;
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                fixedpoint::QFormat::new(width, width - 1)
-                    .unwrap()
-                    .sign_extend(state >> (64 - width))
-            })
-            .collect()
+        let mut rng = testkit::Rng::new(0x0123_4567_89AB_CDEF);
+        (0..n).map(|_| rng.signed(width)).collect()
     }
 
     #[test]
@@ -1121,6 +1280,26 @@ mod tests {
             "16/48 boundaries over 150 cycles give at most 3 stages, got {stages}"
         );
         assert!(s.counters["faultsim.shards"] >= stages, "one shard minimum per stage");
+        // Shards and groups are counted as the fault-lane scheduler packs
+        // each stage's survivors, whichever executor ran the stage. Every
+        // stage after the first is small enough to run cycle-lane here,
+        // in machines of up to 16 faults.
+        let survivors: Vec<u64> =
+            (0..stages).map(|i| s.counters[&format!("faultsim.stage{i}.survivors")]).collect();
+        assert_eq!(survivors[0], u.len() as u64);
+        let shards = |faults: u64| faults.div_ceil(LANES_PER_PASS as u64);
+        let groups = |faults: u64| shards(faults).div_ceil(KERNEL_WORDS as u64);
+        assert_eq!(s.counters["faultsim.shards"], survivors.iter().map(|&f| shards(f)).sum());
+        assert_eq!(s.counters["faultsim.groups"], survivors.iter().map(|&f| groups(f)).sum());
+        let tail = &survivors[1..];
+        assert!(tail.iter().sum::<u64>() > 0, "some fault survives the first stage");
+        assert_eq!(s.counters["faultsim.cycle_lane_faults"], tail.iter().sum());
+        let machines: u64 = tail.iter().map(|&f| f.div_ceil(KERNEL_WORDS as u64)).sum();
+        assert_eq!(s.counters["faultsim.cycle_lane_machines"], machines);
+        // A machine runs at most every block its stage touches: the
+        // 16..48 and 48..150 stages touch 1 and 3 blocks.
+        let blocks = s.counters["faultsim.cycle_lane_blocks"];
+        assert!(machines <= blocks && blocks <= 3 * machines, "{blocks} blocks");
         assert_eq!(
             s.counters["faultsim.faults_detected"] + s.counters["faultsim.faults_undetected"],
             u.len() as u64
@@ -1134,9 +1313,10 @@ mod tests {
             );
         }
         // The dispatch-latency histogram samples once per machine
-        // dispatch — a group of shards — so it tracks the group
-        // counter, not the shard one.
-        assert_eq!(s.histograms["faultsim.shard_ms"].count, s.counters["faultsim.groups"]);
+        // dispatch — a fault-lane group of shards or a cycle-lane
+        // machine — so it tracks those counters, not the shard one.
+        let dispatches = groups(survivors[0]) + machines;
+        assert_eq!(s.histograms["faultsim.shard_ms"].count, dispatches);
         assert!(s.counters["faultsim.groups"] <= s.counters["faultsim.shards"]);
         assert_eq!(s.histograms["faultsim.merge_ms"].count, stages);
         // Kernel counters: cone-restricted groups execute a fraction of
@@ -1152,7 +1332,7 @@ mod tests {
         // latches; each group's buffer holds its cone, at most the tape.
         assert_eq!(s.counters["faultsim.latch_copies"], 0);
         let buffers = &s.histograms["faultsim.group_buffer_words"];
-        assert_eq!(buffers.count, s.counters["faultsim.groups"]);
+        assert_eq!(buffers.count, dispatches);
         let tape_words = (Tape::compile(&n).slot_count() * KERNEL_WORDS) as f64;
         assert!(0.0 < buffers.min && buffers.max <= tape_words, "{buffers:?}");
 
@@ -1175,22 +1355,15 @@ mod tests {
         let s = registry.snapshot();
         assert!(s.counters["faultsim.ops_executed"] <= s.counters["faultsim.tape_ops"]);
         assert!(s.counters["faultsim.patched_ops"] > 0);
+        // Signature mode keeps every fault and stays fault-lane.
+        assert_eq!(s.counters["faultsim.stage1.survivors"], u.len() as u64);
+        assert!(!s.counters.contains_key("faultsim.cycle_lane_faults"));
 
         // A delay line below a faulted adder: the first register reads
         // its adder's double-buffered sum for free, the second (fed by
         // a register) costs one plane copy per bit and group-step. In
         // signature mode nothing drops, so every group holds `a`.
-        let chain = {
-            let mut b = NetlistBuilder::new(8).unwrap();
-            let x = b.input("x");
-            let d = b.register(x);
-            let a = b.add_labeled(x, d, "a");
-            let p1 = b.register(a);
-            let p2 = b.register(p1);
-            let y = b.add_labeled(p2, x, "y");
-            b.output(y, "y");
-            b.finish().unwrap()
-        };
+        let chain = delay_chain();
         let chain_universe = universe(&chain);
         let chain_inputs = pseudo_inputs(150, 8);
         let run_chain = |metrics: Option<Arc<Registry>>| {
@@ -1216,6 +1389,44 @@ mod tests {
             s.histograms["faultsim.group_buffer_words"].count,
             s.counters["faultsim.groups"]
         );
+    }
+
+    #[test]
+    fn cycle_lane_tails_match_the_walker_at_every_entry_lane() {
+        // Stages that open on the first, last and middle lanes of a
+        // block, and stages shorter than a block, on a delay line below
+        // a faulted adder and on the filter: the cycle-lane tail must
+        // give the walker's detection map at 1 and 2 threads, and every
+        // survivor of the first stage runs cycle-lane.
+        let inputs = pseudo_inputs(300, 8);
+        let mut cycle_lane_faults = 0;
+        for n in [delay_chain(), filterish(8)] {
+            let u = universe(&n);
+            let walker = ParallelFaultSimulator::new(&n, &u)
+                .with_options(SimOptions::new().with_engine(SimEngine::Walker))
+                .run(&inputs);
+            for boundaries in [vec![1, 2, 3], vec![63, 64, 65, 200], vec![5, 70, 127, 128, 191]] {
+                for threads in [1, 2] {
+                    let registry = Arc::new(Registry::new());
+                    let options = SimOptions::new()
+                        .with_schedule(StageSchedule::with_boundaries(boundaries.clone()))
+                        .with_threads(threads)
+                        .with_metrics(Arc::clone(&registry));
+                    let result =
+                        ParallelFaultSimulator::new(&n, &u).with_options(options).run(&inputs);
+                    let tag = format!("{boundaries:?} threads={threads}");
+                    assert_eq!(result.detection_cycles(), walker.detection_cycles(), "{tag}");
+                    let counters = registry.snapshot().counters;
+                    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+                    let tail: u64 = (1..count("faultsim.stages"))
+                        .map(|i| count(&format!("faultsim.stage{i}.survivors")))
+                        .sum();
+                    assert_eq!(count("faultsim.cycle_lane_faults"), tail, "{tag}");
+                    cycle_lane_faults += tail;
+                }
+            }
+        }
+        assert!(cycle_lane_faults > 0, "no stage ran cycle-lane");
     }
 
     #[test]

@@ -386,15 +386,8 @@ mod tests {
     }
 
     fn white_words(n: usize) -> Vec<i64> {
-        let mut state = 0x5DEECE66Du64;
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                ((state >> 52) as i64) - 2048
-            })
-            .collect()
+        let mut rng = testkit::Rng::new(0x5_DEEC_E66D);
+        (0..n).map(|_| rng.signed(12)).collect()
     }
 
     #[test]

@@ -217,12 +217,9 @@ mod tests {
         // Functional equivalence on a pseudo-random burst.
         let mut sr = rtl::sim::BitSlicedSim::new(ripple.netlist());
         let mut sc = rtl::sim::BitSlicedSim::new(csa.netlist());
-        let mut state = 0xC0FFEEu64;
+        let mut rng = testkit::Rng::new(0xC0FFEE);
         for t in 0..200 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let w = ((state >> 52) as i64) - 2048;
+            let w = rng.signed(12);
             sr.step(ripple.align_input(w));
             sc.step(csa.align_input(w));
             assert_eq!(

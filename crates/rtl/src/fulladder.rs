@@ -415,13 +415,8 @@ mod tests {
     fn folded_line_masks_match_the_fault_list_scan() {
         // Random lane-masked lists, conflicting faults on one line
         // included: the fold must equal in-order application exactly.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut rng = testkit::Rng::new(0x9E37_79B9_7F4A_7C15);
+        let mut next = || rng.next_u64();
         let all = FaFault::all();
         for _ in 0..2000 {
             let len = (next() % 6) as usize;

@@ -961,14 +961,9 @@ mod tests {
 
     #[test]
     fn random_3sat_agrees_with_brute_force() {
-        // Deterministic xorshift for clause sampling.
-        let mut state = 0x1234_5678_u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        // Seeded clause sampling.
+        let mut rng = testkit::Rng::new(0x1234_5678);
+        let mut rnd = move || rng.next_u64();
         for round in 0..40 {
             let n = 8u32;
             let m = 3 + (round % 30) as usize + round as usize / 2;

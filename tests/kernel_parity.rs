@@ -14,6 +14,11 @@
 //! exactly, and `BistSession::run` must return the direct kernel run's
 //! result.
 //!
+//! The paper designs' compare-mode runs at 3 threads must also report
+//! cycle-lane work under both schedules: their tail stages are small
+//! enough for the one-fault-per-word executor, so the walker equality
+//! covers it on real elaborated datapaths.
+//!
 //! Vector counts are tiered so the whole file stays test-suite cheap in
 //! debug builds: the three paper designs run short campaigns, the
 //! architectural variants (symmetric, carry-save) and LP-MINI run
@@ -27,6 +32,8 @@ use faultsim::{
     FaultSimResult, ParallelFaultSimulator, SignatureConfig, SimEngine, SimOptions, StageSchedule,
 };
 use filters::FilterDesign;
+use obs::Registry;
+use std::sync::Arc;
 
 /// (design, vectors): the paper designs are big, so they get short
 /// campaigns; the small variants can afford longer ones.
@@ -57,6 +64,8 @@ fn mode_options(mode: ResponseCheck) -> SimOptions {
 /// Holds the kernel under `schedule`, at 1 and 3 threads, equal to the
 /// unstaged walker reference on every design in both modes, and
 /// `BistSession::run` equal to the direct single-threaded kernel run.
+/// Each paper design's (LP, BP, HP) compare-mode run at 3 threads must
+/// also report faults run cycle-lane.
 fn assert_kernel_matches_reference(schedule: &StageSchedule) {
     for (design, vectors) in roster() {
         let session = BistSession::new(&design).expect("session");
@@ -71,9 +80,19 @@ fn assert_kernel_matches_reference(schedule: &StageSchedule) {
             let reference = simulate(mode_options(mode).with_engine(SimEngine::Walker));
             for threads in [1usize, 3] {
                 let tag = format!("{} x {mode:?}, threads={threads}, {schedule:?}", design.name());
+                let registry = Arc::new(Registry::new());
                 let kernel = simulate(
-                    mode_options(mode).with_schedule(schedule.clone()).with_threads(threads),
+                    mode_options(mode)
+                        .with_schedule(schedule.clone())
+                        .with_threads(threads)
+                        .with_metrics(Arc::clone(&registry)),
                 );
+                let paper = ["LP", "BP", "HP"].contains(&design.name());
+                if paper && threads == 3 && mode == ResponseCheck::Trace {
+                    let counters = registry.snapshot().counters;
+                    let faults = counters.get("faultsim.cycle_lane_faults").copied().unwrap_or(0);
+                    assert!(faults > 0, "{tag}: no stage ran cycle-lane");
+                }
                 assert_eq!(
                     reference.detection_cycles(),
                     kernel.detection_cycles(),
@@ -112,5 +131,8 @@ fn every_design_is_bit_identical_across_engines_in_both_modes() {
 
 #[test]
 fn engines_agree_under_threading_and_stage_boundaries() {
-    assert_kernel_matches_reference(&StageSchedule::with_boundaries(vec![128, 384]));
+    // The early cuts stage the paper designs' 96-vector runs too, one
+    // of them mid-block on an odd cycle; the late ones stage the longer
+    // runs of the variants.
+    assert_kernel_matches_reference(&StageSchedule::with_boundaries(vec![32, 65, 128, 384]));
 }
