@@ -574,7 +574,8 @@ impl<'d> BistSession<'d> {
                 equiv_checked: scfg.equiv,
                 ..SatReport::default()
             };
-            sat_redundant = self.prove_redundant(&self.universe, &screen, scfg, &mut report);
+            sat_redundant =
+                self.prove_redundant(&self.universe, &screen, scfg, &mut report, &registry);
             if scfg.equiv {
                 let eq = self.equivalence.get_or_init(|| sat::check_equivalence(self.design));
                 report.equiv_proved = eq.proved;
@@ -694,8 +695,13 @@ impl<'d> BistSession<'d> {
                 if !top.unresolved.is_empty() {
                     let _span = registry.span("session.sat_verdict");
                     let report = sat_report.as_mut().expect("sat stage ran before top-off");
-                    redundant_ids =
-                        self.prove_redundant(sim_universe, &top.unresolved, scfg, report);
+                    redundant_ids = self.prove_redundant(
+                        sim_universe,
+                        &top.unresolved,
+                        scfg,
+                        report,
+                        &registry,
+                    );
                 }
             }
             let residue = faultsim::report::residue(self.design.netlist(), sim_universe, &result);
@@ -786,7 +792,9 @@ impl<'d> BistSession<'d> {
     /// Runs the redundancy prover over `ids` of `universe` (any
     /// universe over this design's netlist: class representatives are
     /// what the prover reasons about), adds its counts and solver
-    /// effort to `report`, and returns the ids proven redundant, in
+    /// effort to `report`, adds the size of its per-fault solvers and
+    /// faulty unrolls to the `sat.solver_vars` and `sat.faulty_gates`
+    /// counters of `registry`, and returns the ids proven redundant, in
     /// `ids` order.
     fn prove_redundant(
         &self,
@@ -794,6 +802,7 @@ impl<'d> BistSession<'d> {
         ids: &[FaultId],
         scfg: &SatConfig,
         report: &mut SatReport,
+        registry: &Registry,
     ) -> Vec<FaultId> {
         let specs: Vec<sat::FaultSpec> = ids
             .iter()
@@ -816,6 +825,8 @@ impl<'d> BistSession<'d> {
         report.conflicts += outcome.stats.conflicts;
         report.decisions += outcome.stats.decisions;
         report.propagations += outcome.stats.propagations;
+        registry.counter("sat.solver_vars").add(outcome.solver_vars);
+        registry.counter("sat.faulty_gates").add(outcome.faulty_gates);
         ids.iter()
             .zip(&outcome.verdicts)
             .filter(|(_, (_, v))| matches!(v, sat::FaultVerdict::Redundant))
@@ -1461,8 +1472,13 @@ mod tests {
         // session took (screen candidates → CDCL prover → keep list).
         let screen = atpg::untestable_faults(d.netlist(), s.universe(), 12);
         let mut report = SatReport::default();
-        let redundant =
-            s.prove_redundant(s.universe(), &screen, &SatConfig::default(), &mut report);
+        let redundant = s.prove_redundant(
+            s.universe(),
+            &screen,
+            &SatConfig::default(),
+            &mut report,
+            &Registry::new(),
+        );
         let keep: Vec<FaultId> = (0..s.universe().len() as u32)
             .map(FaultId)
             .filter(|id| !redundant.contains(id))
@@ -1569,15 +1585,39 @@ mod tests {
 
     #[test]
     fn instrumentation_does_not_change_detection_results() {
-        let d = small_design(0.15);
+        // LP-CSA's screen candidates include miters that reach the
+        // solver; a one-conflict budget keeps their queries short.
+        let d = filters::designs::lowpass_carry_save().unwrap();
         let s = BistSession::new(&d).unwrap();
-        let mut gen = Lfsr1::new(12, ShiftDirection::LsbToMsb).unwrap();
-        let plain = s.run(&mut gen, &RunConfig::new(128).with_threads(1)).unwrap();
+        let mut gen = Lfsr1::new(d.spec().input_bits, ShiftDirection::LsbToMsb).unwrap();
+        let sat = SatConfig { max_conflicts: 1, equiv: false };
+        let plain =
+            s.run(&mut gen, &RunConfig::new(64).with_threads(1).with_sat_prune(sat)).unwrap();
         let campaign = std::sync::Arc::new(obs::Registry::new());
-        let metered =
-            s.run(&mut gen, &RunConfig::new(128).with_threads(4).with_metrics(campaign)).unwrap();
+        let metered = s
+            .run(
+                &mut gen,
+                &RunConfig::new(64)
+                    .with_threads(4)
+                    .with_sat_prune(sat)
+                    .with_metrics(std::sync::Arc::clone(&campaign)),
+            )
+            .unwrap();
         assert_eq!(plain.result.detection_cycles(), metered.result.detection_cycles());
         assert_eq!(plain.signature, metered.signature);
+        assert_eq!(plain.artifact.sat, metered.artifact.sat);
+        // The prover's solver and unroll sizes are counted the same in
+        // the run's own counters and in an attached registry.
+        let counters = |run: &BistRun| -> std::collections::BTreeMap<String, u64> {
+            run.artifact.counters.iter().cloned().collect()
+        };
+        let (own, theirs) = (counters(&plain), counters(&metered));
+        let snap = campaign.snapshot();
+        for name in ["sat.solver_vars", "sat.faulty_gates"] {
+            assert!(own[name] > 0, "{name}: no prover query reached the solver");
+            assert_eq!(theirs[name], own[name], "{name}");
+            assert_eq!(snap.counters[name], own[name], "{name}");
+        }
     }
 
     #[test]

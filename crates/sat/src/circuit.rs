@@ -7,12 +7,15 @@
 //! shared — the miter only pays for the downstream fanout of the fault site.
 //!
 //! CNF is emitted lazily: a gate gets a solver variable (and its defining
-//! Tseitin clauses) only when some constraint actually references it. The
+//! Tseitin clauses) only when some constraint actually references it, so
+//! a solver holds only the cone of influence of what was asserted. The
 //! emission walk is an explicit work stack because filter cones reach tens
 //! of thousands of gates deep — native recursion would overflow.
 //!
-//! [`Circuit::clone_from`] reuses the target's allocations, so a working
-//! copy can be reset to a base circuit once per query without allocating.
+//! [`Circuit::truncate`] drops every gate added after a mark and forgets
+//! every emitted literal: the redundancy prover keeps the good machine's
+//! gates, adds one fault's gates after them, and truncates back before
+//! the next fault emits into a fresh solver.
 
 use crate::solver::{Lit, Solver};
 use std::collections::HashMap;
@@ -120,27 +123,13 @@ pub struct Circuit {
     /// Solver literal (positive polarity) of each gate, indexed like
     /// `gates`; [`UNEMITTED`] until the gate is emitted.
     emitted: Vec<Lit>,
+    /// The gates with an `emitted` literal, in emission order.
+    emission: Vec<u32>,
 }
 
 impl Default for Circuit {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for Circuit {
-    fn clone(&self) -> Self {
-        let mut c = Circuit::new();
-        c.clone_from(self);
-        c
-    }
-
-    /// Resets `self` to a copy of `source`, reusing `self`'s allocations.
-    fn clone_from(&mut self, source: &Self) {
-        let Circuit { gates, cons, emitted } = source;
-        self.gates.clone_from(gates);
-        self.cons.clone_from(cons);
-        self.emitted.clone_from(emitted);
     }
 }
 
@@ -153,6 +142,7 @@ impl Circuit {
             gates: vec![Gate::Input],
             cons: HashMap::default(),
             emitted: vec![UNEMITTED],
+            emission: Vec::new(),
         }
     }
 
@@ -166,6 +156,30 @@ impl Circuit {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Keeps the first `len` gates, dropping every later gate and its
+    /// structural-hash entry, and forgets every emitted solver literal:
+    /// the next [`Circuit::lit`] emits into a fresh solver. A gate built
+    /// again after this gets the index and edge it would get in a circuit
+    /// that was only ever built up to `len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`Circuit::len`].
+    pub fn truncate(&mut self, len: usize) {
+        assert!(len <= self.len(), "cannot truncate {} gates to {len}", self.len());
+        for gate in self.gates.drain(len + 1..) {
+            if gate != Gate::Input {
+                self.cons.remove(&gate);
+            }
+        }
+        self.emitted.truncate(len + 1);
+        for idx in self.emission.drain(..) {
+            if let Some(lit) = self.emitted.get_mut(idx as usize) {
+                *lit = UNEMITTED;
+            }
+        }
     }
 
     /// Allocate a fresh primary input.
@@ -298,6 +312,7 @@ impl Circuit {
                 }
             }
             self.emitted[idx as usize] = out;
+            self.emission.push(idx);
         }
         let base = self.emitted[edge.index() as usize];
         if edge.complemented() {
@@ -462,52 +477,37 @@ mod tests {
     }
 
     #[test]
-    fn clone_preserves_emitted_literals() {
+    fn truncate_forgets_everything_added_since() {
         let mut c = Circuit::new();
-        let mut s = Solver::new();
         let x = c.input();
         let y = c.input();
         let f = c.and(x, y);
-        let lf = c.lit(&mut s, f);
-        let mut c2 = c.clone();
-        let mut s2 = s.clone();
-        // The clone reuses the same literal for the same edge.
-        assert_eq!(c2.lit(&mut s2, f), lf);
-        s2.add_clause(&[lf]);
-        assert_eq!(s2.solve(), SolveResult::Sat);
-        assert!(c2.model_value(&s2, x) && c2.model_value(&s2, y));
-    }
-
-    #[test]
-    fn clone_from_forgets_everything_added_since() {
-        let mut base = Circuit::new();
+        let mark = c.len();
         let mut s = Solver::new();
-        let x = base.input();
-        let y = base.input();
-        let f = base.and(x, y);
-        let lf = base.lit(&mut s, f);
+        let lf = c.lit(&mut s, f);
+        assert_eq!(lf, Lit::pos(2), "x, y, then the AND");
 
         // First use: a fresh input and an XOR, both emitted.
-        let mut work = base.clone();
-        let mut ws = s.clone();
-        let z = work.input();
-        let g = work.xor(f, z);
-        let _ = work.lit(&mut ws, g);
+        let z = c.input();
+        let g = c.xor(f, z);
+        let _ = c.lit(&mut s, g);
 
-        // After a reset the same slots hold different gates: neither the
-        // old hash-cons entry nor the old emitted literal may survive.
-        work.clone_from(&base);
-        ws.clone_from(&s);
-        assert_eq!(work.len(), base.len());
-        assert_eq!(work.input(), z);
-        let h = work.and(f, z);
+        // After truncating, the same slots hold different gates: neither
+        // the old hash-cons entry nor any old emitted literal may survive.
+        c.truncate(mark);
+        assert_eq!(c.len(), mark);
+        assert_eq!(c.input(), z);
+        let h = c.and(f, z);
         assert_eq!(h, g, "the AND takes the slot the XOR had");
-        let vars = ws.num_vars();
-        let _ = work.lit(&mut ws, h);
-        assert_eq!(ws.num_vars(), vars + 2, "z and the AND are emitted afresh");
-        let g2 = work.xor(f, z);
+        let mut fresh = Solver::new();
+        let lh = c.lit(&mut fresh, h);
+        assert_eq!(fresh.num_vars(), 5, "x, y, f, z and the AND are emitted afresh");
+        assert_eq!(lh, Lit::pos(4));
+        let g2 = c.xor(f, z);
         assert_ne!(g2, h);
-        assert_eq!(work.len(), base.len() + 3);
-        assert_eq!(work.lit(&mut ws, f), lf);
+        assert_eq!(c.len(), mark + 3);
+        fresh.add_clause(&[lh]);
+        assert_eq!(fresh.solve(), SolveResult::Sat);
+        assert!(c.model_value(&fresh, x) && c.model_value(&fresh, y) && c.model_value(&fresh, z));
     }
 }

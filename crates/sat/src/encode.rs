@@ -16,11 +16,14 @@
 //! output) computes a fixed function of the last `D+1` input words once
 //! `t >= D` — the basis for the redundancy prover's completeness argument.
 //!
-//! The [`Circuit`] is passed in rather than owned: the redundancy prover
-//! builds the good-machine frames once into a base circuit/solver pair,
-//! then resets a working pair to the base per fault (`clone_from`, which
-//! reuses the working pair's allocations), so each faulty delta lives in
-//! the working copy while the shared cone is paid for exactly once.
+//! The good machine is unrolled whole, once ([`NetlistEncoder::ensure_frames`]).
+//! A faulty machine is unrolled on demand ([`NetlistEncoder::unroll_faulty`]):
+//! each requested frame builds only the (node, frame) rows its outputs
+//! reach inside the fault's structural fanout, and a row equal to the
+//! good row is not built at all, so a query's gates stay close to its
+//! cone of influence. The [`Circuit`] is passed in rather than owned: the
+//! redundancy prover keeps the good machine's gates in one circuit and
+//! truncates each fault's gates away before the next.
 
 use crate::circuit::{Circuit, GLit};
 use crate::solver::Solver;
@@ -43,6 +46,51 @@ pub struct FaultSpec {
 /// A per-frame view of one unrolled machine: `cone[t]` holds
 /// `node_count * width` edges, node-major, LSB first.
 pub type FrameCone = Vec<Vec<GLit>>;
+
+/// [`FaultyUnroll`] slot of a row no frame has asked for yet.
+const UNBUILT: u32 = u32::MAX;
+/// Slot of a row some frame needs, in the middle of being built.
+const PENDING: u32 = u32::MAX - 1;
+/// Slot of a row equal to the good machine's row.
+const GOOD: u32 = u32::MAX - 2;
+
+/// One fault's faulty machine, unrolled on demand by
+/// [`NetlistEncoder::unroll_faulty`]: a (node, frame) row is built only
+/// once a requested frame's outputs reach it, and a row equal to the
+/// good machine's is not stored.
+pub struct FaultyUnroll {
+    fault: FaultSpec,
+    /// The fault's structural fanout; every other node keeps its good row.
+    tainted: Vec<bool>,
+    /// `slot[t * node_count + i]`: [`UNBUILT`], [`PENDING`], [`GOOD`], or
+    /// the offset of node `i`'s frame-`t` row in `rows`.
+    slot: Vec<u32>,
+    rows: Vec<GLit>,
+}
+
+impl FaultyUnroll {
+    /// The slot of row `key`, with every row outside the fanout good.
+    fn slot_or_good(&self, key: usize) -> u32 {
+        if self.tainted[key % self.tainted.len()] {
+            self.slot[key]
+        } else {
+            GOOD
+        }
+    }
+
+    fn is_good(&self, key: usize) -> bool {
+        self.slot_or_good(key) == GOOD
+    }
+
+    /// Marks row `key` needed and queues it, if it is in the fanout and
+    /// not built or queued yet.
+    fn request(&mut self, key: usize, stack: &mut Vec<usize>) {
+        if self.tainted[key % self.tainted.len()] && self.slot[key] == UNBUILT {
+            self.slot[key] = PENDING;
+            stack.push(key);
+        }
+    }
+}
 
 /// Frame-unrolled encoder for one netlist.
 pub struct NetlistEncoder<'n> {
@@ -124,7 +172,7 @@ impl<'n> NetlistEncoder<'n> {
     }
 
     /// Builds good-machine frames `0..=upto` into `circuit` (idempotent).
-    /// Every call must pass the same circuit (or a copy of it).
+    /// Every call must pass the same circuit.
     pub fn ensure_frames(&mut self, circuit: &mut Circuit, upto: usize) {
         while self.frames.len() <= upto {
             let input_lits: Vec<GLit> = (0..self.input_bits).map(|_| circuit.input()).collect();
@@ -207,9 +255,11 @@ impl<'n> NetlistEncoder<'n> {
         tainted
     }
 
-    /// Unrolls the faulty machine over frames `0..=upto`, sharing every
-    /// gate outside the fault's structural fanout with the good machine.
-    /// Good frames `0..=upto` must already be built.
+    /// Unrolls the whole faulty machine over frames `0..=upto`, sharing
+    /// every gate outside the fault's structural fanout with the good
+    /// machine. Good frames `0..=upto` must already be built. The prover
+    /// unrolls on demand instead ([`NetlistEncoder::output_diff`]); this
+    /// full unroll is the reference it must match edge for edge.
     #[must_use]
     pub fn faulty_frames(
         &self,
@@ -247,6 +297,125 @@ impl<'n> NetlistEncoder<'n> {
         out
     }
 
+    /// Starts an on-demand unroll of `fault`'s faulty machine over the
+    /// good frames built so far. Nothing is built until
+    /// [`NetlistEncoder::unroll_faulty`] asks for a frame.
+    #[must_use]
+    pub fn faulty_unroll(&self, fault: &FaultSpec) -> FaultyUnroll {
+        FaultyUnroll {
+            fault: *fault,
+            tainted: self.fanout_set(fault.node),
+            slot: vec![UNBUILT; self.frames.len() * self.netlist.nodes().len()],
+            rows: Vec::new(),
+        }
+    }
+
+    /// Builds every faulty row that `frame`'s outputs reach and that no
+    /// earlier call built: a backward needed-set over operands and
+    /// register edges (only the fault's structural fanout enters it), then
+    /// one forward pass in (frame, node) order. A node that does not carry
+    /// the fault and whose operand rows all equal the good rows keeps the
+    /// good row without touching `circuit`; a built row that hash-conses
+    /// to the good row is recorded as good too. Either way the edges are
+    /// the ones [`NetlistEncoder::faulty_frames`] would build.
+    pub fn unroll_faulty(&self, circuit: &mut Circuit, unroll: &mut FaultyUnroll, frame: usize) {
+        assert!(frame < self.frames.len(), "good frames not built");
+        let nodes = self.netlist.nodes();
+        let n = nodes.len();
+        let mut stack: Vec<usize> = Vec::new();
+        for out in self.netlist.output_ids() {
+            unroll.request(frame * n + out.index(), &mut stack);
+        }
+        let mut pending: Vec<usize> = Vec::new();
+        while let Some(key) = stack.pop() {
+            pending.push(key);
+            let t = key / n;
+            match nodes[key % n].kind {
+                NodeKind::Register { src } => {
+                    if t > 0 {
+                        unroll.request((t - 1) * n + src.index(), &mut stack);
+                    }
+                }
+                kind => {
+                    for op in kind.operands() {
+                        unroll.request(t * n + op.index(), &mut stack);
+                    }
+                }
+            }
+        }
+        // Operands and register sources have smaller indices, so key
+        // order is a topological order across frames.
+        pending.sort_unstable();
+        let mut row = vec![GLit::FALSE; self.w];
+        for key in pending {
+            let (t, i) = (key / n, key % n);
+            let kind = nodes[i].kind;
+            unroll.slot[key] = match kind {
+                // A register aliases its source's previous-frame row; at
+                // frame 0 it is reset-zero, like the good machine's.
+                NodeKind::Register { src } if t > 0 => {
+                    unroll.slot_or_good((t - 1) * n + src.index())
+                }
+                NodeKind::Register { .. } => GOOD,
+                _ if !self.hosts(&unroll.fault, i)
+                    && kind.operands().iter().all(|op| unroll.is_good(t * n + op.index())) =>
+                {
+                    GOOD
+                }
+                _ => {
+                    let view: &FaultyUnroll = unroll;
+                    self.eval_node(
+                        circuit,
+                        i,
+                        Some(&view.fault),
+                        |id| self.faulty(view, t, id),
+                        &mut row,
+                    );
+                    if row == self.good(t, self.netlist.node_id(i)) {
+                        GOOD
+                    } else {
+                        let at = unroll.rows.len() as u32;
+                        unroll.rows.extend_from_slice(&row);
+                        at
+                    }
+                }
+            };
+        }
+    }
+
+    /// Faulty-machine bits of `node` at `frame`, LSB first. The row must
+    /// be built: `frame`'s outputs reach it and
+    /// [`NetlistEncoder::unroll_faulty`] has run for `frame`, or `node`
+    /// lies outside the fault's fanout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is in the fanout and not built.
+    #[must_use]
+    pub fn faulty<'a>(
+        &'a self,
+        unroll: &'a FaultyUnroll,
+        frame: usize,
+        node: NodeId,
+    ) -> &'a [GLit] {
+        let n = self.netlist.nodes().len();
+        let slot = unroll.slot_or_good(frame * n + node.index());
+        if slot == GOOD {
+            return self.good(frame, node);
+        }
+        assert!(slot < GOOD, "faulty row of {node} at frame {frame} is not built");
+        &unroll.rows[slot as usize..slot as usize + self.w]
+    }
+
+    /// True when `fault` is injected while computing node `i`: the faulty
+    /// adder itself, or the carry half of a faulty carry-save pair.
+    fn hosts(&self, fault: &FaultSpec, i: usize) -> bool {
+        match self.netlist.nodes()[i].kind {
+            NodeKind::CsaCarry { sum, .. } => sum == fault.node,
+            _ => fault.node.index() == i,
+        }
+    }
+
     /// Evaluates the masked combinational nodes of one frame in place,
     /// optionally with a stuck-at fault injected.
     fn eval_frame(
@@ -257,109 +426,69 @@ impl<'n> NetlistEncoder<'n> {
         mask: &[bool],
     ) {
         let w = self.w;
+        let mut row = vec![GLit::FALSE; w];
         for &idx in self.netlist.eval_order() {
             let i = idx as usize;
-            if !mask[i] {
+            let seeded = matches!(
+                self.netlist.nodes()[i].kind,
+                NodeKind::Input | NodeKind::Const { .. } | NodeKind::Register { .. }
+            );
+            if !mask[i] || seeded {
                 continue;
             }
-            match self.netlist.nodes()[i].kind {
-                NodeKind::Input | NodeKind::Const { .. } | NodeKind::Register { .. } => {}
-                NodeKind::Output { src } => {
-                    let s = src.index() * w;
-                    let row: Vec<GLit> = plane[s..s + w].to_vec();
-                    plane[i * w..i * w + w].copy_from_slice(&row);
-                }
-                NodeKind::ShiftRight { src, amount } => {
-                    let s = src.index() * w;
-                    let amount = amount as usize;
-                    for b in 0..w {
-                        let from = b + amount;
-                        plane[i * w + b] =
-                            if from < w { plane[s + from] } else { plane[s + w - 1] };
-                    }
-                }
-                NodeKind::Not { src } => {
-                    let s = src.index() * w;
-                    for b in 0..w {
-                        plane[i * w + b] = plane[s + b].not();
-                    }
-                }
-                NodeKind::SetLsb { src } => {
-                    let s = src.index() * w;
-                    plane[i * w] = GLit::TRUE;
-                    for b in 1..w {
-                        plane[i * w + b] = plane[s + b];
-                    }
-                }
-                NodeKind::Add { a, b } => self.eval_arith(circuit, plane, i, a, b, false, fault),
-                NodeKind::Sub { a, b } => self.eval_arith(circuit, plane, i, a, b, true, fault),
-                NodeKind::CsaSum { a, b, c } => {
-                    self.eval_csa(circuit, plane, i, a, b, c, i, false, fault);
-                }
-                NodeKind::CsaCarry { a, b, c, sum } => {
-                    self.eval_csa(circuit, plane, i, a, b, c, sum.index(), true, fault);
-                }
-                _ => unreachable!("unhandled node kind"),
-            }
+            let view: &[GLit] = plane;
+            self.eval_node(
+                circuit,
+                i,
+                fault,
+                |id| &view[id.index() * w..id.index() * w + w],
+                &mut row,
+            );
+            plane[i * w..i * w + w].copy_from_slice(&row);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn eval_csa(
+    /// Computes combinational node `i`'s row at one frame into `out` from
+    /// its operands' rows at that frame (`row`), with `fault` injected
+    /// when it sits on this node. Inputs, constants and registers are
+    /// seeded by the caller.
+    fn eval_node<'r>(
         &self,
         circuit: &mut Circuit,
-        plane: &mut [GLit],
         i: usize,
-        a: NodeId,
-        b: NodeId,
-        c: NodeId,
-        fault_node: usize,
-        carry_out: bool,
         fault: Option<&FaultSpec>,
+        row: impl Fn(NodeId) -> &'r [GLit],
+        out: &mut [GLit],
     ) {
         let w = self.w;
-        let (pa, pb, pc) = (a.index() * w, b.index() * w, c.index() * w);
-        let active = fault.filter(|f| f.node.index() == fault_node);
-        if active.is_none() {
-            // Fault-free: the shared constructor (hash-consing dedups the
-            // second half of the pair when its sibling already ran).
-            let av: Vec<GLit> = plane[pa..pa + w].to_vec();
-            let bv: Vec<GLit> = plane[pb..pb + w].to_vec();
-            let cv: Vec<GLit> = plane[pc..pc + w].to_vec();
-            let (sum, carry) = csa_words(circuit, &av, &bv, &cv);
-            let row = if carry_out { carry } else { sum };
-            plane[i * w..i * w + w].copy_from_slice(&row);
-            return;
-        }
-        if carry_out {
-            plane[i * w] = GLit::FALSE;
-            for bit in 0..w - 1 {
-                let (av, bv, cv) = (plane[pa + bit], plane[pb + bit], plane[pc + bit]);
-                plane[i * w + bit + 1] = match active {
-                    Some(f) if f.cell as usize == bit => {
-                        faulty_cell(circuit, av, bv, cv, f.fault).1
-                    }
-                    _ => {
-                        let ab = circuit.and(av, bv);
-                        let x = circuit.xor(av, bv);
-                        let xc = circuit.and(x, cv);
-                        circuit.or(ab, xc)
-                    }
-                };
+        match self.netlist.nodes()[i].kind {
+            NodeKind::Output { src } => out.copy_from_slice(row(src)),
+            NodeKind::ShiftRight { src, amount } => {
+                let s = row(src);
+                for (b, bit) in out.iter_mut().enumerate() {
+                    *bit = s.get(b + amount as usize).copied().unwrap_or(s[w - 1]);
+                }
             }
-        } else {
-            for bit in 0..w {
-                let (av, bv, cv) = (plane[pa + bit], plane[pb + bit], plane[pc + bit]);
-                plane[i * w + bit] = match active {
-                    Some(f) if f.cell as usize == bit => {
-                        faulty_cell(circuit, av, bv, cv, f.fault).0
-                    }
-                    _ => {
-                        let x = circuit.xor(av, bv);
-                        circuit.xor(x, cv)
-                    }
-                };
+            NodeKind::Not { src } => {
+                for (bit, &s) in out.iter_mut().zip(row(src)) {
+                    *bit = s.not();
+                }
             }
+            NodeKind::SetLsb { src } => {
+                out.copy_from_slice(row(src));
+                out[0] = GLit::TRUE;
+            }
+            NodeKind::Add { a, b } => {
+                self.eval_arith(circuit, i, row(a), row(b), false, fault, out)
+            }
+            NodeKind::Sub { a, b } => self.eval_arith(circuit, i, row(a), row(b), true, fault, out),
+            NodeKind::CsaSum { a, b, c } => {
+                eval_csa(circuit, row(a), row(b), row(c), i, false, fault, out);
+            }
+            NodeKind::CsaCarry { a, b, c, sum } => {
+                eval_csa(circuit, row(a), row(b), row(c), sum.index(), true, fault, out);
+            }
+            _ => unreachable!("inputs, constants and registers are seeded, not computed"),
         }
     }
 
@@ -367,78 +496,65 @@ impl<'n> NetlistEncoder<'n> {
     fn eval_arith(
         &self,
         circuit: &mut Circuit,
-        plane: &mut [GLit],
         i: usize,
-        a: NodeId,
-        b: NodeId,
+        a: &[GLit],
+        b: &[GLit],
         subtract: bool,
         fault: Option<&FaultSpec>,
+        out: &mut [GLit],
     ) {
         let w = self.w;
-        let (pa, pb) = (a.index() * w, b.index() * w);
         let top = self.netlist.msb_trim(self.netlist.node_id(i)) as usize;
-        let active = fault.filter(|f| f.node.index() == i);
-        if active.is_none() {
+        let Some(f) = fault.filter(|f| f.node.index() == i) else {
             // Fault-free: delegate to the shared constructor so the
             // equivalence lemmas certify the exact gate network the encoder
             // emits (hash-consing makes them literally the same edges).
-            let av: Vec<GLit> = plane[pa..pa + w].to_vec();
-            let bv: Vec<GLit> = plane[pb..pb + w].to_vec();
-            let row = ripple_word(circuit, &av, &bv, subtract, top);
-            plane[i * w..i * w + w].copy_from_slice(&row);
+            out.copy_from_slice(&ripple_word(circuit, a, b, subtract, top));
             return;
-        }
+        };
         let mut carry = if subtract { GLit::TRUE } else { GLit::FALSE };
         for bit in 0..top {
-            let av = plane[pa + bit];
-            let bv = if subtract { plane[pb + bit].not() } else { plane[pb + bit] };
-            match active {
-                Some(f) if f.cell as usize == bit => {
-                    let (s, co) = faulty_cell(circuit, av, bv, carry, f.fault);
-                    plane[i * w + bit] = s;
-                    carry = co;
-                }
-                _ => {
-                    let x1 = circuit.xor(av, bv);
-                    plane[i * w + bit] = circuit.xor(x1, carry);
-                    let ab = circuit.and(av, bv);
-                    let xc = circuit.and(x1, carry);
-                    carry = circuit.or(ab, xc);
-                }
+            let av = a[bit];
+            let bv = if subtract { b[bit].not() } else { b[bit] };
+            if f.cell as usize == bit {
+                let (s, co) = faulty_cell(circuit, av, bv, carry, f.fault);
+                out[bit] = s;
+                carry = co;
+            } else {
+                let x1 = circuit.xor(av, bv);
+                out[bit] = circuit.xor(x1, carry);
+                let ab = circuit.and(av, bv);
+                let xc = circuit.and(x1, carry);
+                carry = circuit.or(ab, xc);
             }
         }
-        let av = plane[pa + top];
-        let bv = if subtract { plane[pb + top].not() } else { plane[pb + top] };
-        let sign = match active {
-            Some(f) if f.cell as usize == top => {
-                faulty_sum_only_cell(circuit, av, bv, carry, f.fault)
-            }
-            _ => {
-                let x1 = circuit.xor(av, bv);
-                circuit.xor(x1, carry)
-            }
+        let av = a[top];
+        let bv = if subtract { b[top].not() } else { b[top] };
+        let sign = if f.cell as usize == top {
+            faulty_sum_only_cell(circuit, av, bv, carry, f.fault)
+        } else {
+            let x1 = circuit.xor(av, bv);
+            circuit.xor(x1, carry)
         };
-        plane[i * w + top] = sign;
-        for bit in top + 1..w {
-            plane[i * w + bit] = sign;
+        for slot in &mut out[top..w] {
+            *slot = sign;
         }
     }
 
     /// Per-bit miter edges (`good XOR faulty` over every output bit) at
-    /// `frame`.
+    /// `frame`, unrolling the faulty rows they need first.
     #[must_use]
     pub fn output_diff(
         &self,
         circuit: &mut Circuit,
         frame: usize,
-        faulty: &FrameCone,
+        faulty: &mut FaultyUnroll,
     ) -> Vec<GLit> {
-        let w = self.w;
+        self.unroll_faulty(circuit, faulty, frame);
         let mut diffs = Vec::new();
         for out in self.netlist.output_ids() {
-            let base = out.index() * w;
-            for b in 0..w {
-                diffs.push(circuit.xor(self.frames[frame][base + b], faulty[frame][base + b]));
+            for (&g, &f) in self.good(frame, out).iter().zip(self.faulty(faulty, frame, out)) {
+                diffs.push(circuit.xor(g, f));
             }
         }
         diffs
@@ -518,6 +634,54 @@ pub(crate) fn csa_words(
         }
     }
     (sum, carry)
+}
+
+/// Computes one carry-save output word into `out`: the sum word, or the
+/// carry word when `carry_out`, with `fault` injected when it sits on
+/// the pair's sum node `fault_node`.
+#[allow(clippy::too_many_arguments)]
+fn eval_csa(
+    circuit: &mut Circuit,
+    a: &[GLit],
+    b: &[GLit],
+    c: &[GLit],
+    fault_node: usize,
+    carry_out: bool,
+    fault: Option<&FaultSpec>,
+    out: &mut [GLit],
+) {
+    let w = out.len();
+    let Some(f) = fault.filter(|f| f.node.index() == fault_node) else {
+        // Fault-free: the shared constructor (hash-consing dedups the
+        // second half of the pair when its sibling already ran).
+        let (sum, carry) = csa_words(circuit, a, b, c);
+        out.copy_from_slice(if carry_out { &carry } else { &sum });
+        return;
+    };
+    if carry_out {
+        out[0] = GLit::FALSE;
+        for bit in 0..w - 1 {
+            let (av, bv, cv) = (a[bit], b[bit], c[bit]);
+            out[bit + 1] = if f.cell as usize == bit {
+                faulty_cell(circuit, av, bv, cv, f.fault).1
+            } else {
+                let ab = circuit.and(av, bv);
+                let x = circuit.xor(av, bv);
+                let xc = circuit.and(x, cv);
+                circuit.or(ab, xc)
+            };
+        }
+    } else {
+        for bit in 0..w {
+            let (av, bv, cv) = (a[bit], b[bit], c[bit]);
+            out[bit] = if f.cell as usize == bit {
+                faulty_cell(circuit, av, bv, cv, f.fault).0
+            } else {
+                let x = circuit.xor(av, bv);
+                circuit.xor(x, cv)
+            };
+        }
+    }
 }
 
 /// Constant bit `b` of a raw word as a gate edge.
@@ -757,6 +921,103 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A delay line below an adder that carries the fault, and a second
+    /// adder reading both ends of it.
+    fn delayed_adder_netlist(width: u32) -> Netlist {
+        let mut b = NetlistBuilder::new(width).unwrap();
+        let x = b.input("x");
+        let d = b.register(x);
+        let a = b.add_labeled(x, d, "a");
+        let r1 = b.register(a);
+        let r2 = b.register(r1);
+        let r3 = b.register(r2);
+        let s = b.shift_right(r3, 1);
+        let y = b.add_labeled(s, a, "y");
+        b.output(y, "y");
+        b.finish().unwrap()
+    }
+
+    /// Unrolls each fault on demand, frame `D` first as the prover does,
+    /// then the whole faulty machine into the same circuit, and asserts
+    /// every frame's output rows are the same edges.
+    fn assert_on_demand_matches_full_unroll(netlist: &Netlist, faults: &[FaultSpec]) {
+        let mut enc = NetlistEncoder::new(netlist, netlist.width());
+        let mut circuit = Circuit::new();
+        let d = enc.memory_depth() as usize;
+        enc.ensure_frames(&mut circuit, d);
+        for f in faults {
+            let mut unroll = enc.faulty_unroll(f);
+            for t in std::iter::once(d).chain(0..d) {
+                enc.unroll_faulty(&mut circuit, &mut unroll, t);
+            }
+            let full = enc.faulty_frames(&mut circuit, f, d);
+            let w = netlist.width() as usize;
+            for (t, plane) in full.iter().enumerate() {
+                for out in netlist.output_ids() {
+                    assert_eq!(
+                        enc.faulty(&unroll, t, out),
+                        &plane[out.index() * w..out.index() * w + w],
+                        "{f:?}: output {out} at frame {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every arithmetic node's faults at `cells_per_node` random cells,
+    /// each on a random line.
+    fn sampled_faults(netlist: &Netlist, rng: &mut Rng, cells_per_node: usize) -> Vec<FaultSpec> {
+        let mut faults = Vec::new();
+        for node in netlist.node_ids() {
+            if !netlist.nodes()[node.index()].kind.is_arithmetic() {
+                continue;
+            }
+            for _ in 0..cells_per_node {
+                let line = rtl::fulladder::ALL_LINES[rng.below(rtl::fulladder::ALL_LINES.len())];
+                let cell = rng.below(netlist.width() as usize) as u32;
+                faults.push(FaultSpec {
+                    node,
+                    cell,
+                    fault: FaFault { line, stuck_one: rng.chance(2) },
+                });
+            }
+        }
+        faults
+    }
+
+    #[test]
+    fn on_demand_unroll_matches_the_full_unroll() {
+        // The fixtures: a carry-save pair with the fault on its sum node,
+        // registers fed by registers, and a delay line below a faulty
+        // adder, on every cell and line.
+        for (netlist, label) in
+            [(csa_netlist(6), "csa0"), (mixed_netlist(6), "s"), (delayed_adder_netlist(6), "a")]
+        {
+            let node = netlist.find_label(label).unwrap();
+            let faults: Vec<FaultSpec> = (0..6)
+                .flat_map(|cell| {
+                    rtl::fulladder::ALL_LINES.into_iter().flat_map(move |line| {
+                        [false, true].map(|stuck_one| FaultSpec {
+                            node,
+                            cell,
+                            fault: FaFault { line, stuck_one },
+                        })
+                    })
+                })
+                .collect();
+            assert_on_demand_matches_full_unroll(&netlist, &faults);
+        }
+        testkit::for_each_seed(0x5EED_0C01, 24, |seed| {
+            let mut rng = Rng::new(seed);
+            let netlist = testkit::random_netlist(&mut rng, 7, 14);
+            let faults = sampled_faults(&netlist, &mut rng, 3);
+            assert_on_demand_matches_full_unroll(&netlist, &faults);
+        });
+        let lp_mini = filters::designs::lowpass_mini().unwrap();
+        let faults = sampled_faults(lp_mini.netlist(), &mut Rng::new(0x1F_3141), 1);
+        assert_on_demand_matches_full_unroll(lp_mini.netlist(), &faults);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   emission, shared between fault-free and faulty netlist copies.
 //! - [`encode`] — the Tseitin encoder from the `rtl` netlist (including the
 //!   sixteen injectable full-adder lines) to the gate graph, with frame
-//!   unrolling for the feed-forward filter pipelines.
-//! - [`redundancy`] — the per-fault miter: UNSAT at every reachable frame is
-//!   a machine-checked proof of redundancy; SAT yields a witness vector that
+//!   unrolling for the feed-forward filter pipelines (a faulty machine's
+//!   frames on demand).
+//! - [`redundancy`] — the per-fault miter, proved on a solver that holds
+//!   only its cone of influence: UNSAT at every reachable frame is a
+//!   machine-checked proof of redundancy; SAT yields a witness vector that
 //!   must replay through `faultsim` as a detection.
 //! - [`equiv`] — the combinational-equivalence checker tying each
 //!   CSD-synthesized netlist to its behavioral fixed-point model via
@@ -30,7 +32,7 @@ pub mod redundancy;
 pub mod solver;
 
 pub use circuit::{Circuit, GLit};
-pub use encode::{FaultSpec, FrameCone, NetlistEncoder};
+pub use encode::{FaultSpec, FaultyUnroll, FrameCone, NetlistEncoder};
 pub use equiv::{check_equivalence, EquivReport};
 pub use redundancy::{
     prove_faults, replay_detects, FaultVerdict, PruneConfig, PruneOutcome, RedundancyProver,

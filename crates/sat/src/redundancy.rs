@@ -11,15 +11,16 @@
 //! redundancy; SAT yields an input-word witness which is replayed through
 //! [`rtl::sim::BitSlicedSim`] before the verdict is trusted.
 //!
-//! Cost model: the good machine's cone is encoded **once** into a base
-//! circuit/solver pair that is never modified afterwards. Each fault
-//! resets one working pair to the base with `clone_from`, which reuses
-//! the working pair's allocations, and adds only the fault's
-//! structural-fanout delta. Gates outside the fanout hash-cons to the
-//! good machine's edges, so miter bits whose cones are untouched fold to
-//! constant false and cost nothing. The working solver is reset only
-//! once some frame's miter does not fold, so a fault that hash-consing
-//! alone proves redundant never copies the solver.
+//! Cost model: the good machine's frames `0..=D` are built **once**, as a
+//! hash-consed gate graph only; no solver ever holds all of them. Each
+//! fault truncates the circuit back to the good machine and starts from
+//! an empty solver. Its faulty frames are unrolled on demand, frame `D`
+//! first: a frame builds only the faulty rows its outputs reach, inside
+//! the fault's structural fanout, and a row whose operands are all good
+//! reuses the good row. [`Circuit::lit`] then emits only the miter's
+//! cone of influence, good and faulty, into the fault's solver: on
+//! LP-CSA a few percent of the good machine's gates. A frame whose miter
+//! bits hash-cons to constant false costs no solver work at all.
 
 use crate::circuit::Circuit;
 use crate::encode::{FaultSpec, NetlistEncoder};
@@ -79,21 +80,27 @@ pub struct PruneOutcome {
     pub witnesses_confirmed: usize,
     /// Aggregated solver work across all queries.
     pub stats: SolverStats,
+    /// Solver variables summed over the candidates: each fault's solver
+    /// holds only its miters' cone of influence.
+    pub solver_vars: u64,
+    /// Gates each candidate added beyond the good machine (its faulty
+    /// rows and miter XORs), summed over the candidates.
+    pub faulty_gates: u64,
 }
 
-/// Incremental prover holding the shared good-machine encoding for one
-/// netlist.
+/// Prover holding one netlist's good machine as a gate graph, shared by
+/// every fault it proves.
 pub struct RedundancyProver<'n> {
     enc: NetlistEncoder<'n>,
-    /// The good machine's frames, emitted once by `prepare`.
-    base_circuit: Circuit,
-    base_solver: Solver,
-    /// The pair one fault works on, reset from the base per fault.
+    /// The good machine's frames `0..=D`, then the current fault's gates.
     circuit: Circuit,
-    solver: Solver,
-    ready: bool,
+    /// Gate count of the good machine alone, once built: each fault
+    /// truncates `circuit` back to it.
+    good_gates: Option<usize>,
     stats: SolverStats,
     witnesses_confirmed: usize,
+    solver_vars: u64,
+    faulty_gates: u64,
 }
 
 impl<'n> RedundancyProver<'n> {
@@ -103,13 +110,12 @@ impl<'n> RedundancyProver<'n> {
     pub fn new(netlist: &'n Netlist, input_bits: u32) -> Self {
         RedundancyProver {
             enc: NetlistEncoder::new(netlist, input_bits),
-            base_circuit: Circuit::new(),
-            base_solver: Solver::new(),
             circuit: Circuit::new(),
-            solver: Solver::new(),
-            ready: false,
+            good_gates: None,
             stats: SolverStats::default(),
             witnesses_confirmed: 0,
+            solver_vars: 0,
+            faulty_gates: 0,
         }
     }
 
@@ -131,36 +137,21 @@ impl<'n> RedundancyProver<'n> {
         self.witnesses_confirmed
     }
 
-    /// Builds and Tseitin-emits the good machine once into the base pair,
-    /// so every fault's working pair starts from its clause database.
-    fn prepare(&mut self) {
-        if self.ready {
-            return;
-        }
-        let d = self.enc.memory_depth() as usize;
-        self.enc.ensure_frames(&mut self.base_circuit, d);
-        for t in 0..=d {
-            for out in self.enc.netlist().output_ids() {
-                let row: Vec<_> = self.enc.good(t, out).to_vec();
-                for e in row {
-                    if !e.is_const() {
-                        let _ = self.base_circuit.lit(&mut self.base_solver, e);
-                    }
-                }
-            }
-        }
-        self.ready = true;
-    }
-
     /// Proves one fault: `Redundant` (UNSAT at all frames), `Detectable`
     /// with a replay-confirmed witness, or `Unknown` if `max_conflicts`
     /// runs out.
     pub fn prove(&mut self, fault: &FaultSpec, max_conflicts: u64) -> FaultVerdict {
-        self.prepare();
         let d = self.enc.memory_depth() as usize;
-        self.circuit.clone_from(&self.base_circuit);
-        let mut solver_reset = false;
-        let faulty = self.enc.faulty_frames(&mut self.circuit, fault, d);
+        let good_gates = match self.good_gates {
+            Some(n) => n,
+            None => {
+                self.enc.ensure_frames(&mut self.circuit, d);
+                *self.good_gates.insert(self.circuit.len())
+            }
+        };
+        self.circuit.truncate(good_gates);
+        let mut solver = Solver::new();
+        let mut faulty = self.enc.faulty_unroll(fault);
 
         // Frame D first: it decides steady-state detectability, and most
         // detectable faults are exposed there with a short search.
@@ -169,42 +160,38 @@ impl<'n> RedundancyProver<'n> {
 
         let mut verdict = FaultVerdict::Redundant;
         for t in order {
-            let diffs = self.enc.output_diff(&mut self.circuit, t, &faulty);
+            let diffs = self.enc.output_diff(&mut self.circuit, t, &mut faulty);
             if diffs.iter().all(|e| e.const_value() == Some(false)) {
                 continue; // hash-consing proved this frame identical
             }
-            if !solver_reset {
-                self.solver.clone_from(&self.base_solver);
-                solver_reset = true;
-            }
             if diffs.iter().any(|e| e.const_value() == Some(true)) {
                 // Outputs differ under every input: any model will do.
-                self.solver.set_conflict_budget(max_conflicts);
-                if self.solver.solve() != SolveResult::Sat {
+                solver.set_conflict_budget(max_conflicts);
+                if solver.solve() != SolveResult::Sat {
                     verdict = FaultVerdict::Unknown;
                     break;
                 }
-                verdict = self.conclude_sat(fault, t);
+                verdict = self.conclude_sat(&solver, fault, t);
                 break;
             }
             // Guard the miter clause with an activation literal so an
             // UNSAT frame can be retired without poisoning later queries.
-            let act = Lit::pos(self.solver.new_var());
+            let act = Lit::pos(solver.new_var());
             let mut clause = vec![act.negate()];
             for &e in &diffs {
                 if e.const_value().is_none() {
-                    clause.push(self.circuit.lit(&mut self.solver, e));
+                    clause.push(self.circuit.lit(&mut solver, e));
                 }
             }
-            self.solver.add_clause(&clause);
-            self.solver.set_conflict_budget(max_conflicts);
-            match self.solver.solve_assuming(&[act]) {
+            solver.add_clause(&clause);
+            solver.set_conflict_budget(max_conflicts);
+            match solver.solve_assuming(&[act]) {
                 SolveResult::Sat => {
-                    verdict = self.conclude_sat(fault, t);
+                    verdict = self.conclude_sat(&solver, fault, t);
                     break;
                 }
                 SolveResult::Unsat => {
-                    self.solver.add_clause(&[act.negate()]);
+                    solver.add_clause(&[act.negate()]);
                 }
                 SolveResult::Unknown => {
                     verdict = FaultVerdict::Unknown;
@@ -212,18 +199,18 @@ impl<'n> RedundancyProver<'n> {
                 }
             }
         }
-        if solver_reset {
-            self.accumulate(&self.base_solver.stats(), &self.solver.stats());
-        }
+        self.accumulate(&solver.stats());
+        self.solver_vars += u64::from(solver.num_vars());
+        self.faulty_gates += (self.circuit.len() - good_gates) as u64;
         verdict
     }
 
-    /// Extracts the frame-`t` witness from the working pair's SAT model and
+    /// Extracts the frame-`t` witness from the fault's SAT model and
     /// replays it; a replay failure (encoder soundness bug) downgrades to
     /// `Unknown`.
-    fn conclude_sat(&mut self, fault: &FaultSpec, t: usize) -> FaultVerdict {
+    fn conclude_sat(&mut self, solver: &Solver, fault: &FaultSpec, t: usize) -> FaultVerdict {
         let witness: Vec<i64> =
-            (0..=t).map(|f| self.enc.witness_word(&self.circuit, &self.solver, f)).collect();
+            (0..=t).map(|f| self.enc.witness_word(&self.circuit, solver, f)).collect();
         if replay_detects(self.enc.netlist(), fault, &witness) {
             self.witnesses_confirmed += 1;
             FaultVerdict::Detectable { witness }
@@ -232,12 +219,12 @@ impl<'n> RedundancyProver<'n> {
         }
     }
 
-    fn accumulate(&mut self, before: &SolverStats, after: &SolverStats) {
-        self.stats.conflicts += after.conflicts - before.conflicts;
-        self.stats.decisions += after.decisions - before.decisions;
-        self.stats.propagations += after.propagations - before.propagations;
-        self.stats.restarts += after.restarts - before.restarts;
-        self.stats.learnts += after.learnts - before.learnts;
+    fn accumulate(&mut self, fault: &SolverStats) {
+        self.stats.conflicts += fault.conflicts;
+        self.stats.decisions += fault.decisions;
+        self.stats.propagations += fault.propagations;
+        self.stats.restarts += fault.restarts;
+        self.stats.learnts += fault.learnts;
     }
 }
 
@@ -281,6 +268,8 @@ pub fn prove_faults(
     }
     out.witnesses_confirmed = prover.witnesses_confirmed();
     out.stats = prover.stats();
+    out.solver_vars = prover.solver_vars;
+    out.faulty_gates = prover.faulty_gates;
     out
 }
 

@@ -12,11 +12,9 @@
 //! instance.
 //!
 //! Clauses live in a single flat `u32` arena rather than `Vec<Vec<Lit>>`,
-//! which keeps propagation cache-friendly. [`Solver::clone_from`] resets a
-//! solver to a copy of another while reusing its allocations, down to each
-//! watch list: the redundancy prover resets one working solver to its
-//! fully-loaded base instance per fault instead of re-encoding the shared
-//! fault-free cone or allocating a fresh copy.
+//! which keeps propagation cache-friendly. A solver is cheap to create:
+//! the redundancy prover gives every fault a fresh one that holds only
+//! that fault's cone of influence.
 
 use std::fmt::Write as _;
 
@@ -174,64 +172,6 @@ pub struct Solver {
 impl Default for Solver {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for Solver {
-    fn clone(&self) -> Self {
-        let mut s = Solver::new();
-        s.clone_from(self);
-        s
-    }
-
-    /// Resets `self` to a copy of `source`, reusing `self`'s allocations
-    /// down to each watch list.
-    fn clone_from(&mut self, source: &Self) {
-        // Destructured so a new field cannot be left out of the copy.
-        let Solver {
-            num_vars,
-            arena,
-            originals,
-            learnts,
-            watches,
-            assigns,
-            phases,
-            levels,
-            reasons,
-            trail,
-            trail_lim,
-            prop_head,
-            activity,
-            var_inc,
-            cla_inc,
-            heap,
-            heap_pos,
-            seen,
-            unsat,
-            stats,
-            budget,
-        } = source;
-        self.num_vars = *num_vars;
-        self.arena.clone_from(arena);
-        self.originals.clone_from(originals);
-        self.learnts.clone_from(learnts);
-        self.watches.clone_from(watches);
-        self.assigns.clone_from(assigns);
-        self.phases.clone_from(phases);
-        self.levels.clone_from(levels);
-        self.reasons.clone_from(reasons);
-        self.trail.clone_from(trail);
-        self.trail_lim.clone_from(trail_lim);
-        self.prop_head = *prop_head;
-        self.activity.clone_from(activity);
-        self.var_inc = *var_inc;
-        self.cla_inc = *cla_inc;
-        self.heap.clone_from(heap);
-        self.heap_pos.clone_from(heap_pos);
-        self.seen.clone_from(seen);
-        self.unsat = *unsat;
-        self.stats = *stats;
-        self.budget = *budget;
     }
 }
 
@@ -1015,17 +955,6 @@ mod tests {
         let d = s.dimacs();
         assert!(d.starts_with("p cnf 2 1"));
         assert!(d.contains("1 -2 0"));
-    }
-
-    #[test]
-    fn cloned_solver_is_independent() {
-        let mut s = solver_with_vars(2);
-        s.add_clause(&[lit(1), lit(2)]);
-        let mut t = s.clone();
-        t.add_clause(&[lit(-1)]);
-        t.add_clause(&[lit(-2)]);
-        assert_eq!(t.solve(), SolveResult::Unsat);
-        assert_eq!(s.solve(), SolveResult::Sat);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Two fixed LP-MINI-shaped fixtures (tapped delay lines with shifts,
 //! adds and subs) run first, then [`CASES`] seeded random cones. Each
 //! cone proves many faults on one prover, so the suite also checks that
-//! resetting the prover's working pair between faults leaks nothing.
+//! truncating the prover's circuit between faults leaks nothing.
 //!
 //! The random cones come from `testkit::random_netlist`, over every
 //! node kind. A failure names its seed, and `BIST_RANDOM_SEED=<seed>`

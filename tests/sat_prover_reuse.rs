@@ -1,17 +1,18 @@
-//! The redundancy prover keeps one working circuit/solver pair and resets
-//! it from the good-machine base before each fault. That reuse must be
-//! invisible: proving a candidate list with one `prove_faults` call must
-//! give exactly the verdicts, witnesses and summed search counts of a
-//! fresh prover per fault. A reset that leaks anything from one fault to
-//! the next (a learnt clause, a saved phase, an activity, a stale emitted
-//! literal) moves a later fault's search and fails here.
+//! The redundancy prover proves every fault from the same good-machine
+//! gate graph, truncating its circuit back to it and starting an empty
+//! solver per fault. That reset must be invisible: proving a candidate
+//! list with one `prove_faults` call must give exactly the verdicts,
+//! witnesses and summed search counts of a fresh prover per fault. A
+//! reset that leaks anything from one fault to the next (a faulty gate,
+//! a stale hash-cons entry or emitted literal) moves a later fault's
+//! search and fails here.
 //!
 //! The candidates are LP-MINI's three redundant residue faults (the ones
 //! `sat_golden` pins: long UNSAT searches that reduce their learnt
-//! clauses), and the first six and last four ATPG screen candidates of
-//! LP-CSA at a 200-conflict budget, the `proof-topoff` benchmark's
-//! setting. That covers proofs, out-of-budget queries and faults whose
-//! miter folds to a constant.
+//! clauses), and all 28 ATPG screen candidates of LP-CSA at a
+//! 200-conflict budget, the `proof-topoff` benchmark's setting, with
+//! each one's verdict pinned. That covers proofs, out-of-budget queries
+//! and faults whose miter folds to a constant.
 
 use bist_core::BistSession;
 use faultsim::{FaultId, FaultUniverse};
@@ -80,16 +81,52 @@ fn lp_mini_residue_proofs_are_identical_on_a_reused_prover() {
     assert_eq!(outcome.redundant, 3, "all three residue faults are proven redundant");
 }
 
+/// LP-CSA's 28 ATPG screen candidates, in screen order.
+fn lp_csa_candidates(design: &FilterDesign) -> Vec<sat::FaultSpec> {
+    let session = BistSession::new(design).expect("session");
+    let universe = session.universe();
+    let screen = atpg::untestable_faults(design.netlist(), universe, design.spec().input_bits);
+    screen.iter().map(|&id| spec_for(universe, id)).collect()
+}
+
+/// The screen positions of the LP-CSA candidates proven redundant at
+/// budget 200: four faults on one carry-save cell whose miters fold to
+/// constants. The other 24 run out of budget.
+const LP_CSA_REDUNDANT: [usize; 4] = [24, 25, 26, 27];
+
 #[test]
 fn lp_csa_screen_candidates_are_identical_on_a_reused_prover() {
     let design = filters::designs::lowpass_carry_save().expect("LP-CSA");
-    let session = BistSession::new(&design).expect("session");
-    let universe = session.universe();
-    let screen = atpg::untestable_faults(design.netlist(), universe, design.spec().input_bits);
-    assert!(screen.len() >= 10, "LP-CSA keeps {} screen candidates", screen.len());
-    let picked = screen[..6].iter().chain(&screen[screen.len() - 4..]);
-    let candidates: Vec<sat::FaultSpec> = picked.map(|&id| spec_for(universe, id)).collect();
+    let candidates = lp_csa_candidates(&design);
+    assert_eq!(candidates.len(), 28, "LP-CSA screen candidates");
     let outcome = assert_reuse_invisible(&design, &candidates, 200);
-    assert!(outcome.unknown > 0, "some query runs out of its budget");
-    assert!(outcome.redundant > 0, "some fault is proven redundant");
+    let redundant: Vec<usize> = (0..candidates.len())
+        .filter(|&i| outcome.verdicts[i].1 == sat::FaultVerdict::Redundant)
+        .collect();
+    assert_eq!(redundant, LP_CSA_REDUNDANT, "candidates proven redundant");
+    assert_eq!(outcome.unknown, 24, "the rest run out of budget");
+    assert_eq!(outcome.detectable, 0);
+}
+
+/// Every LP-CSA query runs on a solver that holds only its cone of
+/// influence: under a tenth of the good machine's full unroll.
+#[test]
+fn lp_csa_queries_hold_a_small_fraction_of_the_good_unroll() {
+    let design = filters::designs::lowpass_carry_save().expect("LP-CSA");
+    let netlist = design.netlist();
+    let input_bits = design.spec().input_bits;
+    let mut enc = sat::NetlistEncoder::new(netlist, input_bits);
+    let mut good = sat::Circuit::new();
+    enc.ensure_frames(&mut good, enc.memory_depth() as usize);
+    let config = sat::PruneConfig { max_conflicts: 200 };
+    for (i, fault) in lp_csa_candidates(&design).iter().enumerate() {
+        let outcome = sat::prove_faults(netlist, input_bits, &[*fault], &config);
+        assert!(
+            outcome.solver_vars * 10 < good.len() as u64,
+            "candidate {i}: {} solver variables against {} good-machine gates",
+            outcome.solver_vars,
+            good.len(),
+        );
+        assert!(outcome.faulty_gates * 10 < good.len() as u64, "candidate {i}");
+    }
 }
