@@ -12,7 +12,7 @@ pub mod artifacts;
 pub mod plot;
 pub mod table;
 
-use bist_core::campaign::{build_generator, CampaignSpec};
+use bist_core::campaign::{build_generator, CampaignSpec, MAX_THREADS};
 use bist_core::session::{BistRun, BistSession, ResponseCheck, RunConfig};
 use filters::FilterDesign;
 use tpg::TestGenerator;
@@ -93,8 +93,8 @@ pub fn lint_tally(diags: &[obs::Diagnostic]) -> String {
 /// The experiment harness's run configuration: `vectors` test patterns
 /// with the defaults (16-bit MISR, trace-mode response checking,
 /// default schedule), honoring a `BIST_THREADS` environment override
-/// for the fault-simulation worker count (unset or `0` = one thread
-/// per core).
+/// for the fault-simulation worker count (unset, `0`, unparsable or
+/// above [`MAX_THREADS`] = one thread per core).
 pub fn run_config(vectors: usize) -> RunConfig {
     run_config_mode(vectors, ResponseCheck::Trace)
 }
@@ -102,8 +102,11 @@ pub fn run_config(vectors: usize) -> RunConfig {
 /// [`run_config`] with an explicit response-check mode — what the
 /// experiments binary builds under its `--signature` flag.
 pub fn run_config_mode(vectors: usize, mode: ResponseCheck) -> RunConfig {
-    let threads =
-        std::env::var("BIST_THREADS").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(0);
+    let threads = std::env::var("BIST_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&t| t <= MAX_THREADS)
+        .unwrap_or(0);
     RunConfig::new(vectors).with_threads(threads).with_response_check(mode)
 }
 

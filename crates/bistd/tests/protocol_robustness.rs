@@ -167,6 +167,7 @@ fn submit_with_invalid_spec_content_is_bad_request_not_panic() {
             boundaries: Some(vec![64, 64]),
             ..CampaignSpec::new("LP-MINI", "LFSR-D", 64)
         },
+        CampaignSpec { threads: 1000, ..CampaignSpec::new("LP-MINI", "LFSR-D", 64) },
     ] {
         match client.submit(&spec, None) {
             Err(bist_bistd::ClientError::Server { code, .. }) => {

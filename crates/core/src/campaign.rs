@@ -25,6 +25,11 @@ use tpg::TestGenerator;
 /// used by service smoke tests.
 pub const KNOWN_DESIGNS: [&str; 6] = ["LP", "BP", "HP", "LP-SYM", "LP-CSA", "LP-MINI"];
 
+/// The most fault-simulation workers a spec may pin
+/// ([`CampaignSpec::threads`]). Each is an OS thread for every stage of
+/// the run, and a pinned count above the host's cores buys nothing.
+pub const MAX_THREADS: usize = 64;
+
 /// Single-mode generators a campaign can name (12-bit, matching the
 /// paper designs). The mixed scheme is spelled `Mixed@<n>`: LFSR-1 for
 /// `n` vectors, then LFSR-M.
@@ -52,7 +57,8 @@ pub struct CampaignSpec {
     pub mode: ResponseCheck,
     /// Fault-dropping stage boundaries; `None` = the default schedule.
     pub boundaries: Option<Vec<u32>>,
-    /// Fault-simulation worker threads (`0` = one per core).
+    /// Fault-simulation worker threads (`0` = one per core; at most
+    /// [`MAX_THREADS`]).
     pub threads: usize,
     /// Deterministic top-off stage (ATPG screen + justification +
     /// hybrid LFSR reseeding); `None` = disabled.
@@ -150,6 +156,12 @@ impl CampaignSpec {
             return Err(invalid(format!(
                 "misr_width = {} has no tabulated primitive polynomial",
                 self.misr_width
+            )));
+        }
+        if self.threads > MAX_THREADS {
+            return Err(invalid(format!(
+                "threads = {} exceeds the limit of {MAX_THREADS}",
+                self.threads
             )));
         }
         if let Some(b) = &self.boundaries {
@@ -644,6 +656,20 @@ mod tests {
         assert!(matches!(err, SessionError::InvalidConfig { .. }), "{err}");
         assert!(err.to_string().contains("vectors"), "{err}");
         assert!(CampaignSpec::new("LP", "LFSR-D", u32::MAX as usize).validate().is_ok());
+        // A pinned worker count is bounded; a huge one must not reach
+        // the scheduler's thread arithmetic.
+        for (threads, ok) in [(0, true), (4, true), (MAX_THREADS, true), (MAX_THREADS + 1, false)]
+            .into_iter()
+            .chain([(1000, false), (usize::MAX, false)])
+        {
+            let spec = CampaignSpec { threads, ..CampaignSpec::new("LP", "LFSR-D", 128) };
+            match spec.validate() {
+                Err(SessionError::InvalidConfig { reason }) => {
+                    assert!(!ok && reason.contains("threads"), "{threads}: {reason}")
+                }
+                other => assert!(ok && other.is_ok(), "{threads}: {other:?}"),
+            }
+        }
         let bad = CampaignSpec {
             boundaries: Some(vec![64, 64]),
             ..CampaignSpec::new("LP", "LFSR-D", 128)

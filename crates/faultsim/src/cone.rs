@@ -13,23 +13,21 @@
 //!   cycle from the good trace, broadcast across all lanes; registers
 //!   outside the cone are not latched at all.
 //! * [`GoodTrace`] simulates the fault-free machine once per run,
-//!   **time-parallel**: lane `t` of a word is cycle `t` of a 64-cycle
-//!   block, so one pass over the tape covers 64 cycles. The builder
-//!   only accepts operands that point to earlier nodes, so node index
-//!   order is topological even through registers, and a register's
-//!   plane is its source plane shifted up one lane, with the previous
-//!   block's lane 63 carried in. The trace keeps the register state at
-//!   each stage boundary, the output planes until the scheduler takes
-//!   them, and, per stage, one bit per cycle of each slot on the
-//!   boundary of one of that stage's group cones ([`StageTrace`]).
-//!   Nothing in it grows with the test length beyond one stage's
-//!   window and one state per stage boundary.
+//!   **time-parallel**: a one-word cycle-lane machine over the whole
+//!   tape (the `cycle` module states the rule), so one pass covers 64
+//!   cycles. The trace keeps the register state at each stage
+//!   boundary, the output planes until the scheduler takes them, and,
+//!   per stage, one bit per cycle of each slot on the boundary of one
+//!   of that stage's group cones ([`StageTrace`]). Nothing in it grows
+//!   with the test length beyond one stage's window and one state per
+//!   stage boundary.
 //!
 //! Constants and the input block are never boundary slots: the machine
 //! keeps its constant slots and broadcasts the input word every cycle.
 
+use crate::cycle::{LaneMachine, LaneProgram};
 use crate::fault::FaultUniverse;
-use crate::kernel::{run_tape_ops, OpKind, Tape, NO_SLOT};
+use crate::kernel::{OpKind, Tape, NO_SLOT};
 use rtl::{Netlist, NodeId, NodeKind};
 
 /// A bitset over node or slot indices.
@@ -61,8 +59,7 @@ fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 /// The part of a tape one dispatch group runs: the ops, latches and
 /// boundary slots of a union fanout cone. [`Cone::full`] is the whole
-/// tape with no boundary, so a group whose cone is everything simply
-/// runs the whole tape.
+/// tape with no boundary, which the good trace runs.
 #[derive(Debug)]
 pub(crate) struct Cone {
     /// Uniform-kind op runs `(kind, start, end)` in tape order.
@@ -267,27 +264,26 @@ impl StageTrace {
     }
 }
 
-/// The fault-free machine of one run, evaluated 64 cycles per tape pass
-/// as the stages need it (see the module docs). It keeps the register
-/// state entering each requested cycle and the output planes not yet
-/// taken; the boundary words of a stage go to that stage's
-/// [`StageTrace`].
+/// The fault-free machine of one run: a one-word cycle-lane machine
+/// over the whole tape, advanced one 64-cycle block at a time as the
+/// stages need it (see the module docs). It keeps the register state
+/// entering each requested cycle and the output planes not yet taken;
+/// the boundary words of a stage go to that stage's [`StageTrace`].
 #[derive(Debug)]
 pub(crate) struct GoodTrace<'i> {
     index: &'i ConeIndex<'i>,
     inputs: &'i [i64],
-    /// One word per tape slot, lane `t` = cycle `t` of the last
-    /// evaluated block.
-    buf: Vec<u64>,
+    /// The fault-free machine, holding the planes of the last evaluated
+    /// block.
+    machine: LaneMachine<'i>,
+    /// Input planes of the block being evaluated.
+    input: Vec<u64>,
     /// Blocks evaluated so far.
     evaluated: usize,
-    /// Lane 63 of each latch source in the last evaluated block: the
-    /// value the register holds entering the next block's cycle 0.
-    carry: Vec<u64>,
     /// Cycles whose entering register state is kept, ascending.
     snapshot_at: Vec<u32>,
     /// `(cycle, register state entering that cycle)`, ascending.
-    snapshots: Vec<(u32, Vec<u64>)>,
+    snapshots: Vec<(u32, Box<[u64]>)>,
     /// Output planes of blocks `outputs_from..evaluated`, block-major:
     /// `outputs[(block - outputs_from) * planes + o * width + bit]`, in
     /// [`Netlist::output_ids`] order.
@@ -299,15 +295,22 @@ pub(crate) struct GoodTrace<'i> {
 }
 
 impl<'i> GoodTrace<'i> {
-    /// A trace over `inputs` that keeps the register state entering
-    /// each cycle of `snapshot_at` (cycle 0 is the reset state; a cycle
-    /// may equal `inputs.len()`). Nothing is simulated yet.
+    /// A trace over `inputs` that runs `program`, the whole tape
+    /// compiled for cycle-lane execution (`Cone::full`), and keeps the
+    /// register state entering each cycle of `snapshot_at` (cycle 0 is
+    /// the reset state; a cycle may equal `inputs.len()`). Nothing is
+    /// simulated yet.
     ///
     /// # Panics
     ///
     /// Panics if the netlist does not have exactly one input, or a
     /// snapshot cycle lies past the end of the test.
-    pub(crate) fn new(index: &'i ConeIndex<'i>, inputs: &'i [i64], snapshot_at: &[u32]) -> Self {
+    pub(crate) fn new(
+        index: &'i ConeIndex<'i>,
+        program: &'i LaneProgram,
+        inputs: &'i [i64],
+        snapshot_at: &[u32],
+    ) -> Self {
         let tape = index.tape;
         assert_eq!(tape.inputs.len(), 1, "netlist does not have exactly one input");
         let mut snapshot_at = snapshot_at.to_vec();
@@ -318,19 +321,15 @@ impl<'i> GoodTrace<'i> {
             "snapshot cycle past the test"
         );
         let snapshots = match snapshot_at.first() {
-            Some(0) => vec![(0, vec![0; tape.reg_bases.len()])],
+            Some(0) => vec![(0, vec![0; tape.reg_bases.len()].into())],
             _ => Vec::new(),
         };
         GoodTrace {
             index,
             inputs,
-            buf: {
-                let mut buf = vec![0u64; tape.slots];
-                buf[1] = !0; // slot 1: constant all-ones
-                buf
-            },
+            machine: LaneMachine::new(tape, program, Vec::new(), &[]),
+            input: vec![0; tape.width],
             evaluated: 0,
-            carry: vec![0; tape.latches.len()],
             snapshot_at,
             snapshots,
             outputs: Vec::new(),
@@ -339,47 +338,20 @@ impl<'i> GoodTrace<'i> {
         }
     }
 
-    /// Evaluates the next 64-cycle block: every node in index order,
-    /// each register as its source plane shifted up one lane.
+    /// Evaluates the next 64-cycle block.
     fn eval_block(&mut self) {
-        let (tape, index) = (self.index.tape, self.index);
-        let w = tape.width;
         let block = self.evaluated;
-        let in_base = tape.inputs[0].1 as usize;
-        input_planes(self.inputs, block, &mut self.buf[in_base..in_base + w]);
-        for (i, &reg) in index.register_of.iter().enumerate() {
-            if reg == NO_SLOT {
-                let (s, e) = tape.node_ops[i];
-                run_tape_ops(tape, &mut self.buf, s as usize, e as usize);
-            } else {
-                let bits = reg as usize * w..(reg as usize + 1) * w;
-                for (&(dst, src), carried) in
-                    tape.latches[bits.clone()].iter().zip(&mut self.carry[bits])
-                {
-                    let plane = self.buf[src as usize];
-                    self.buf[dst as usize] = (plane << 1) | *carried;
-                    *carried = plane >> 63;
-                }
-            }
-        }
-        for &base in &tape.outputs {
-            let planes = base as usize..base as usize + w;
-            self.outputs.extend_from_slice(&self.buf[planes]);
-        }
+        input_planes(self.inputs, block, &mut self.input);
+        self.machine.run_block(&self.input, &[], 0);
+        self.outputs.extend(self.machine.output_planes(0));
         // The state entering cycle c is every latch source's value in
-        // cycle c - 1.
+        // cycle c - 1; the program latches every register, so the
+        // baseline state is never read.
+        let regs = self.index.tape.reg_bases.len();
         for &cycle in &self.snapshot_at {
             if cycle > 0 && (cycle as usize - 1) / 64 == block {
-                let lane = (cycle - 1) % 64;
-                let regs = (0..tape.reg_bases.len())
-                    .map(|r| {
-                        (0..w).fold(0u64, |bits, b| {
-                            let src = tape.latches[r * w + b].1 as usize;
-                            bits | ((self.buf[src] >> lane) & 1) << b
-                        })
-                    })
-                    .collect();
-                self.snapshots.push((cycle, regs));
+                let state = self.machine.state(0, (cycle - 1) % 64, &vec![0; regs]);
+                self.snapshots.push((cycle, state));
             }
         }
         self.evaluated += 1;
@@ -421,7 +393,7 @@ impl<'i> GoodTrace<'i> {
             while self.evaluated <= block {
                 self.eval_block();
             }
-            words.extend(slots.iter().map(|&s| self.buf[s]));
+            words.extend(slots.iter().map(|&s| self.machine.tape_plane(0, s as u32)));
         }
         StageTrace { first_block, stride: slots.len(), words }
     }
@@ -510,6 +482,7 @@ pub(crate) fn input_planes(inputs: &[i64], block: usize, planes: &mut [u64]) {
 mod tests {
     use super::*;
     use rtl::range::{aligned_input_range, RangeAnalysis};
+    use rtl::sim::BitSlicedSim;
     use rtl::NetlistBuilder;
 
     #[test]
@@ -524,8 +497,9 @@ mod tests {
         let universe = FaultUniverse::enumerate(&n, &ranges);
         let tape = Tape::compile(&n);
         let index = ConeIndex::new(&n, &tape, &universe);
+        let program = LaneProgram::compile(&index, &Cone::full(&tape));
         let inputs: Vec<i64> = (0..1000).map(|i| (i * 37 % 256) - 128).collect();
-        let mut trace = GoodTrace::new(&index, &inputs, &[]);
+        let mut trace = GoodTrace::new(&index, &program, &inputs, &[]);
         let planes = tape.outputs.len() * tape.width;
         let mut taken = Vec::new();
         for end in [10, 64, 300, 1000] {
@@ -537,5 +511,45 @@ mod tests {
             assert!(kept <= planes, "{kept} plane words kept after cycle {end}");
         }
         assert_eq!(taken, crate::inject::probe_node(&n, y, &inputs));
+    }
+
+    #[test]
+    fn good_trace_matches_the_walker_on_random_netlists() {
+        // The trace against the walker's lane 0 on random netlists:
+        // every output word, and the register state entering every
+        // cycle — registers fed by the input, a constant or a set-lsb
+        // too, which no fault cone reaches.
+        testkit::for_each_seed(0x600D_0000, 40, |seed| {
+            let mut rng = testkit::Rng::new(seed);
+            let width = 4 + rng.below(7) as u32;
+            let nodes = 3 + rng.below(16);
+            let n = testkit::random_netlist(&mut rng, width, nodes);
+            let ranges = RangeAnalysis::analyze(&n, aligned_input_range(width, width));
+            let n = if rng.chance(2) { n.with_sign_trimming(&ranges) } else { n };
+            let inputs: Vec<i64> = (0..1 + rng.below(300)).map(|_| rng.signed(width)).collect();
+            let universe = FaultUniverse::enumerate(&n, &ranges);
+            let tape = Tape::compile(&n);
+            let index = ConeIndex::new(&n, &tape, &universe);
+            let program = LaneProgram::compile(&index, &Cone::full(&tape));
+            let every_cycle: Vec<u32> = (0..=inputs.len() as u32).collect();
+            let mut trace = GoodTrace::new(&index, &program, &inputs, &every_cycle);
+            let mut outputs: Vec<i64> = Vec::new();
+            trace.take_outputs(inputs.len() as u32, |_, v| outputs.push(v));
+            let mut walker = BitSlicedSim::new(&n);
+            let mut expected: Vec<i64> = Vec::new();
+            assert_eq!(trace.registers_at(0), walker.register_state_lane(0), "reset state");
+            for (cycle, &x) in inputs.iter().enumerate() {
+                walker.step(x);
+                expected.extend(n.output_ids().iter().map(|&out| walker.lane_value(out, 0)));
+                let state = trace.registers_at(cycle as u32 + 1);
+                assert_eq!(
+                    state,
+                    walker.register_state_lane(0),
+                    "state entering cycle {}",
+                    cycle + 1
+                );
+            }
+            assert_eq!(outputs, expected, "output words");
+        });
     }
 }

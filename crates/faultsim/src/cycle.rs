@@ -1,26 +1,34 @@
-//! Cycle-lane machines: one fault per word, 64 cycles per pass.
+//! Cycle-lane machines: 64 cycles per pass, one machine per word.
 //!
 //! A fault-lane machine (the `kernel` module) packs 63 faulty machines
-//! into the lanes of a word and advances them one cycle per pass. Late
-//! in a compare-mode run few faults survive, and their words leave
-//! cores idle and word loops short. A cycle-lane machine turns the word
-//! around, the way the good trace does (see the `cone` module): each
-//! word holds one fault, and lane `t` is cycle `t` of a 64-cycle block.
-//! The builder netlist is feed-forward, so one pass over the cone's
-//! nodes in index order evaluates a whole block:
+//! into the lanes of a word and advances them one cycle per pass. A
+//! cycle-lane machine turns the word around: each word holds one
+//! machine, and lane `t` is cycle `t` of a 64-cycle block. This is the
+//! crate's one time-parallel rule. The builder only accepts operands
+//! that point to earlier nodes, so node index order is topological even
+//! through registers, and one pass over a cone's nodes in index order
+//! evaluates a whole block:
 //!
 //! * a register's plane is its source plane shifted up one lane, with
 //!   the source's lane 63 of the previous block carried in;
 //! * boundary slots copy the stage trace's block word whole, and the
 //!   input block holds the block's 64 input words — no per-cycle
 //!   broadcast;
-//! * a fault is a full-word [`LineMasks`] patch on its own word, run
-//!   through the same masked gate model as a fault-lane patch.
+//! * a fault is a full-word [`rtl::fulladder::LineMasks`] patch on its
+//!   own word, run through the same masked gate model as a fault-lane
+//!   patch.
 //!
 //! This is parallel-pattern single-fault propagation (PPSFP,
 //! Waicukauski et al., 1985). It usually applies to combinational
 //! logic only; here it covers the registers too, because nothing feeds
 //! back.
+//!
+//! Two things run on it. The good trace (the `cone` module) is one
+//! fault-free word over the whole tape, advanced from the reset state
+//! one block at a time. Late in a compare-mode run few faults survive,
+//! and their fault-lane words would leave cores idle and word loops
+//! short, so those stages run each surviving fault on a word of its
+//! own, over its node's cone.
 //!
 //! A stage may open mid-block, at lane `s`. Then each register plane's
 //! lane `s` takes the stage-entry state instead of the shifted source.
@@ -30,9 +38,11 @@
 //! stage's last cycle are the state the next stage starts from.
 
 use crate::cone::{Cone, ConeIndex};
-use crate::kernel::{uniform_runs, OpKind, Operands, PatchWalk, Tape, WordPatches, NO_SLOT};
-use rtl::fulladder::{FaFault, LineMasks};
-use std::collections::BTreeMap;
+use crate::kernel::{
+    fold_patches, uniform_runs, OpKind, Operands, PatchWalk, Tape, WordPatches, NO_SLOT,
+};
+use rtl::fulladder::FaFault;
+use rtl::sim::CellFault;
 
 /// One step of a [`LaneProgram`]'s node-order schedule, by the
 /// exclusive end of what it runs.
@@ -72,6 +82,9 @@ pub(crate) struct LaneProgram {
     state: Vec<(u32, u32)>,
     /// `(tape op, program op)`, ascending by tape op.
     op_of: Vec<(u32, u32)>,
+    /// Local slot of each tape slot, `NO_SLOT` for slots outside the
+    /// program.
+    local: Vec<u32>,
     /// Number of local slots (slot 0 is all-zeros, slot 1 all-ones).
     slots: usize,
     /// Local slot of each bit of the input block.
@@ -215,6 +228,7 @@ impl LaneProgram {
             latch_of,
             state,
             op_of,
+            local: slots.local,
             slots: slots.next as usize,
             input,
             boundary,
@@ -246,9 +260,9 @@ pub(crate) struct LaneFault {
 }
 
 /// A cycle-lane machine: up to 16 faults, one per word, over one
-/// compiled cone. Words past the last fault pad the width to a power of
-/// two, which the kernel's word loops are specialised for; they carry
-/// no fault.
+/// compiled cone, or one fault-free word. Words past the last fault pad
+/// the width to a power of two, which the kernel's word loops are
+/// specialised for; they carry no fault.
 #[derive(Debug)]
 pub(crate) struct LaneMachine<'p> {
     tape: &'p Tape,
@@ -271,19 +285,19 @@ pub(crate) struct LaneMachine<'p> {
 impl<'p> LaneMachine<'p> {
     /// A machine carrying `faults`, word `k` entering its first block
     /// with register state `entry[k]` (one `width`-bit word per
-    /// register, in [`rtl::Netlist::register_indices`] order).
+    /// register, in [`rtl::Netlist::register_indices`] order). With no
+    /// faults it is one fault-free word entering from the reset state.
     ///
     /// # Panics
     ///
-    /// Panics if `faults` is empty or `entry` does not hold one state
-    /// per fault.
+    /// Panics if `entry` does not hold one state per fault.
     pub(crate) fn new(
         tape: &'p Tape,
         program: &'p LaneProgram,
         faults: Vec<LaneFault>,
         entry: &[&[u64]],
     ) -> Self {
-        assert!(!faults.is_empty() && entry.len() == faults.len(), "one entry state per fault");
+        assert_eq!(entry.len(), faults.len(), "one entry state per fault");
         let words = faults.len().next_power_of_two();
         let w = tape.width as u32;
         let mut carry = vec![0u64; program.latches.len() * words];
@@ -303,14 +317,10 @@ impl<'p> LaneMachine<'p> {
         let words = self.words;
         self.buf = vec![0u64; self.program.slots * words];
         self.buf[words..2 * words].fill(!0u64); // slot 1: constant all-ones
-        let mut per_op: BTreeMap<u32, WordPatches> = BTreeMap::new();
-        for (k, f) in self.faults.iter().enumerate() {
-            let masks = LineMasks::from_faults(&[(f.fault, !0u64)]);
-            for op in self.tape.cell_ops(f.node, f.cell) {
-                per_op.entry(self.program.local_op(op)).or_default().push((k as u32, masks));
-            }
-        }
-        self.patches = per_op.into_iter().collect();
+        let faults = self.faults.iter().enumerate().map(|(k, f)| {
+            (k as u32, f.node, CellFault { cell: f.cell, fault: f.fault, lanes: !0 })
+        });
+        self.patches = fold_patches(self.tape, faults, |op| self.program.local_op(op));
     }
 
     /// Words per pass.
@@ -388,12 +398,28 @@ impl<'p> LaneMachine<'p> {
         }
     }
 
+    /// Word `word`'s output planes of the last block, in
+    /// [`rtl::Netlist::output_ids`] order, `width` per output.
+    pub(crate) fn output_planes(&self, word: usize) -> impl Iterator<Item = u64> + '_ {
+        self.program.outputs.iter().map(move |&slot| self.buf[slot as usize * self.words + word])
+    }
+
     /// The lanes of the last block where word `word`'s outputs differ
     /// from `good` (the block's fault-free output planes, in
     /// [`rtl::Netlist::output_ids`] order).
     pub(crate) fn output_diff(&self, word: usize, good: &[u64]) -> u64 {
-        let plane = |slot: u32| self.buf[slot as usize * self.words + word];
-        self.program.outputs.iter().zip(good).fold(0, |diff, (&slot, &g)| diff | (plane(slot) ^ g))
+        self.output_planes(word).zip(good).fold(0, |diff, (plane, &g)| diff | (plane ^ g))
+    }
+
+    /// Word `word`'s plane of tape slot `slot` in the last block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program does not hold that slot.
+    pub(crate) fn tape_plane(&self, word: usize, slot: u32) -> u64 {
+        let local = self.program.local[slot as usize];
+        assert_ne!(local, NO_SLOT, "tape slot {slot} lies outside the machine's cone");
+        self.buf[local as usize * self.words + word]
     }
 
     /// Word `word`'s register state entering the cycle after lane

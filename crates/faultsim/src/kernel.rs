@@ -15,24 +15,23 @@
 //! * **wiring compiled away**: shifts, sign extension, `SetLsb` upper
 //!   bits, register reads and constant bits are pure *slot aliases*
 //!   resolved at compile time — zero instructions at run time,
-//! * **fault injection as tape patches** ([`KernelSim::set_faults`]):
-//!   each patched `(op, word)` folds its fault list once into per-line
-//!   `(keep, force)` masks ([`rtl::fulladder::LineMasks`]); a patched
-//!   op runs on the fast path for every word, then only its faulted
-//!   words are recomputed through the masked gate model, while every
-//!   other op of the tape — including the rest of the faulted adder —
-//!   stays on the branch-free fast path,
-//! * **optional multi-word lanes** ([`KernelSim::with_words`]): `N`
-//!   independent 64-pattern words per pass share one instruction
-//!   stream,
-//! * **cone restriction** (used by the parallel simulator): a machine
-//!   can run only the ops, latches and boundary slots of a fault
-//!   group's fanout cone, reading everything else from a fault-free
-//!   trace recorded once per run (see the `cone` module), and
-//! * **one compiled program per machine** (the `program` module):
-//!   every machine, whole-tape or restricted, runs its cone renumbered
-//!   over a dense local buffer with double-buffered registers, so a
-//!   step copies no latch whose source it recomputes.
+//! * **fault injection as tape patches** (`fold_patches`, shared with
+//!   the cycle-lane machine): each patched `(op, word)` folds its fault
+//!   list once into per-line `(keep, force)` masks
+//!   ([`rtl::fulladder::LineMasks`]); a patched op runs on the fast path
+//!   for every word, then only its faulted words are recomputed through
+//!   the masked gate model, while every other op of the tape —
+//!   including the rest of the faulted adder — stays on the
+//!   branch-free fast path,
+//! * **multi-word lanes**: `N` independent 64-pattern words per pass
+//!   share one instruction stream,
+//! * **cone restriction**: a fault group's machine runs only the ops,
+//!   latches and boundary slots of the group's fanout cone, reading
+//!   everything else from a fault-free trace recorded once per run (see
+//!   the `cone` module), and
+//! * **one compiled program per machine** (the `program` module): the
+//!   cone renumbered over a dense local buffer with double-buffered
+//!   registers, so a step copies no latch whose source it recomputes.
 //!
 //! # Slot-numbering contract
 //!
@@ -48,7 +47,7 @@
 //! then the input block, the boundary slots and the slots the cone's
 //! ops read and write, numbered in op order. The program has two op
 //! streams, one per cycle parity, and step `t` runs stream `t % 2`
-//! (a restricted machine takes the parity of the absolute cycle). A
+//! (`t` the absolute cycle, whatever stage the machine starts in). A
 //! slot the program writes every cycle (op destination, input bit or
 //! boundary fill) that some latched register reads as its source has
 //! two homes: stream `q` writes it, and reads it combinationally, in
@@ -62,10 +61,10 @@
 //! only homes no copy writes, so their order does not matter.
 //!
 //! Between steps, the register state entering the next step sits in
-//! the homes that step will read; loads, snapshots and resets address
-//! them at the machine's current parity. Registers that share a source
-//! plane (sign extension, or two registers on one node) share its
-//! state, which every real machine state satisfies.
+//! the homes that step will read; loads and snapshots address them at
+//! the machine's current parity. Registers that share a source plane
+//! (sign extension, or two registers on one node) share its state,
+//! which every real machine state satisfies.
 //!
 //! # Bit-identity with the walker
 //!
@@ -74,8 +73,8 @@
 //! its trimmed MSB cell, aliases its wiring copies, and patches its
 //! faulted slow path (the [`rtl::fulladder::eval_word`] lane masks,
 //! folded per line, and the same per-cell carry chaining). Outside a
-//! restricted machine's cone every lane carries the fault-free value,
-//! which is what the good trace supplies. [`KernelSim`] therefore produces the
+//! machine's cone every lane carries the fault-free value, which is
+//! what the good trace supplies. A group machine therefore produces the
 //! same output planes, register snapshots, detection masks and MISR
 //! foldings bit-for-bit — the differential tests in this crate and
 //! `tests/kernel_parity.rs` hold the two equal on every built-in
@@ -176,8 +175,8 @@ struct ArithOps {
 /// per-cell op addresses for fault patching).
 ///
 /// Compile once with [`Tape::compile`], then run any number of
-/// [`KernelSim`] machines against it — the tape is immutable and
-/// freely shared across threads.
+/// machines against it — the tape is immutable and freely shared
+/// across threads.
 #[derive(Debug)]
 pub struct Tape {
     pub(crate) width: usize,
@@ -206,9 +205,6 @@ pub struct Tape {
     pub(crate) node_ops: Vec<(u32, u32)>,
     /// Per-arithmetic-node cell-to-op addressing for fault patches.
     arith: HashMap<u32, ArithOps>,
-    /// Physical slot of every `(node, bit)` plane, aliasing resolved;
-    /// indexed `node_index * width + bit`.
-    slot_of: Vec<u32>,
 }
 
 impl Tape {
@@ -390,7 +386,7 @@ impl Tape {
                     // 1..w are majority ops over the *cell inputs* of
                     // bits 0..w-1. The cells are physically the paired
                     // sum node's, so its fault list patches these ops
-                    // too (see `rebuild_patches`).
+                    // too (see `fold_patches`).
                     let base = slots;
                     slots += (w - 1) as u32;
                     csa_carry_ops.insert(sum.index() as u32, kind.len() as u32);
@@ -452,7 +448,6 @@ impl Tape {
             latches,
             node_ops,
             arith,
-            slot_of,
         }
     }
 
@@ -494,7 +489,8 @@ impl Tape {
     ///
     /// Panics if `node` (a node index) is not an arithmetic node.
     pub(crate) fn cell_ops(&self, node: u32, cell: u32) -> impl Iterator<Item = u32> {
-        let info = self.arith[&node];
+        let info =
+            *self.arith.get(&node).expect("faults can only be injected into adders/subtractors");
         let own = (cell <= info.top).then_some(info.base_op + cell);
         let carry = info.carry_base.filter(|_| cell < info.top).map(|base| base + cell);
         own.into_iter().chain(carry)
@@ -568,21 +564,51 @@ impl Tape {
 /// entries sorted by word index.
 pub(crate) type WordPatches = Vec<(u32, LineMasks)>;
 
-/// A machine executing a [`Tape`]: the engine behind the parallel
-/// fault simulator.
+/// Folds faults into per-op patches, the form both machines run: each
+/// `(word, node, fault)` patches every tape op its cell drives
+/// ([`Tape::cell_ops`]), mapped to the machine's own op by `local_op`,
+/// and each patched `(op, word)` folds its fault list once into line
+/// masks. The patches come back sorted by machine op, each op's words
+/// ascending.
 ///
-/// The API mirrors [`rtl::sim::BitSlicedSim`] (step, fault injection,
-/// output diff, MISR folding, per-lane register snapshots) and is
-/// bit-identical to it — see the module docs for the argument. With
-/// [`KernelSim::with_words`] the machine carries `N` independent
-/// 64-lane pattern words per pass over the same instruction stream;
-/// the lane-indexed APIs (diff, folding, snapshots) address word 0.
+/// # Panics
+///
+/// Panics if a node is not an arithmetic node, a cell index is outside
+/// the datapath width, or `local_op` panics (an op outside the
+/// machine's cone).
+pub(crate) fn fold_patches(
+    tape: &Tape,
+    faults: impl IntoIterator<Item = (u32, u32, CellFault)>,
+    local_op: impl Fn(u32) -> u32,
+) -> Vec<(u32, WordPatches)> {
+    let mut per_op: BTreeMap<u32, BTreeMap<u32, Vec<(FaFault, u64)>>> = BTreeMap::new();
+    for (word, node, f) in faults {
+        assert!((f.cell as usize) < tape.width, "cell {} outside datapath", f.cell);
+        for op in tape.cell_ops(node, f.cell) {
+            let list = per_op.entry(local_op(op)).or_default().entry(word).or_default();
+            list.push((f.fault, f.lanes));
+        }
+    }
+    per_op
+        .into_iter()
+        .map(|(op, words)| {
+            (op, words.into_iter().map(|(w, list)| (w, LineMasks::from_faults(&list))).collect())
+        })
+        .collect()
+}
+
+/// A fault group's machine: `words` 64-lane pattern words, each lane
+/// one faulty machine (lane 0 the good one), over the compiled program
+/// of the group's fanout cone, fed by the good trace. Each word carries
+/// its own shard of faults; the parallel simulator batches that many
+/// shards into one machine. See the module docs for the slot contract
+/// and the argument that it is bit-identical to the walker.
 #[derive(Debug)]
-pub struct KernelSim<'t> {
+pub(crate) struct KernelSim<'t> {
     tape: &'t Tape,
     words: usize,
-    /// The compiled ops, latches and boundary fills this machine runs:
-    /// the whole tape unless restricted to a fault group's fanout cone.
+    /// The compiled ops, latches and boundary fills of the machine's
+    /// cone.
     program: Program,
     /// Bit-plane buffer over the program's local slots, slot-major:
     /// slot `s` of word `k` lives at `s * words + k`, so one op's
@@ -595,40 +621,21 @@ pub struct KernelSim<'t> {
     /// `phase`, and the register state entering it sits at that
     /// stream's register homes.
     phase: usize,
-    /// Injected faults, keyed `(word, node)`.
-    node_faults: BTreeMap<(u32, u32), Vec<CellFault>>,
     /// Per-op patch list, sorted by program op; each entry carries the
     /// faulted words (sorted) with their folded line masks.
     patches: Vec<(u32, WordPatches)>,
 }
 
 impl<'t> KernelSim<'t> {
-    /// A single-word (64-lane) machine with all registers zero and no
-    /// faults — the drop-in replacement for
-    /// [`rtl::sim::BitSlicedSim::new`].
-    pub fn new(tape: &'t Tape) -> Self {
-        Self::with_words(tape, 1)
-    }
-
-    /// A machine carrying `words` independent 64-lane pattern words
-    /// per pass (`words >= 1`) over one shared instruction stream —
-    /// the parallel simulator batches that many fault shards into one
-    /// machine. [`KernelSim::set_faults`] applies a fault set to every
-    /// word; [`KernelSim::set_faults_in_word`] faults one word alone.
+    /// A `words`-wide machine that runs only `cone`'s ops and latches
+    /// (its boundary ranks assigned), compiled into its own
+    /// [`Program`], with all registers zero and no faults. Its first
+    /// step is cycle `first_cycle`, whose parity picks the first op
+    /// stream.
     ///
     /// # Panics
     ///
     /// Panics if `words` is zero.
-    pub fn with_words(tape: &'t Tape, words: usize) -> Self {
-        Self::with_cone(tape, words, &Cone::full(tape), 0)
-    }
-
-    /// A `words`-wide machine that runs only `cone`'s ops and latches
-    /// (its boundary ranks assigned), compiled into its own
-    /// [`Program`], with all registers zero. Its first step is cycle
-    /// `first_cycle`, whose parity picks the first op stream. It must be
-    /// advanced with [`KernelSim::step_traced`] unless the cone has no
-    /// boundary slots.
     pub(crate) fn with_cone(tape: &'t Tape, words: usize, cone: &Cone, first_cycle: u32) -> Self {
         assert!(words > 0, "a kernel machine needs at least one word");
         let program = Program::compile(tape, cone);
@@ -640,13 +647,11 @@ impl<'t> KernelSim<'t> {
             program,
             buf,
             phase: first_cycle as usize % 2,
-            node_faults: BTreeMap::new(),
             patches: Vec::new(),
         }
     }
 
-    /// Ops executed per step: the cone's op count (the whole tape's
-    /// unless restricted).
+    /// Ops executed per step: the cone's op count.
     pub(crate) fn ops_per_step(&self) -> usize {
         self.program.op_count()
     }
@@ -668,190 +673,59 @@ impl<'t> KernelSim<'t> {
     }
 
     /// Whether the machine latches register `r` (in
-    /// [`Netlist::register_indices`] order); registers outside a
-    /// restricted cone keep their stage-entry state.
+    /// [`Netlist::register_indices`] order); registers outside the cone
+    /// keep their stage-entry state.
     #[cfg(test)]
     fn latches_register(&self, r: usize) -> bool {
         self.program.state[0][r * self.tape.width] != NO_SLOT
     }
 
-    /// The executed tape.
-    pub fn tape(&self) -> &'t Tape {
-        self.tape
-    }
-
-    /// The number of 64-lane words per pass.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Resets all register state to zero (faults are kept).
-    pub fn reset(&mut self) {
-        let w = self.words;
-        for &slot in self.program.state[self.phase].iter().filter(|&&s| s != NO_SLOT) {
-            self.buf[slot as usize * w..(slot as usize + 1) * w].fill(0);
-        }
-    }
-
-    /// Injects faults into an adder/subtractor/carry-save node of
-    /// *every* word, replacing any faults previously set on that node
-    /// — the same contract (and panic conditions) as
-    /// [`rtl::sim::BitSlicedSim::set_faults`]. Each fault becomes a
-    /// patch on the one tape op of its cell; faults on trimmed sign
-    /// cells above the node's MSB are inert, exactly as in the walker.
+    /// Injects the machine's faults, given as `(word, node, faults)`
+    /// entries: each fault acts in its lanes of its word only, on a cell
+    /// of an adder, subtractor or carry-save node. Faults on trimmed
+    /// sign cells above a node's MSB are inert, exactly as in the
+    /// walker. Replaces any faults injected before.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not an arithmetic node or a cell index is
-    /// outside the datapath width.
-    pub fn set_faults(&mut self, node: NodeId, faults: Vec<CellFault>) {
-        for word in 1..self.words as u32 {
-            self.install_faults(word, node, faults.clone());
-        }
-        self.install_faults(0, node, faults);
-        self.rebuild_patches();
-    }
-
-    /// Injects faults into an adder/subtractor/carry-save node of one
-    /// pattern word only, replacing any faults previously set on that
-    /// `(word, node)` pair — the per-shard form the parallel simulator
-    /// uses when batching several fault shards into one machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`KernelSim::set_faults`], or if `word` is out of
-    /// range.
-    pub fn set_faults_in_word(&mut self, word: usize, node: NodeId, faults: Vec<CellFault>) {
-        self.set_faults_by_word([(word, node, faults)]);
-    }
-
-    /// [`KernelSim::set_faults_in_word`] for a batch of `(word, node,
-    /// faults)` entries, rebuilding the patches once.
+    /// Panics if a node is not an arithmetic node, a cell index is
+    /// outside the datapath width, or a word is out of range.
     pub(crate) fn set_faults_by_word(
         &mut self,
         faults: impl IntoIterator<Item = (usize, NodeId, Vec<CellFault>)>,
     ) {
-        for (word, node, list) in faults {
-            assert!(word < self.words, "word {word} out of range");
-            self.install_faults(word as u32, node, list);
-        }
-        self.rebuild_patches();
+        let words = self.words;
+        let flat = faults.into_iter().flat_map(|(word, node, list)| {
+            assert!(word < words, "word {word} out of range");
+            list.into_iter().map(move |f| (word as u32, node.index() as u32, f))
+        });
+        let program = &self.program;
+        self.patches = fold_patches(self.tape, flat, |op| program.local_op(op));
     }
 
-    fn install_faults(&mut self, word: u32, node: NodeId, faults: Vec<CellFault>) {
-        assert!(
-            self.tape.arith.contains_key(&(node.index() as u32)),
-            "faults can only be injected into adders/subtractors"
-        );
-        for f in &faults {
-            assert!((f.cell as usize) < self.tape.width, "cell {} outside datapath", f.cell);
-        }
-        if faults.is_empty() {
-            self.node_faults.remove(&(word, node.index() as u32));
-        } else {
-            self.node_faults.insert((word, node.index() as u32), faults);
-        }
-    }
-
-    /// Removes every injected fault from every word.
-    pub fn clear_all_faults(&mut self) {
-        self.node_faults.clear();
-        self.patches.clear();
-    }
-
-    fn rebuild_patches(&mut self) {
-        let mut per_op: BTreeMap<u32, BTreeMap<u32, Vec<(FaFault, u64)>>> = BTreeMap::new();
-        for (&(word, node), faults) in &self.node_faults {
-            for f in faults {
-                for op in self.tape.cell_ops(node, f.cell) {
-                    per_op.entry(op).or_default().entry(word).or_default().push((f.fault, f.lanes));
-                }
-            }
-        }
-        // Program ops keep tape order, so the list stays sorted.
-        self.patches = per_op
-            .into_iter()
-            .map(|(op, words)| {
-                let words =
-                    words.into_iter().map(|(w, list)| (w, LineMasks::from_faults(&list))).collect();
-                (self.program.local_op(op), words)
-            })
-            .collect();
-    }
-
-    /// Advances one clock cycle with the same input word broadcast to
-    /// all lanes of every word.
+    /// Advances one clock cycle: the input word and the cone's boundary
+    /// slots (their fault-free `cycle` values from the stage's trace)
+    /// are broadcast to every lane of every word.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist does not have exactly one input, or the
-    /// machine is restricted to a cone that reads trace values.
-    pub fn step(&mut self, input_raw: i64) {
-        assert!(
-            self.program.boundary[0].is_empty(),
-            "a cone-restricted machine steps with a trace"
-        );
-        self.broadcast_input(input_raw);
-        self.finish_step();
-    }
-
-    /// [`KernelSim::step`] for a cone-restricted machine: the cone's
-    /// boundary slots take their fault-free `cycle` values from the
-    /// stage's trace, broadcast to every lane of every word.
+    /// Panics if the netlist does not have exactly one input.
     pub(crate) fn step_traced(&mut self, input_raw: i64, trace: &StageTrace, cycle: u32) {
         debug_assert_eq!(cycle as usize % 2, self.phase, "steps follow the cycle parity");
-        self.broadcast_input(input_raw);
-        let (row, lane) = trace.block_row(cycle);
-        let w = self.words;
-        for &(slot, rank) in &self.program.boundary[self.phase] {
-            let v = ((row[rank as usize] >> lane) & 1).wrapping_neg();
-            let lo = slot as usize * w;
-            self.buf[lo..lo + w].fill(v);
-        }
-        self.finish_step();
-    }
-
-    /// Broadcasts one input word to all lanes of every word.
-    fn broadcast_input(&mut self, input_raw: i64) {
         assert_eq!(self.tape.inputs.len(), 1, "netlist does not have exactly one input");
+        let w = self.words;
         let bits = input_raw as u64;
         for (b, &slot) in self.program.input[self.phase].iter().enumerate() {
-            let v = if (bits >> b) & 1 == 1 { !0u64 } else { 0 };
-            let lo = slot as usize * self.words;
-            self.buf[lo..lo + self.words].fill(v);
+            let v = ((bits >> b) & 1).wrapping_neg();
+            self.buf[slot as usize * w..][..w].fill(v);
         }
-    }
-
-    /// Advances one clock cycle with a distinct input word per pattern
-    /// word — the multi-word form of [`KernelSim::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raws` does not hold exactly [`KernelSim::words`]
-    /// entries or the netlist does not have exactly one input.
-    pub fn step_words(&mut self, raws: &[i64]) {
-        assert!(
-            self.program.boundary[0].is_empty(),
-            "a cone-restricted machine steps with a trace"
-        );
-        assert_eq!(self.tape.inputs.len(), 1, "netlist does not have exactly one input");
-        assert_eq!(raws.len(), self.words, "one input word per pattern word");
-        for (word, &raw) in raws.iter().enumerate() {
-            let bits = raw as u64;
-            for (b, &slot) in self.program.input[self.phase].iter().enumerate() {
-                self.buf[slot as usize * self.words + word] =
-                    if (bits >> b) & 1 == 1 { !0u64 } else { 0 };
-            }
+        let (row, lane) = trace.block_row(cycle);
+        for &(slot, rank) in &self.program.boundary[self.phase] {
+            let v = ((row[rank as usize] >> lane) & 1).wrapping_neg();
+            self.buf[slot as usize * w..][..w].fill(v);
         }
-        self.finish_step();
-    }
-
-    /// Runs this step's op stream and explicit latch copies, then flips
-    /// the parity.
-    fn finish_step(&mut self) {
-        let (program, w) = (&self.program, self.words);
+        let (program, buf) = (&self.program, &mut self.buf[..]);
         let ops = &program.streams[self.phase];
-        let buf = &mut self.buf[..];
         let end = program.op_count() as u32;
         PatchWalk::new(&self.patches).run_to(&program.segments, &program.kind, ops, buf, w, end);
         for &(dst, src) in &program.copies[self.phase] {
@@ -859,13 +733,6 @@ impl<'t> KernelSim<'t> {
             buf.copy_within(src..src + w, dst as usize * w);
         }
         self.phase ^= 1;
-    }
-
-    /// Local slot of tape slot `slot` as the last step left it.
-    fn settled(&self, slot: u32) -> usize {
-        let local = self.program.slot_map[slot as usize][self.phase ^ 1];
-        assert_ne!(local, NO_SLOT, "tape slot {slot} lies outside the machine's cone");
-        local as usize
     }
 
     /// Register-state plane `latch` of pattern word `word`: the state
@@ -877,47 +744,14 @@ impl<'t> KernelSim<'t> {
         }
     }
 
-    /// Reads one lane's word at a node (word 0), sign-extended to
-    /// `i64` at the datapath width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 64`.
-    pub fn lane_value(&self, node: NodeId, lane: u32) -> i64 {
-        self.lane_value_in_word(0, node, lane)
-    }
-
-    /// [`KernelSim::lane_value`] for an arbitrary pattern word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 64` or `word` is out of range.
-    pub fn lane_value_in_word(&self, word: usize, node: NodeId, lane: u32) -> i64 {
-        assert!(lane < 64, "lane out of range");
-        assert!(word < self.words, "word {word} out of range");
-        let w = self.tape.width;
-        let mut bits: u64 = 0;
-        for b in 0..w {
-            let slot = self.settled(self.tape.slot_of[node.index() * w + b]);
-            bits |= ((self.buf[slot * self.words + word] >> lane) & 1) << b;
-        }
-        let shift = 64 - w;
-        ((bits << shift) as i64) >> shift
-    }
-
-    /// Mask of lanes (word 0) whose output words differ from
-    /// `reference_lane`'s this cycle — identical to
+    /// Mask of the lanes of one pattern word whose output words differ
+    /// from `reference_lane`'s in the last step — the walker's
     /// [`rtl::sim::BitSlicedSim::output_diff_lanes`].
-    pub fn output_diff_lanes(&self, reference_lane: u32) -> u64 {
-        self.output_diff_lanes_in_word(0, reference_lane)
-    }
-
-    /// [`KernelSim::output_diff_lanes`] for an arbitrary pattern word.
     ///
     /// # Panics
     ///
     /// Panics if `word` is out of range.
-    pub fn output_diff_lanes_in_word(&self, word: usize, reference_lane: u32) -> u64 {
+    pub(crate) fn output_diff_lanes_in_word(&self, word: usize, reference_lane: u32) -> u64 {
         assert!(word < self.words, "word {word} out of range");
         let mut diff: u64 = 0;
         for &slot in &self.program.outputs[self.phase ^ 1] {
@@ -928,22 +762,16 @@ impl<'t> KernelSim<'t> {
         diff & !(1u64 << reference_lane)
     }
 
-    /// Folds the current cycle's output planes (word 0) into a
-    /// signature bank, one [`MisrBank::absorb_planes`] per output node
-    /// in [`Netlist::output_ids`] order — identical to
-    /// [`rtl::sim::BitSlicedSim::fold_outputs`].
-    pub fn fold_outputs(&self, bank: &mut MisrBank) {
-        self.fold_outputs_in_word(0, bank);
-    }
-
-    /// [`KernelSim::fold_outputs`] for an arbitrary pattern word: each
-    /// word carries its own shard of faults, so each folds into its
-    /// own bank.
+    /// Folds the last step's output planes of one pattern word into a
+    /// signature bank, one [`MisrBank::absorb_planes`] per output node in
+    /// [`Netlist::output_ids`] order — the walker's
+    /// [`rtl::sim::BitSlicedSim::fold_outputs`]. Each word carries its
+    /// own shard of faults, so each folds into its own bank.
     ///
     /// # Panics
     ///
     /// Panics if `word` is out of range.
-    pub fn fold_outputs_in_word(&self, word: usize, bank: &mut MisrBank) {
+    pub(crate) fn fold_outputs_in_word(&self, word: usize, bank: &mut MisrBank) {
         assert!(word < self.words, "word {word} out of range");
         let mut planes = [0u64; 64];
         for output in self.program.outputs[self.phase ^ 1].chunks(self.tape.width) {
@@ -954,55 +782,14 @@ impl<'t> KernelSim<'t> {
         }
     }
 
-    /// Snapshot of one lane's register state (word 0; one `width`-bit
-    /// word per register, in [`Netlist::register_indices`] order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 64`.
-    pub fn register_state_lane(&self, lane: u32) -> Vec<u64> {
-        self.register_state_lane_in_word(0, lane)
-    }
-
-    /// [`KernelSim::register_state_lane`] for an arbitrary pattern
-    /// word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 64` or `word` is out of range.
-    pub fn register_state_lane_in_word(&self, word: usize, lane: u32) -> Vec<u64> {
-        assert!(lane < 64, "lane out of range");
-        assert!(word < self.words, "word {word} out of range");
-        let w = self.tape.width;
-        (0..self.tape.reg_bases.len())
-            .map(|r| {
-                let mut bits: u64 = 0;
-                for b in 0..w {
-                    bits |= ((self.state_plane(r * w + b, word) >> lane) & 1) << b;
-                }
-                bits
-            })
-            .collect()
-    }
-
-    /// Sets (or clears) `lane` of register-state plane `latch` of
-    /// `word`. Latches that share a source share their state plane, so
-    /// this assigns rather than flips: writing the same bit twice is
-    /// harmless.
-    fn set_state_bit(&mut self, latch: usize, word: usize, lane: u32, one: bool) {
-        let slot = self.program.state[self.phase][latch];
-        if slot != NO_SLOT {
-            let plane = &mut self.buf[slot as usize * self.words + word];
-            *plane = (*plane & !(1u64 << lane)) | (u64::from(one) << lane);
-        }
-    }
-
     /// Loads one word's register state in bulk: every lane takes the
     /// `baseline` snapshot, then each `(lane, snapshot)` overrides its
     /// own lane. Only the registers the machine latches are loaded (the
     /// others are never read back as machine state). Touching just the
     /// bits where a snapshot differs from the baseline keeps this cheap
-    /// for the many lanes whose state has not diverged.
+    /// for the many lanes whose state has not diverged. Latches that
+    /// share a source share their state plane, so bits are assigned
+    /// rather than flipped: writing the same bit twice is harmless.
     pub(crate) fn load_word_state<'s>(
         &mut self,
         word: usize,
@@ -1010,12 +797,10 @@ impl<'t> KernelSim<'t> {
         lanes: impl IntoIterator<Item = (u32, &'s [u64])>,
     ) {
         let (w, words) = (self.tape.width, self.words);
-        for latch in 0..baseline.len() * w {
-            let slot = self.program.state[self.phase][latch];
-            if slot != NO_SLOT {
-                let (r, b) = (latch / w, latch % w);
-                self.buf[slot as usize * words + word] = ((baseline[r] >> b) & 1).wrapping_neg();
-            }
+        let state = &self.program.state[self.phase];
+        for (latch, &slot) in state.iter().enumerate().filter(|&(_, &s)| s != NO_SLOT) {
+            let (r, b) = (latch / w, latch % w);
+            self.buf[slot as usize * words + word] = ((baseline[r] >> b) & 1).wrapping_neg();
         }
         for (lane, snapshot) in lanes {
             for (r, (&bits, &good)) in snapshot.iter().zip(baseline).enumerate() {
@@ -1023,7 +808,12 @@ impl<'t> KernelSim<'t> {
                 while diff != 0 {
                     let b = diff.trailing_zeros() as usize;
                     diff &= diff - 1;
-                    self.set_state_bit(r * w + b, word, lane, (bits >> b) & 1 == 1);
+                    let slot = state[r * w + b];
+                    if slot != NO_SLOT {
+                        let plane = &mut self.buf[slot as usize * words + word];
+                        let one = (bits >> b) & 1;
+                        *plane = (*plane & !(1u64 << lane)) | (one << lane);
+                    }
                 }
             }
         }
@@ -1061,30 +851,6 @@ impl<'t> KernelSim<'t> {
             }
         }
         snapshots
-    }
-
-    /// Writes a register-state snapshot into one lane of one pattern
-    /// word — the inverse of [`KernelSim::register_state_lane_in_word`].
-    /// Registers outside a restricted machine's cone are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match the register count,
-    /// `lane >= 64`, or `word` is out of range.
-    pub fn set_register_state_lane_in_word(&mut self, word: usize, lane: u32, snapshot: &[u64]) {
-        assert!(lane < 64, "lane out of range");
-        assert!(word < self.words, "word {word} out of range");
-        assert_eq!(
-            snapshot.len(),
-            self.tape.reg_bases.len(),
-            "snapshot does not match register count"
-        );
-        let w = self.tape.width;
-        for (r, &bits) in snapshot.iter().enumerate() {
-            for b in 0..w {
-                self.set_state_bit(r * w + b, word, lane, (bits >> b) & 1 == 1);
-            }
-        }
     }
 }
 
@@ -1175,19 +941,6 @@ fn run_range(
         }
     }
     seg_idx
-}
-
-/// Executes tape ops `[start, end)` of any kinds on a one-word buffer
-/// in the tape's own slot numbering, split into uniform-kind runs (the
-/// good trace evaluates one node at a time).
-pub(crate) fn run_tape_ops(tape: &Tape, buf: &mut [u64], start: usize, end: usize) {
-    let mut lo = start;
-    while lo < end {
-        let k = tape.kind[lo];
-        let hi = (lo..end).find(|&i| tape.kind[i] != k).unwrap_or(end);
-        run_segment(&tape.ops, buf, 1, k, lo, hi);
-        lo = hi;
-    }
 }
 
 /// Executes ops `[start, end)` of `ops`, all of one `kind`, over `buf`,
@@ -1397,10 +1150,13 @@ fn run_patched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultUniverse;
+    use crate::cone::{ConeIndex, GoodTrace};
+    use crate::cycle::LaneProgram;
+    use crate::fault::{FaultId, FaultUniverse};
     use rtl::range::{aligned_input_range, RangeAnalysis};
     use rtl::sim::BitSlicedSim;
     use rtl::NetlistBuilder;
+    use std::collections::BTreeSet;
 
     /// A netlist exercising every compiled construct: shifts, chained
     /// registers, add, sub, not, set-lsb, constants, a carry-save stage,
@@ -1437,174 +1193,233 @@ mod tests {
         (0..n).map(|_| rng.signed(width)).collect()
     }
 
-    fn assert_machines_agree(netlist: &Netlist, walker: &BitSlicedSim<'_>, kernel: &KernelSim<'_>) {
-        for lane in [0u32, 1, 17, 63] {
-            assert_eq!(walker.output_diff_lanes(lane), kernel.output_diff_lanes(lane));
-            assert_eq!(walker.register_state_lane(lane), kernel.register_state_lane(lane));
-            for id in netlist.node_ids() {
-                assert_eq!(
-                    walker.lane_value(id, lane),
-                    kernel.lane_value(id, lane),
-                    "node {id} lane {lane}"
-                );
-            }
+    fn universe(n: &Netlist) -> FaultUniverse {
+        let width = n.width();
+        FaultUniverse::enumerate(n, &RangeAnalysis::analyze(n, aligned_input_range(width, width)))
+    }
+
+    /// `faults`' sites batched per node, the `i`-th on lane `i + 1`.
+    fn per_node(universe: &FaultUniverse, faults: &[FaultId]) -> BTreeMap<NodeId, Vec<CellFault>> {
+        let mut per_node: BTreeMap<NodeId, Vec<CellFault>> = BTreeMap::new();
+        for (slot, &fid) in faults.iter().enumerate() {
+            let site = universe.site(fid);
+            let fault = CellFault { cell: site.cell, fault: site.representative, lanes: 2 << slot };
+            per_node.entry(site.node).or_default().push(fault);
         }
+        per_node
+    }
+
+    /// The walker with `faults` injected.
+    fn walker_with<'n>(
+        n: &'n Netlist,
+        faults: &BTreeMap<NodeId, Vec<CellFault>>,
+    ) -> BitSlicedSim<'n> {
+        let mut walker = BitSlicedSim::new(n);
+        for (&node, list) in faults {
+            walker.set_faults(node, list.clone());
+        }
+        walker
+    }
+
+    /// The same faults on pattern word `word` of a machine.
+    fn in_word(
+        word: usize,
+        faults: &BTreeMap<NodeId, Vec<CellFault>>,
+    ) -> impl Iterator<Item = (usize, NodeId, Vec<CellFault>)> + '_ {
+        faults.iter().map(move |(&node, list)| (word, node, list.clone()))
+    }
+
+    /// A good trace of `inputs` that keeps the register state entering
+    /// every cycle.
+    fn every_cycle<'i>(
+        index: &'i ConeIndex<'i>,
+        program: &'i LaneProgram,
+        inputs: &'i [i64],
+    ) -> GoodTrace<'i> {
+        GoodTrace::new(index, program, inputs, &(0..=inputs.len() as u32).collect::<Vec<_>>())
     }
 
     impl KernelSim<'_> {
-        /// Every output plane of word 0 as the last step left it.
-        fn output_planes(&self) -> Vec<u64> {
+        /// Every output plane of `word` as the last step left it.
+        fn output_planes(&self, word: usize) -> Vec<u64> {
             let last = &self.program.outputs[self.phase ^ 1];
-            last.iter().map(|&slot| self.buf[slot as usize * self.words]).collect()
+            last.iter().map(|&slot| self.buf[slot as usize * self.words + word]).collect()
         }
+    }
+
+    /// The walker's output planes, in [`Netlist::output_ids`] order.
+    fn walker_output_planes(n: &Netlist, walker: &BitSlicedSim<'_>) -> Vec<u64> {
+        let w = n.width();
+        let mut planes = Vec::new();
+        for out in n.output_ids() {
+            let values: Vec<i64> = (0..64).map(|lane| walker.lane_value(out, lane)).collect();
+            planes.extend((0..w).map(|b| {
+                values
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |p, (lane, &v)| p | ((v as u64 >> b) & 1) << lane)
+            }));
+        }
+        planes
+    }
+
+    /// Word `word` of a machine against the walker after the same
+    /// cycle: every output plane, the output diffs against several
+    /// reference lanes, and every lane's register state entering the
+    /// next cycle, with `good` — the fault-free state — in the
+    /// registers outside the machine's cone.
+    fn assert_word_matches(
+        n: &Netlist,
+        walker: &BitSlicedSim<'_>,
+        machine: &KernelSim<'_>,
+        word: usize,
+        good: &[u64],
+        tag: &str,
+    ) {
+        assert_eq!(machine.output_planes(word), walker_output_planes(n, walker), "{tag}");
+        for lane in [0u32, 1, 17, 63] {
+            let diff = machine.output_diff_lanes_in_word(word, lane);
+            assert_eq!(diff, walker.output_diff_lanes(lane), "{tag} reference lane {lane}");
+        }
+        for (lane, snap) in machine.word_snapshots(word, !0, good).iter().enumerate() {
+            assert_eq!(**snap, walker.register_state_lane(lane as u32)[..], "{tag} lane {lane}");
+        }
+    }
+
+    /// Runs each fault group on a one-word machine restricted to the
+    /// union cone of its nodes, fed by the good trace, against the
+    /// walker with the same faults, every cycle. Returns the smallest
+    /// cone's op count.
+    fn check_groups_against_the_walker(
+        n: &Netlist,
+        groups: &[Vec<FaultId>],
+        cycles: usize,
+    ) -> usize {
+        let universe = universe(n);
+        let tape = Tape::compile(n);
+        let index = ConeIndex::new(n, &tape, &universe);
+        let program = LaneProgram::compile(&index, &Cone::full(&tape));
+        let inputs = pseudo_inputs(n.width(), cycles);
+        let mut smallest = tape.op_count();
+        for group in groups.iter().filter(|g| !g.is_empty()) {
+            let faults = per_node(&universe, group);
+            let mut trace = every_cycle(&index, &program, &inputs);
+            let mut cones = [index.group_cone(faults.keys().copied())];
+            let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
+            let mut machine = KernelSim::with_cone(&tape, 1, &cones[0], 0);
+            machine.set_faults_by_word(in_word(0, &faults));
+            smallest = smallest.min(machine.ops_per_step());
+            let mut walker = walker_with(n, &faults);
+            for (cycle, &raw) in inputs.iter().enumerate() {
+                machine.step_traced(raw, &stage, cycle as u32);
+                walker.step(raw);
+                let good = trace.registers_at(cycle as u32 + 1);
+                assert_word_matches(n, &walker, &machine, 0, good, &format!("cycle {cycle}"));
+            }
+        }
+        smallest
     }
 
     #[test]
     fn clean_machine_matches_the_walker_everywhere() {
+        // No faults, over the union cone of every fault node: every lane
+        // is the good machine, out to the outputs and the registers the
+        // cone latches.
         let n = kitchen_sink(10);
         let tape = Tape::compile(&n);
+        let u = universe(&n);
+        let index = ConeIndex::new(&n, &tape, &u);
+        let program = LaneProgram::compile(&index, &Cone::full(&tape));
+        let inputs = pseudo_inputs(10, 200);
+        let mut trace = every_cycle(&index, &program, &inputs);
+        let nodes: BTreeSet<NodeId> = u.sites().iter().map(|site| site.node).collect();
+        let mut cones = [index.group_cone(nodes)];
+        let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
+        let mut machine = KernelSim::with_cone(&tape, 1, &cones[0], 0);
         let mut walker = BitSlicedSim::new(&n);
-        let mut kernel = KernelSim::new(&tape);
-        for raw in pseudo_inputs(10, 200) {
+        for (cycle, &raw) in inputs.iter().enumerate() {
+            machine.step_traced(raw, &stage, cycle as u32);
             walker.step(raw);
-            kernel.step(raw);
-            assert_machines_agree(&n, &walker, &kernel);
+            let good = trace.registers_at(cycle as u32 + 1);
+            assert_word_matches(&n, &walker, &machine, 0, good, &format!("cycle {cycle}"));
         }
     }
 
     #[test]
     fn every_universe_fault_matches_the_walker() {
-        // The in-crate differential: inject every collapsed fault
-        // site (sharded 63 at a time, like the parallel simulator)
-        // into both engines and hold all planes equal every cycle.
+        // The in-crate differential: inject every collapsed fault site,
+        // sharded 63 at a time like the parallel simulator, into both
+        // engines and hold all planes equal every cycle.
         let n = kitchen_sink(8);
-        let ranges = RangeAnalysis::analyze(&n, aligned_input_range(8, 8));
-        let universe = FaultUniverse::enumerate(&n, &ranges);
-        assert!(universe.len() > 63, "want more than one shard");
-        let tape = Tape::compile(&n);
-        let sites: Vec<_> = universe.ids().collect();
-        for group in sites.chunks(63) {
-            let mut walker = BitSlicedSim::new(&n);
-            let mut kernel = KernelSim::new(&tape);
-            let mut per_node: HashMap<NodeId, Vec<CellFault>> = HashMap::new();
-            for (slot, &fid) in group.iter().enumerate() {
-                let site = universe.site(fid);
-                per_node.entry(site.node).or_default().push(CellFault {
-                    cell: site.cell,
-                    fault: site.representative,
-                    lanes: 1u64 << (slot + 1),
-                });
-            }
-            for (node, faults) in per_node {
-                walker.set_faults(node, faults.clone());
-                kernel.set_faults(node, faults);
-            }
-            for raw in pseudo_inputs(8, 96) {
-                walker.step(raw);
-                kernel.step(raw);
-                assert_machines_agree(&n, &walker, &kernel);
-            }
-        }
+        let sites: Vec<FaultId> = universe(&n).ids().collect();
+        assert!(sites.len() > 63, "want more than one shard");
+        let shards: Vec<Vec<FaultId>> = sites.chunks(63).map(<[_]>::to_vec).collect();
+        check_groups_against_the_walker(&n, &shards, 96);
+    }
+
+    #[test]
+    fn cone_restricted_groups_match_the_full_tape_every_cycle() {
+        // Each fault node alone, on a machine restricted to its cone
+        // and fed by the good trace, against the walker running the
+        // whole netlist: identical output planes in every lane, and
+        // identical register snapshots once the registers outside the
+        // cone read the fault-free state.
+        let n = kitchen_sink(8);
+        let u = universe(&n);
+        let groups: Vec<Vec<FaultId>> = n
+            .arithmetic_ids()
+            .into_iter()
+            .map(|node| u.ids_on_node(node).into_iter().take(63).collect())
+            .collect();
+        let smallest = check_groups_against_the_walker(&n, &groups, 150);
+        assert!(smallest < Tape::compile(&n).op_count(), "some cone leaves ops out");
     }
 
     #[test]
     fn signature_folding_matches_the_walker() {
         let n = kitchen_sink(9);
+        let u = universe(&n);
         let tape = Tape::compile(&n);
-        let mut walker = BitSlicedSim::new(&n);
-        let mut kernel = KernelSim::new(&tape);
+        let index = ConeIndex::new(&n, &tape, &u);
+        let program = LaneProgram::compile(&index, &Cone::full(&tape));
+        let inputs = pseudo_inputs(9, 150);
+        let shard: Vec<FaultId> = u.ids().take(63).collect();
+        let faults = per_node(&u, &shard);
+        let mut trace = every_cycle(&index, &program, &inputs);
+        let mut cones = [index.group_cone(faults.keys().copied())];
+        let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
+        let mut machine = KernelSim::with_cone(&tape, 1, &cones[0], 0);
+        machine.set_faults_by_word(in_word(0, &faults));
+        let mut walker = walker_with(&n, &faults);
         let mut wb = MisrBank::with_polynomial(16, 0x1100B).unwrap();
         let mut kb = MisrBank::with_polynomial(16, 0x1100B).unwrap();
-        for raw in pseudo_inputs(9, 150) {
+        for (cycle, &raw) in inputs.iter().enumerate() {
             walker.step(raw);
-            kernel.step(raw);
+            machine.step_traced(raw, &stage, cycle as u32);
             walker.fold_outputs(&mut wb);
-            kernel.fold_outputs(&mut kb);
+            machine.fold_outputs_in_word(0, &mut kb);
         }
         for lane in 0..64 {
-            assert_eq!(wb.lane_signature(lane), kb.lane_signature(lane));
+            assert_eq!(wb.lane_signature(lane), kb.lane_signature(lane), "lane {lane}");
         }
-    }
-
-    #[test]
-    fn state_snapshots_round_trip_and_faults_clear() {
-        let n = kitchen_sink(8);
-        let tape = Tape::compile(&n);
-        let mut kernel = KernelSim::new(&tape);
-        for raw in pseudo_inputs(8, 10) {
-            kernel.step(raw);
-        }
-        let snap = kernel.register_state_lane(0);
-        kernel.set_register_state_lane_in_word(0, 5, &snap);
-        assert_eq!(kernel.register_state_lane(5), snap);
-        kernel.reset();
-        assert!(kernel.register_state_lane(0).iter().all(|&b| b == 0));
-
-        // Fault set/replace/clear mirrors the walker's contract.
-        let node = n.arithmetic_ids()[0];
-        let f = CellFault {
-            cell: 0,
-            fault: FaFault { line: rtl::fulladder::Line::Sum, stuck_one: true },
-            lanes: 2,
-        };
-        kernel.set_faults(node, vec![f]);
-        assert_eq!(kernel.patches.len(), 1);
-        kernel.set_faults(node, vec![]);
-        assert!(kernel.patches.is_empty());
-        kernel.set_faults(node, vec![f]);
-        kernel.clear_all_faults();
-        assert!(kernel.patches.is_empty());
+        assert_ne!(wb.lane_signature(0), wb.lane_signature(1), "some fault reaches the MISR");
     }
 
     #[test]
     #[should_panic(expected = "faults can only be injected into adders/subtractors")]
     fn set_faults_rejects_non_arithmetic_nodes() {
         let n = kitchen_sink(8);
+        let u = universe(&n);
         let tape = Tape::compile(&n);
-        let mut kernel = KernelSim::new(&tape);
-        let input = n.input_ids()[0];
-        kernel.set_faults(input, vec![]);
-    }
-
-    #[test]
-    fn multi_word_lanes_match_independent_single_word_runs() {
-        let n = kitchen_sink(8);
-        let tape = Tape::compile(&n);
-        let a = pseudo_inputs(8, 80);
-        let b: Vec<i64> = pseudo_inputs(8, 80).iter().map(|&v| -v).collect();
-        let node = n.arithmetic_ids()[1];
-        let f = CellFault {
-            cell: 1,
-            fault: FaFault { line: rtl::fulladder::Line::Cout, stuck_one: false },
-            lanes: 1u64 << 7,
+        let index = ConeIndex::new(&n, &tape, &u);
+        let cone = index.group_cone([n.arithmetic_ids()[0]]);
+        let mut machine = KernelSim::with_cone(&tape, 1, &cone, 0);
+        let fault = CellFault {
+            cell: 0,
+            fault: FaFault { line: rtl::fulladder::Line::Sum, stuck_one: true },
+            lanes: 2,
         };
-
-        let mut wide = KernelSim::with_words(&tape, 2);
-        let mut lone_a = KernelSim::new(&tape);
-        let mut lone_b = KernelSim::new(&tape);
-        wide.set_faults(node, vec![f]);
-        lone_a.set_faults(node, vec![f]);
-        lone_b.set_faults(node, vec![f]);
-        for (&ra, &rb) in a.iter().zip(&b) {
-            wide.step_words(&[ra, rb]);
-            lone_a.step(ra);
-            lone_b.step(rb);
-            // The bare lane APIs address word 0...
-            assert_eq!(wide.output_diff_lanes(0), lone_a.output_diff_lanes(0));
-            assert_eq!(wide.register_state_lane(7), lone_a.register_state_lane(7));
-            // ...and the `_in_word` forms address word 1, which
-            // carried its own independent patterns.
-            assert_eq!(wide.output_diff_lanes_in_word(1, 0), lone_b.output_diff_lanes(0));
-            assert_eq!(wide.register_state_lane_in_word(1, 7), lone_b.register_state_lane(7));
-        }
-        // Final planes of word 1 equal the second single-word
-        // machine's, slot for slot (slot-major: word 1 is the odd
-        // stride).
-        let slots = wide.program.slot_count();
-        let word1: Vec<u64> = (0..slots).map(|s| wide.buf[s * 2 + 1]).collect();
-        let word0: Vec<u64> = (0..slots).map(|s| wide.buf[s * 2]).collect();
-        assert_eq!(word1, lone_b.buf);
-        assert_ne!(word0, word1);
+        machine.set_faults_by_word([(0, n.input_ids()[0], vec![fault])]);
     }
 
     #[test]
@@ -1613,7 +1428,10 @@ mod tests {
         // a single-word machine carrying only its own shard — the
         // property the parallel simulator's shard batching rests on.
         let n = kitchen_sink(8);
+        let u = universe(&n);
         let tape = Tape::compile(&n);
+        let index = ConeIndex::new(&n, &tape, &u);
+        let program = LaneProgram::compile(&index, &Cone::full(&tape));
         let inputs = pseudo_inputs(8, 120);
         let node_a = n.arithmetic_ids()[0];
         let node_b = n.arithmetic_ids()[2];
@@ -1627,92 +1445,46 @@ mod tests {
             fault: FaFault { line: rtl::fulladder::Line::AStem, stuck_one: false },
             lanes: 1u64 << 9,
         };
-
-        let mut wide = KernelSim::with_words(&tape, 2);
-        wide.set_faults_in_word(0, node_a, vec![fa]);
-        wide.set_faults_in_word(1, node_b, vec![fb]);
-        let mut lone_a = KernelSim::new(&tape);
-        lone_a.set_faults(node_a, vec![fa]);
-        let mut lone_b = KernelSim::new(&tape);
-        lone_b.set_faults(node_b, vec![fb]);
-        let mut bank_w0 = MisrBank::with_polynomial(16, 0x1100B).unwrap();
-        let mut bank_w1 = MisrBank::with_polynomial(16, 0x1100B).unwrap();
-        let mut bank_a = MisrBank::with_polynomial(16, 0x1100B).unwrap();
-        let mut bank_b = MisrBank::with_polynomial(16, 0x1100B).unwrap();
-        for &raw in &inputs {
-            wide.step(raw);
-            lone_a.step(raw);
-            lone_b.step(raw);
-            wide.fold_outputs_in_word(0, &mut bank_w0);
-            wide.fold_outputs_in_word(1, &mut bank_w1);
-            lone_a.fold_outputs(&mut bank_a);
-            lone_b.fold_outputs(&mut bank_b);
-            assert_eq!(wide.output_diff_lanes_in_word(0, 0), lone_a.output_diff_lanes(0));
-            assert_eq!(wide.output_diff_lanes_in_word(1, 0), lone_b.output_diff_lanes(0));
+        let mut trace = every_cycle(&index, &program, &inputs);
+        let mut cones = [
+            index.group_cone([node_a, node_b]),
+            index.group_cone([node_a]),
+            index.group_cone([node_b]),
+        ];
+        let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
+        let mut wide = KernelSim::with_cone(&tape, 2, &cones[0], 0);
+        wide.set_faults_by_word([(0, node_a, vec![fa]), (1, node_b, vec![fb])]);
+        let mut lone_a = KernelSim::with_cone(&tape, 1, &cones[1], 0);
+        lone_a.set_faults_by_word([(0, node_a, vec![fa])]);
+        let mut lone_b = KernelSim::with_cone(&tape, 1, &cones[2], 0);
+        lone_b.set_faults_by_word([(0, node_b, vec![fb])]);
+        let bank = || MisrBank::with_polynomial(16, 0x1100B).unwrap();
+        let mut banks = [bank(), bank(), bank(), bank()];
+        let mut diverged = [false; 2];
+        for (cycle, &raw) in inputs.iter().enumerate() {
+            let cycle = cycle as u32;
+            wide.step_traced(raw, &stage, cycle);
+            lone_a.step_traced(raw, &stage, cycle);
+            lone_b.step_traced(raw, &stage, cycle);
+            wide.fold_outputs_in_word(0, &mut banks[0]);
+            wide.fold_outputs_in_word(1, &mut banks[1]);
+            lone_a.fold_outputs_in_word(0, &mut banks[2]);
+            lone_b.fold_outputs_in_word(0, &mut banks[3]);
+            for (word, lone) in [&lone_a, &lone_b].into_iter().enumerate() {
+                let diff = wide.output_diff_lanes_in_word(word, 0);
+                assert_eq!(diff, lone.output_diff_lanes_in_word(0, 0), "cycle {cycle} word {word}");
+                assert_eq!(wide.output_planes(word), lone.output_planes(0), "cycle {cycle}");
+                diverged[word] |= diff != 0;
+            }
+            let good = trace.registers_at(cycle + 1);
+            assert_eq!(wide.word_snapshots(0, !0, good), lone_a.word_snapshots(0, !0, good));
+            assert_eq!(wide.word_snapshots(1, !0, good), lone_b.word_snapshots(0, !0, good));
         }
+        assert_eq!(diverged, [true; 2], "both shards reach an output");
         for lane in 0..64 {
-            assert_eq!(bank_w0.lane_signature(lane), bank_a.lane_signature(lane));
-            assert_eq!(bank_w1.lane_signature(lane), bank_b.lane_signature(lane));
+            assert_eq!(banks[0].lane_signature(lane), banks[2].lane_signature(lane));
+            assert_eq!(banks[1].lane_signature(lane), banks[3].lane_signature(lane));
         }
-    }
-
-    #[test]
-    fn cone_restricted_groups_match_the_full_tape_every_cycle() {
-        // Each 63-fault shard (and each fault node alone) on a machine
-        // restricted to its union cone, fed by the good trace, against
-        // the same faults on the whole tape: identical output planes in
-        // every lane, and identical register snapshots once the
-        // registers outside the cone read the fault-free state.
-        let n = kitchen_sink(8);
-        let ranges = RangeAnalysis::analyze(&n, aligned_input_range(8, 8));
-        let universe = FaultUniverse::enumerate(&n, &ranges);
-        let tape = Tape::compile(&n);
-        let index = crate::cone::ConeIndex::new(&n, &tape, &universe);
-        let inputs = pseudo_inputs(8, 150);
-        let every_cycle: Vec<u32> = (0..=inputs.len() as u32).collect();
-        let sites: Vec<_> = universe.ids().collect();
-        let mut groups: Vec<Vec<_>> = sites.chunks(63).map(<[_]>::to_vec).collect();
-        for node in n.arithmetic_ids() {
-            groups.push(universe.ids_on_node(node).into_iter().take(63).collect());
-        }
-        let mut smallest = tape.op_count();
-        for group in groups.iter().filter(|g| !g.is_empty()) {
-            let mut per_node: BTreeMap<NodeId, Vec<CellFault>> = BTreeMap::new();
-            for (slot, &fid) in group.iter().enumerate() {
-                let site = universe.site(fid);
-                per_node.entry(site.node).or_default().push(CellFault {
-                    cell: site.cell,
-                    fault: site.representative,
-                    lanes: 1u64 << (slot + 1),
-                });
-            }
-            let mut trace = crate::cone::GoodTrace::new(&index, &inputs, &every_cycle);
-            let mut cones = [index.group_cone(per_node.keys().copied())];
-            let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
-            let mut coned = KernelSim::with_cone(&tape, 1, &cones[0], 0);
-            smallest = smallest.min(coned.ops_per_step());
-            let mut full = KernelSim::new(&tape);
-            for (&node, faults) in &per_node {
-                coned.set_faults(node, faults.clone());
-                full.set_faults(node, faults.clone());
-            }
-            for (cycle, &raw) in inputs.iter().enumerate() {
-                coned.step_traced(raw, &stage, cycle as u32);
-                full.step(raw);
-                assert_eq!(coned.output_planes(), full.output_planes(), "cycle {cycle}");
-                let good = trace.registers_at(cycle as u32 + 1);
-                for lane in [0u32, 1, 5, 33, 63] {
-                    let mut snap = coned.register_state_lane(lane);
-                    for (r, v) in snap.iter_mut().enumerate() {
-                        if !coned.latches_register(r) {
-                            *v = good[r];
-                        }
-                    }
-                    assert_eq!(snap, full.register_state_lane(lane), "cycle {cycle} lane {lane}");
-                }
-            }
-        }
-        assert!(smallest < tape.op_count(), "some cone leaves ops out");
     }
 
     #[test]
@@ -1723,22 +1495,14 @@ mod tests {
         // own), step through the stage and read the snapshots back:
         // they must be the walker's, every cycle, in both words.
         let n = kitchen_sink(8);
-        let ranges = RangeAnalysis::analyze(&n, aligned_input_range(8, 8));
-        let universe = FaultUniverse::enumerate(&n, &ranges);
+        let universe = universe(&n);
         let tape = Tape::compile(&n);
-        let index = crate::cone::ConeIndex::new(&n, &tape, &universe);
+        let index = ConeIndex::new(&n, &tape, &universe);
+        let program = LaneProgram::compile(&index, &Cone::full(&tape));
         let inputs = pseudo_inputs(8, 100);
-        let every_cycle: Vec<u32> = (0..=inputs.len() as u32).collect();
-        let mut per_node: BTreeMap<NodeId, Vec<CellFault>> = BTreeMap::new();
-        for (slot, fid) in universe.ids().take(63).enumerate() {
-            let site = universe.site(fid);
-            let fault = CellFault { cell: site.cell, fault: site.representative, lanes: 2 << slot };
-            per_node.entry(site.node).or_default().push(fault);
-        }
-        let mut walker = BitSlicedSim::new(&n);
-        for (&node, faults) in &per_node {
-            walker.set_faults(node, faults.clone());
-        }
+        let shard: Vec<FaultId> = universe.ids().take(63).collect();
+        let faults = per_node(&universe, &shard);
+        let mut walker = walker_with(&n, &faults);
         // `states[c][lane]`: the walker's register state entering cycle
         // c; `diffs[c]`: its output diff in cycle c.
         let lanes = |w: &BitSlicedSim<'_>| (0..64).map(|l| w.register_state_lane(l)).collect();
@@ -1750,8 +1514,8 @@ mod tests {
             diffs.push(walker.output_diff_lanes(0));
         }
         for start in [40u32, 41] {
-            let mut trace = crate::cone::GoodTrace::new(&index, &inputs, &every_cycle);
-            let mut cones = [index.group_cone(per_node.keys().copied())];
+            let mut trace = every_cycle(&index, &program, &inputs);
+            let mut cones = [index.group_cone(faults.keys().copied())];
             let stage = trace.record_stage(start, inputs.len() as u32, &mut cones);
             let mut coned = KernelSim::with_cone(&tape, 2, &cones[0], start);
             assert!((0..tape.reg_bases.len()).any(|r| coned.latches_register(r)));
@@ -1761,9 +1525,7 @@ mod tests {
                 let faulty = (1..64u32).map(|lane| (lane, &entering[lane as usize][..]));
                 coned.load_word_state(word, good, faulty);
             }
-            for (&node, faults) in &per_node {
-                coned.set_faults(node, faults.clone());
-            }
+            coned.set_faults_by_word(in_word(0, &faults).chain(in_word(1, &faults)));
             for cycle in start..inputs.len() as u32 {
                 coned.step_traced(inputs[cycle as usize], &stage, cycle);
                 let good = trace.registers_at(cycle + 1);

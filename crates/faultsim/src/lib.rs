@@ -27,10 +27,11 @@
 //!   lane `t` being cycle `t` of a 64-cycle block, with the same
 //!   results.
 //! * [`kernel`] — the execution engine: the netlist compiled once into
-//!   a flat structure-of-arrays op tape ([`Tape`]) run by a
-//!   straight-line machine ([`KernelSim`]). Tests hold it bit-identical
-//!   to an unstaged graph-walker reference, selected with
-//!   `SimOptions::with_engine(SimEngine::Walker)` ([`SimEngine`]).
+//!   a flat structure-of-arrays op tape ([`Tape`]) run by straight-line
+//!   machines, each restricted to one fault group's fanout cone. Tests
+//!   hold it bit-identical to an unstaged graph-walker reference,
+//!   selected with `SimOptions::with_engine(SimEngine::Walker)`
+//!   ([`SimEngine`]).
 //! * [`inject`] — functional simulation of one specific fault, used for
 //!   the paper's Section 5 case study (Fig. 2: a missed fault's spike
 //!   train on a sine response).
@@ -73,7 +74,7 @@ pub mod kernel;
 pub mod report;
 
 pub use fault::{FaultId, FaultSite, FaultUniverse};
-pub use kernel::{KernelSim, OpKind, Tape};
+pub use kernel::{OpKind, Tape};
 pub use sim::{
     CancelToken, Cancelled, FaultSimResult, ParallelFaultSimulator, SignatureConfig, SignatureSet,
     SimEngine, SimOptions, StageSchedule,

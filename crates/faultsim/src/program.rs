@@ -45,9 +45,6 @@ pub(crate) struct Program {
     pub(crate) streams: [Operands; 2],
     /// Number of local slots (slot 0 is all-zeros, slot 1 all-ones).
     slots: usize,
-    /// Local slot a step of parity `q` uses for each tape slot;
-    /// `NO_SLOT` for slots outside the program.
-    pub(crate) slot_map: Vec<[u32; 2]>,
     /// Local slot of each bit of the input block.
     pub(crate) input: [Vec<u32>; 2],
     /// `(local slot, trace rank)` of every boundary slot.
@@ -179,7 +176,6 @@ impl Program {
             segments,
             streams,
             slots: next as usize,
-            slot_map,
             input,
             boundary,
             outputs,

@@ -168,7 +168,7 @@ pub struct SignatureConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
     /// The staged, sharded scheduler over the compiled straight-line
-    /// tape ([`crate::kernel::KernelSim`]).
+    /// tape ([`crate::kernel`]).
     #[default]
     Kernel,
     /// The unstaged reference: one graph walker
@@ -514,7 +514,7 @@ struct ShardOutcome {
 /// Two axes of parallelism compose: within one shard, 63 faulty
 /// machines plus the good machine are evaluated word-parallel in the
 /// bit-sliced lanes of a single `u64`; across shards, groups of 16
-/// shards share one multi-word [`KernelSim`] machine, and groups are
+/// shards share one multi-word kernel machine, and groups are
 /// distributed over a scoped worker pool (see
 /// [`SimOptions::with_threads`]). Each group runs only the fanout cone
 /// of its fault nodes, reading the rest of the circuit from a
@@ -612,16 +612,17 @@ impl<'a> ParallelFaultSimulator<'a> {
 
         // The netlist is compiled once; the immutable tape and the
         // stage's cones and trace window are shared by every group on
-        // every thread. The good trace supplies the fault-free machine:
-        // boundary slot values, register states at stage boundaries,
-        // and the output words the good signature (signature mode) or
-        // response (compare mode) is built from, consumed in cycle
-        // order.
+        // every thread. The good trace, a cycle-lane machine over the
+        // whole tape, supplies the fault-free machine: boundary slot
+        // values, register states at stage boundaries, and the output
+        // words the good signature (signature mode) or response (compare
+        // mode) is built from, consumed in cycle order.
         let tape = &Tape::compile(self.netlist);
         let cones = &ConeIndex::new(self.netlist, tape, self.universe);
         let mut boundaries: Vec<u32> = stages.iter().map(|&(start, _)| start).collect();
         boundaries.push(total);
-        let mut trace = GoodTrace::new(cones, inputs, &boundaries);
+        let good_program = LaneProgram::compile(cones, &Cone::full(tape));
+        let mut trace = GoodTrace::new(cones, &good_program, inputs, &boundaries);
         let mut good = GoodOutputs {
             misr: self.options.signature.map(|cfg| {
                 Misr::with_polynomial(cfg.width, cfg.poly)
@@ -658,7 +659,7 @@ impl<'a> ParallelFaultSimulator<'a> {
             // `KERNEL_WORDS` faults, same node first.
             let cycle_lane = stage_index > 0
                 && self.options.signature.is_none()
-                && shards.len() < threads * KERNEL_WORDS;
+                && shards.len() < threads.saturating_mul(KERNEL_WORDS);
             let machines: Vec<&[FaultId]> =
                 if cycle_lane { active.chunks(KERNEL_WORDS).collect() } else { Vec::new() };
             if let Some(m) = metrics {

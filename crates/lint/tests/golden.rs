@@ -5,6 +5,10 @@
 //! messages, ordering, or serialization must re-bless the snapshots.
 //!
 //! Regenerate with `BLESS=1 cargo test -p bist-lint --test golden`.
+//!
+//! The roster gate lives here too: the three paper designs are free of
+//! error-severity findings under their recommended generator, and the
+//! paper's known-bad pairing is flagged.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -40,6 +44,33 @@ fn check_golden(design: &str, file: &str) {
         "bistlint --json --design {design} drifted from {}; \
          re-bless with BLESS=1 if the change is intentional",
         path.display()
+    );
+}
+
+/// The exit code of the real binary on one design × generator pairing
+/// (0 = no error-severity finding, 1 = errors found).
+fn bistlint_exit(design: &str, generator: &str) -> Option<i32> {
+    Command::new(env!("CARGO_BIN_EXE_bistlint"))
+        .args(["--design", design, "--gen", generator])
+        .output()
+        .expect("bistlint runs")
+        .status
+        .code()
+}
+
+#[test]
+fn roster_is_clean_and_the_incompatible_pairing_is_flagged() {
+    for design in ["LP", "BP", "HP"] {
+        assert_eq!(
+            bistlint_exit(design, "LFSR-D"),
+            Some(0),
+            "bistlint found errors on {design} x LFSR-D"
+        );
+    }
+    assert_eq!(
+        bistlint_exit("LP", "LFSR-1"),
+        Some(1),
+        "bistlint failed to flag the incompatible LP x LFSR-1 pairing"
     );
 }
 

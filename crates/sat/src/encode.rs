@@ -259,14 +259,10 @@ impl<'n> NetlistEncoder<'n> {
     /// every gate outside the fault's structural fanout with the good
     /// machine. Good frames `0..=upto` must already be built. The prover
     /// unrolls on demand instead ([`NetlistEncoder::output_diff`]); this
-    /// full unroll is the reference it must match edge for edge.
+    /// full unroll is the test reference it must match edge for edge.
+    #[cfg(test)]
     #[must_use]
-    pub fn faulty_frames(
-        &self,
-        circuit: &mut Circuit,
-        fault: &FaultSpec,
-        upto: usize,
-    ) -> FrameCone {
+    fn faulty_frames(&self, circuit: &mut Circuit, fault: &FaultSpec, upto: usize) -> FrameCone {
         assert!(self.frames.len() > upto, "good frames not built");
         let tainted = self.fanout_set(fault.node);
         let w = self.w;
@@ -317,7 +313,8 @@ impl<'n> NetlistEncoder<'n> {
     /// the fault and whose operand rows all equal the good rows keeps the
     /// good row without touching `circuit`; a built row that hash-conses
     /// to the good row is recorded as good too. Either way the edges are
-    /// the ones [`NetlistEncoder::faulty_frames`] would build.
+    /// the ones the full reference unroll (`faulty_frames`, in the
+    /// tests) would build.
     pub fn unroll_faulty(&self, circuit: &mut Circuit, unroll: &mut FaultyUnroll, frame: usize) {
         assert!(frame < self.frames.len(), "good frames not built");
         let nodes = self.netlist.nodes();
