@@ -42,46 +42,3 @@ for workload in sig-lp trace-grid proof-topoff daemon-mix; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
-
-# Daemon smoke test, once over a Unix socket and once over TCP: a bistd
-# must serve a campaign, answer the identical resubmission from its
-# result cache, and drain cleanly on shutdown.
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
-smoke_checks() {
-    local server="$1" pid="$2" cold warm key
-    cold="$(./target/release/bistctl --server "$server" run \
-        --design LP-MINI --gen LFSR-D --vectors 64)"
-    warm="$(./target/release/bistctl --server "$server" run \
-        --design LP-MINI --gen LFSR-D --vectors 64)"
-    echo "$cold" | grep -q '"cached":false' || { echo "cold run over $server unexpectedly cached: $cold"; exit 1; }
-    echo "$warm" | grep -q '"cached":true' || { echo "warm run over $server missed the cache: $warm"; exit 1; }
-    # A default spec keeps its historical cache key byte for byte.
-    key='"key":"design=LP-MINI;generator=LFSR-D;vectors=64;misr=16;mode=trace;schedule=64,256,1024;threads=0;topoff=off"'
-    echo "$cold" | grep -qF "$key" || { echo "cold run over $server has the wrong cache key: $cold"; exit 1; }
-    ./target/release/bistctl --server "$server" shutdown > /dev/null
-    wait "$pid"
-    echo "bistd smoke test over $server: cache hit + graceful shutdown OK"
-}
-
-sock="$smoke_dir/bistd.sock"
-./target/release/bistd --unix "$sock" --workers 1 > "$smoke_dir/unix.log" &
-unix_pid=$!
-for _ in $(seq 1 50); do
-    [ -S "$sock" ] && break
-    sleep 0.1
-done
-[ -S "$sock" ] || { echo "bistd never created its socket"; cat "$smoke_dir/unix.log"; exit 1; }
-smoke_checks "unix:$sock" "$unix_pid"
-
-# Port 0 binds an ephemeral port; the daemon logs the address it got.
-./target/release/bistd --tcp 127.0.0.1:0 --workers 1 > "$smoke_dir/tcp.log" &
-tcp_pid=$!
-tcp_addr=""
-for _ in $(seq 1 50); do
-    tcp_addr="$(sed -n 's/^bistd: listening on tcp //p' "$smoke_dir/tcp.log")"
-    [ -n "$tcp_addr" ] && break
-    sleep 0.1
-done
-[ -n "$tcp_addr" ] || { echo "bistd never reported its tcp address"; cat "$smoke_dir/tcp.log"; exit 1; }
-smoke_checks "$tcp_addr" "$tcp_pid"

@@ -3,8 +3,7 @@
 //!
 //! The `experiments` binary in this crate regenerates every table and
 //! figure of the paper (see `DESIGN.md`'s per-experiment index and
-//! `EXPERIMENTS.md` for recorded results); the Criterion benches
-//! measure the performance of the underlying engines.
+//! `EXPERIMENTS.md` for recorded results).
 
 #![forbid(unsafe_code)]
 

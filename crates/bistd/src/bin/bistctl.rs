@@ -8,10 +8,10 @@
 //!
 //! `run` submits and waits, printing one JSON object
 //! `{"job":…,"cached":…,"key":…,"artifact":{…}}` on stdout — the
-//! `cached` field is what the CI smoke test asserts on. Admission-lint
-//! diagnostics from the daemon are rendered human-readably on stderr
-//! (one line per diagnostic plus a severity summary); stdout stays
-//! pure machine JSON. All errors go to stderr with a non-zero exit:
+//! `cached` field is what the smoke test (`tests/smoke.rs`) asserts
+//! on. Admission-lint diagnostics from the daemon are rendered
+//! human-readably on stderr (one line per diagnostic plus a severity
+//! summary); stdout stays pure machine JSON. All errors go to stderr with a non-zero exit:
 //! 2 for usage problems (including an unknown `--design`/`--gen`,
 //! reported with the known names), 1 for server/transport failures —
 //! structured server refusals are unpacked into readable multi-line

@@ -122,12 +122,6 @@ impl Histogram {
         self.total
     }
 
-    /// Center value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
     /// Probability-density estimate per bin (integrates to the in-range
     /// fraction of the data).
     pub fn density(&self) -> Vec<f64> {

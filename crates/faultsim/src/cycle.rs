@@ -39,7 +39,8 @@
 
 use crate::cone::{Cone, ConeIndex};
 use crate::kernel::{
-    fold_patches, uniform_runs, OpKind, Operands, PatchWalk, Tape, WordPatches, NO_SLOT,
+    fold_patches, machine_width, uniform_runs, OpKind, Operands, PatchWalk, Tape, WordPatches,
+    NO_SLOT,
 };
 use rtl::fulladder::FaFault;
 use rtl::sim::CellFault;
@@ -261,8 +262,7 @@ pub(crate) struct LaneFault {
 
 /// A cycle-lane machine: up to 16 faults, one per word, over one
 /// compiled cone, or one fault-free word. Words past the last fault pad
-/// the width to a power of two, which the kernel's word loops are
-/// specialised for; they carry no fault.
+/// the width to [`machine_width`]; they carry no fault.
 #[derive(Debug)]
 pub(crate) struct LaneMachine<'p> {
     tape: &'p Tape,
@@ -298,7 +298,7 @@ impl<'p> LaneMachine<'p> {
         entry: &[&[u64]],
     ) -> Self {
         assert_eq!(entry.len(), faults.len(), "one entry state per fault");
-        let words = faults.len().next_power_of_two();
+        let words = machine_width(faults.len());
         let w = tape.width as u32;
         let mut carry = vec![0u64; program.latches.len() * words];
         for (k, regs) in entry.iter().enumerate() {
@@ -348,7 +348,7 @@ impl<'p> LaneMachine<'p> {
     /// Panics if `keep` is empty or names a word without a fault.
     pub(crate) fn retain(&mut self, keep: &[usize]) {
         assert!(!keep.is_empty(), "a machine keeps at least one fault");
-        let words = keep.len().next_power_of_two();
+        let words = machine_width(keep.len());
         let mut carry = vec![0u64; self.program.latches.len() * words];
         for (new, old) in carry.chunks_exact_mut(words).zip(self.carry.chunks_exact(self.words)) {
             for (slot, &k) in new.iter_mut().zip(keep) {

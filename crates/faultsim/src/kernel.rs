@@ -23,8 +23,9 @@
 //!   the masked gate model, while every other op of the tape —
 //!   including the rest of the faulted adder — stays on the
 //!   branch-free fast path,
-//! * **multi-word lanes**: `N` independent 64-pattern words per pass
-//!   share one instruction stream,
+//! * **multi-word lanes**: 1, 2, 4, 8 or 16 independent 64-pattern
+//!   words per pass share one instruction stream, the widths the word
+//!   loops are specialised for (a group of any other size is padded),
 //! * **cone restriction**: a fault group's machine runs only the ops,
 //!   latches and boundary slots of the group's fanout cone, reading
 //!   everything else from a fault-free trace recorded once per run (see
@@ -597,15 +598,17 @@ pub(crate) fn fold_patches(
         .collect()
 }
 
-/// A fault group's machine: `words` 64-lane pattern words, each lane
-/// one faulty machine (lane 0 the good one), over the compiled program
-/// of the group's fanout cone, fed by the good trace. Each word carries
-/// its own shard of faults; the parallel simulator batches that many
-/// shards into one machine. See the module docs for the slot contract
-/// and the argument that it is bit-identical to the walker.
+/// A fault group's machine: 64-lane pattern words, each lane one
+/// faulty machine (lane 0 the good one), over the compiled program of
+/// the group's fanout cone, fed by the good trace. Each word carries
+/// its own shard of faults; the parallel simulator batches up to 16
+/// shards into one machine, and words past the last shard pad the
+/// width to [`machine_width`]. See the module docs for the slot
+/// contract and the argument that it is bit-identical to the walker.
 #[derive(Debug)]
 pub(crate) struct KernelSim<'t> {
     tape: &'t Tape,
+    /// Words per pass, a power of two.
     words: usize,
     /// The compiled ops, latches and boundary fills of the machine's
     /// cone.
@@ -627,17 +630,17 @@ pub(crate) struct KernelSim<'t> {
 }
 
 impl<'t> KernelSim<'t> {
-    /// A `words`-wide machine that runs only `cone`'s ops and latches
-    /// (its boundary ranks assigned), compiled into its own
-    /// [`Program`], with all registers zero and no faults. Its first
-    /// step is cycle `first_cycle`, whose parity picks the first op
-    /// stream.
+    /// A machine for `words` shards that runs only `cone`'s ops and
+    /// latches (its boundary ranks assigned), compiled into its own
+    /// [`Program`], with all registers zero and no faults. It is
+    /// [`machine_width`]`(words)` words wide. Its first step is cycle
+    /// `first_cycle`, whose parity picks the first op stream.
     ///
     /// # Panics
     ///
-    /// Panics if `words` is zero.
+    /// Panics if `words` is above 16.
     pub(crate) fn with_cone(tape: &'t Tape, words: usize, cone: &Cone, first_cycle: u32) -> Self {
-        assert!(words > 0, "a kernel machine needs at least one word");
+        let words = machine_width(words);
         let program = Program::compile(tape, cone);
         let mut buf = vec![0u64; program.slot_count() * words];
         buf[words..2 * words].fill(!0u64); // slot 1: constant all-ones
@@ -680,27 +683,23 @@ impl<'t> KernelSim<'t> {
         self.program.state[0][r * self.tape.width] != NO_SLOT
     }
 
-    /// Injects the machine's faults, given as `(word, node, faults)`
-    /// entries: each fault acts in its lanes of its word only, on a cell
-    /// of an adder, subtractor or carry-save node. Faults on trimmed
-    /// sign cells above a node's MSB are inert, exactly as in the
-    /// walker. Replaces any faults injected before.
+    /// Injects the machine's faults, given as `(word, node index,
+    /// fault)` entries: each fault acts in its lanes of its word only,
+    /// on a cell of an adder, subtractor or carry-save node. Faults on
+    /// trimmed sign cells above a node's MSB are inert, exactly as in
+    /// the walker. Replaces any faults injected before.
     ///
     /// # Panics
     ///
     /// Panics if a node is not an arithmetic node, a cell index is
     /// outside the datapath width, or a word is out of range.
-    pub(crate) fn set_faults_by_word(
-        &mut self,
-        faults: impl IntoIterator<Item = (usize, NodeId, Vec<CellFault>)>,
-    ) {
+    pub(crate) fn set_faults(&mut self, faults: impl IntoIterator<Item = (u32, u32, CellFault)>) {
         let words = self.words;
-        let flat = faults.into_iter().flat_map(|(word, node, list)| {
-            assert!(word < words, "word {word} out of range");
-            list.into_iter().map(move |f| (word as u32, node.index() as u32, f))
+        let faults = faults.into_iter().inspect(|&(word, _, _)| {
+            assert!((word as usize) < words, "word {word} out of range");
         });
         let program = &self.program;
-        self.patches = fold_patches(self.tape, flat, |op| program.local_op(op));
+        self.patches = fold_patches(self.tape, faults, |op| program.local_op(op));
     }
 
     /// Advances one clock cycle: the input word and the cone's boundary
@@ -854,6 +853,19 @@ impl<'t> KernelSim<'t> {
     }
 }
 
+/// Words per pass of a machine for `words` shards or faults: the next
+/// power of two, at least 1. The word loops are specialised for 1, 2,
+/// 4, 8 and 16 words, so both machines pad to one of those widths; the
+/// padding words carry no fault and nothing reads them.
+///
+/// # Panics
+///
+/// Panics if `words` is above 16.
+pub(crate) fn machine_width(words: usize) -> usize {
+    assert!(words <= 16, "a machine is at most 16 words wide, not {words}");
+    words.next_power_of_two()
+}
+
 /// Groups a straight-line op list into maximal uniform-kind runs
 /// `(kind, start, end)`, which the hot loop executes without per-op
 /// dispatch.
@@ -953,20 +965,19 @@ fn run_segment(
     start: usize,
     end: usize,
 ) {
-    // Monomorphize the common word counts so the inner loops run over
+    // Monomorphize the machine widths so the inner loops run over
     // fixed-size arrays: loading each operand plane into a local
     // `[u64; W]` breaks the may-alias chain between operand reads and
     // destination writes (everything lives in one `buf`), which is what
     // lets the compiler keep sources in registers and vectorize the
-    // word-wise expressions. Odd-sized trailing groups take the
-    // dynamic-width form.
+    // word-wise expressions.
     match words {
         1 => run_segment_w::<1>(ops, buf, kind, start, end),
         2 => run_segment_w::<2>(ops, buf, kind, start, end),
         4 => run_segment_w::<4>(ops, buf, kind, start, end),
         8 => run_segment_w::<8>(ops, buf, kind, start, end),
         16 => run_segment_w::<16>(ops, buf, kind, start, end),
-        _ => run_segment_dyn(ops, buf, words, kind, start, end),
+        _ => unreachable!("a machine is 1, 2, 4, 8 or 16 words wide"),
     }
 }
 
@@ -1044,70 +1055,6 @@ fn run_segment_w<const W: usize>(
             for i in start..end {
                 let (a, d) = (t.a[i] as usize * W, t.dst[i] as usize * W);
                 buf.copy_within(a..a + W, d);
-            }
-        }
-    }
-}
-
-/// Dynamic-width fallback for word counts without a monomorphized form
-/// — bit-identical to [`run_segment_w`], just without the fixed-size
-/// register blocking.
-fn run_segment_dyn(
-    t: &Operands,
-    buf: &mut [u64],
-    w: usize,
-    kind: OpKind,
-    start: usize,
-    end: usize,
-) {
-    match kind {
-        OpKind::Full | OpKind::FullN => {
-            let neg = if kind == OpKind::FullN { !0u64 } else { 0 };
-            for i in start..end {
-                let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
-                let (d, d2) = (t.dst[i] as usize * w, t.dst2[i] as usize * w);
-                for k in 0..w {
-                    let av = buf[a + k];
-                    let bv = buf[b + k] ^ neg;
-                    let cv = buf[c + k];
-                    let x1 = av ^ bv;
-                    buf[d + k] = x1 ^ cv;
-                    buf[d2 + k] = (av & bv) | (x1 & cv);
-                }
-            }
-        }
-        OpKind::SumOnly | OpKind::SumOnlyN => {
-            let neg = if kind == OpKind::SumOnlyN { !0u64 } else { 0 };
-            for i in start..end {
-                let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
-                let d = t.dst[i] as usize * w;
-                for k in 0..w {
-                    buf[d + k] = buf[a + k] ^ buf[b + k] ^ neg ^ buf[c + k];
-                }
-            }
-        }
-        OpKind::Carry => {
-            for i in start..end {
-                let (a, b, c) = (t.a[i] as usize * w, t.b[i] as usize * w, t.c[i] as usize * w);
-                let d = t.dst[i] as usize * w;
-                for k in 0..w {
-                    let (av, bv, cv) = (buf[a + k], buf[b + k], buf[c + k]);
-                    buf[d + k] = (av & bv) | ((av ^ bv) & cv);
-                }
-            }
-        }
-        OpKind::Not => {
-            for i in start..end {
-                let (a, d) = (t.a[i] as usize * w, t.dst[i] as usize * w);
-                for k in 0..w {
-                    buf[d + k] = !buf[a + k];
-                }
-            }
-        }
-        OpKind::Copy => {
-            for i in start..end {
-                let (a, d) = (t.a[i] as usize * w, t.dst[i] as usize * w);
-                buf.copy_within(a..a + w, d);
             }
         }
     }
@@ -1223,10 +1170,12 @@ mod tests {
 
     /// The same faults on pattern word `word` of a machine.
     fn in_word(
-        word: usize,
+        word: u32,
         faults: &BTreeMap<NodeId, Vec<CellFault>>,
-    ) -> impl Iterator<Item = (usize, NodeId, Vec<CellFault>)> + '_ {
-        faults.iter().map(move |(&node, list)| (word, node, list.clone()))
+    ) -> impl Iterator<Item = (u32, u32, CellFault)> + '_ {
+        faults
+            .iter()
+            .flat_map(move |(node, list)| list.iter().map(move |&f| (word, node.index() as u32, f)))
     }
 
     /// A good trace of `inputs` that keeps the register state entering
@@ -1307,7 +1256,7 @@ mod tests {
             let mut cones = [index.group_cone(faults.keys().copied())];
             let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
             let mut machine = KernelSim::with_cone(&tape, 1, &cones[0], 0);
-            machine.set_faults_by_word(in_word(0, &faults));
+            machine.set_faults(in_word(0, &faults));
             smallest = smallest.min(machine.ops_per_step());
             let mut walker = walker_with(n, &faults);
             for (cycle, &raw) in inputs.iter().enumerate() {
@@ -1389,7 +1338,7 @@ mod tests {
         let mut cones = [index.group_cone(faults.keys().copied())];
         let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
         let mut machine = KernelSim::with_cone(&tape, 1, &cones[0], 0);
-        machine.set_faults_by_word(in_word(0, &faults));
+        machine.set_faults(in_word(0, &faults));
         let mut walker = walker_with(&n, &faults);
         let mut wb = MisrBank::with_polynomial(16, 0x1100B).unwrap();
         let mut kb = MisrBank::with_polynomial(16, 0x1100B).unwrap();
@@ -1419,7 +1368,7 @@ mod tests {
             fault: FaFault { line: rtl::fulladder::Line::Sum, stuck_one: true },
             lanes: 2,
         };
-        machine.set_faults_by_word([(0, n.input_ids()[0], vec![fault])]);
+        machine.set_faults([(0, n.input_ids()[0].index() as u32, fault)]);
     }
 
     #[test]
@@ -1433,8 +1382,8 @@ mod tests {
         let index = ConeIndex::new(&n, &tape, &u);
         let program = LaneProgram::compile(&index, &Cone::full(&tape));
         let inputs = pseudo_inputs(8, 120);
-        let node_a = n.arithmetic_ids()[0];
-        let node_b = n.arithmetic_ids()[2];
+        let (node_a, node_b) = (n.arithmetic_ids()[0], n.arithmetic_ids()[2]);
+        let (a, b) = (node_a.index() as u32, node_b.index() as u32);
         let fa = CellFault {
             cell: 0,
             fault: FaFault { line: rtl::fulladder::Line::Sum, stuck_one: true },
@@ -1453,11 +1402,11 @@ mod tests {
         ];
         let stage = trace.record_stage(0, inputs.len() as u32, &mut cones);
         let mut wide = KernelSim::with_cone(&tape, 2, &cones[0], 0);
-        wide.set_faults_by_word([(0, node_a, vec![fa]), (1, node_b, vec![fb])]);
+        wide.set_faults([(0, a, fa), (1, b, fb)]);
         let mut lone_a = KernelSim::with_cone(&tape, 1, &cones[1], 0);
-        lone_a.set_faults_by_word([(0, node_a, vec![fa])]);
+        lone_a.set_faults([(0, a, fa)]);
         let mut lone_b = KernelSim::with_cone(&tape, 1, &cones[2], 0);
-        lone_b.set_faults_by_word([(0, node_b, vec![fb])]);
+        lone_b.set_faults([(0, b, fb)]);
         let bank = || MisrBank::with_polynomial(16, 0x1100B).unwrap();
         let mut banks = [bank(), bank(), bank(), bank()];
         let mut diverged = [false; 2];
@@ -1525,7 +1474,7 @@ mod tests {
                 let faulty = (1..64u32).map(|lane| (lane, &entering[lane as usize][..]));
                 coned.load_word_state(word, good, faulty);
             }
-            coned.set_faults_by_word(in_word(0, &faults).chain(in_word(1, &faults)));
+            coned.set_faults(in_word(0, &faults).chain(in_word(1, &faults)));
             for cycle in start..inputs.len() as u32 {
                 coned.step_traced(inputs[cycle as usize], &stage, cycle);
                 let good = trace.registers_at(cycle + 1);

@@ -242,7 +242,10 @@ impl SimOptions {
     /// `i`. A compare-mode tail stage that runs cycle-lane adds its
     /// survivors to `faultsim.cycle_lane_faults`, its machines to
     /// `faultsim.cycle_lane_machines` and the 64-cycle blocks they run
-    /// to `faultsim.cycle_lane_blocks`.
+    /// to `faultsim.cycle_lane_blocks`. `faultsim.group_buffer_words`
+    /// samples each dispatched machine's bit-plane buffer in `u64`s,
+    /// padding words included: a group of 3, 5–7 or 9–15 shards runs
+    /// on a machine padded to the next power of two.
     pub fn with_metrics(mut self, metrics: Arc<Registry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -832,7 +835,8 @@ impl<'a> ParallelFaultSimulator<'a> {
         // All lanes of every word start from the good state, then
         // faulty lanes get their own diverged state (registers and
         // partial signature); finally each word's faults are injected,
-        // batched per node.
+        // slot `i` on lane `i + 1`. The machine's padding words past the
+        // last shard are never loaded, read or folded.
         for (word, group) in chunks.iter().enumerate() {
             let carried = group.iter().enumerate().filter_map(|(slot, &fid)| {
                 stage.states[fid.index()].as_ref().map(|s| (slot as u32 + 1, s))
@@ -844,8 +848,8 @@ impl<'a> ParallelFaultSimulator<'a> {
             }
             sim.load_word_state(word, &stage.good.regs, carried.map(|(lane, s)| (lane, &*s.regs)));
         }
-        sim.set_faults_by_word(chunks.iter().enumerate().flat_map(|(word, group)| {
-            self.shard_faults(group).into_iter().map(move |(node, faults)| (word, node, faults))
+        sim.set_faults(chunks.iter().enumerate().flat_map(|(word, group)| {
+            self.shard_faults(group).map(move |(node, f)| (word as u32, node.index() as u32, f))
         }));
 
         let mut detections: Vec<(FaultId, u32)> = Vec::new();
@@ -1002,18 +1006,15 @@ impl<'a> ParallelFaultSimulator<'a> {
         ShardOutcome { detections, survivors }
     }
 
-    /// A shard's faults batched per node, slot `i` on lane `i + 1`.
-    fn shard_faults(&self, shard: &[FaultId]) -> HashMap<rtl::NodeId, Vec<CellFault>> {
-        let mut per_node: HashMap<rtl::NodeId, Vec<CellFault>> = HashMap::new();
-        for (slot, &fid) in shard.iter().enumerate() {
+    /// A shard's faults with their nodes, slot `i` on lane `i + 1`.
+    fn shard_faults<'s>(
+        &'s self,
+        shard: &'s [FaultId],
+    ) -> impl Iterator<Item = (rtl::NodeId, CellFault)> + 's {
+        shard.iter().enumerate().map(|(slot, &fid)| {
             let site = self.universe.site(fid);
-            per_node.entry(site.node).or_default().push(CellFault {
-                cell: site.cell,
-                fault: site.representative,
-                lanes: 1u64 << (slot + 1),
-            });
-        }
-        per_node
+            (site.node, CellFault { cell: site.cell, fault: site.representative, lanes: 2 << slot })
+        })
     }
 
     /// The [`SimEngine::Walker`] reference: every 63-fault shard on its
@@ -1047,8 +1048,13 @@ impl<'a> ParallelFaultSimulator<'a> {
         });
         let ids: Vec<FaultId> = self.universe.ids().collect();
         for shard in ids.chunks(LANES_PER_PASS) {
+            // The walker takes its faults batched per node.
+            let mut per_node: HashMap<rtl::NodeId, Vec<CellFault>> = HashMap::new();
+            for (node, fault) in self.shard_faults(shard) {
+                per_node.entry(node).or_default().push(fault);
+            }
             let mut sim = BitSlicedSim::new(self.netlist);
-            for (node, faults) in self.shard_faults(shard) {
+            for (node, faults) in per_node {
                 sim.set_faults(node, faults);
             }
             let mut bank = self.options.signature.map(new_bank);
@@ -1758,47 +1764,73 @@ mod tests {
         assert_eq!(StageSchedule::new().into_boundaries(), vec![64, 256, 1024]);
     }
 
-    #[test]
-    fn engines_agree_in_compare_mode() {
+    /// The engine-agreement cases: the 12-bit filter's universe, then
+    /// subsets of the 24-bit filter's whose last stage-0 group is each
+    /// width from 1 to 16 shards: the first `63 (w - 1) + w` faults, so
+    /// a `w`-shard group's last shard holds `w` faults. Every width but
+    /// 1, 2, 4, 8 and 16 runs on a padded machine.
+    fn width_cases() -> Vec<(Netlist, FaultUniverse)> {
         let n = filterish(12);
         let u = universe(&n);
-        let inputs = pseudo_inputs(192, 12);
-        let run = |engine| {
-            ParallelFaultSimulator::new(&n, &u)
-                .with_options(
-                    SimOptions::new()
-                        .with_engine(engine)
-                        .with_schedule(StageSchedule::with_boundaries(vec![64, 128]))
-                        .with_threads(1),
-                )
-                .run(&inputs)
-        };
-        let kernel = run(SimEngine::Kernel);
-        let walker = run(SimEngine::Walker);
-        assert_eq!(kernel.detection_cycle, walker.detection_cycle);
-        assert_eq!(kernel.total_cycles, walker.total_cycles);
+        let mut cases = vec![(n, u)];
+        let wide = universe(&filterish(24));
+        let ids: Vec<FaultId> = wide.ids().collect();
+        let widest = LANES_PER_PASS * (KERNEL_WORDS - 1) + KERNEL_WORDS;
+        assert!(ids.len() >= widest, "{} faults fill no 16-shard group", ids.len());
+        cases.extend(
+            (1..=KERNEL_WORDS)
+                .map(|w| (filterish(24), wide.subset(&ids[..LANES_PER_PASS * (w - 1) + w]))),
+        );
+        cases
+    }
+
+    #[test]
+    fn engines_agree_in_compare_mode() {
+        for (n, u) in width_cases() {
+            let inputs = pseudo_inputs(192, n.width());
+            let run = |engine, threads| {
+                ParallelFaultSimulator::new(&n, &u)
+                    .with_options(
+                        SimOptions::new()
+                            .with_engine(engine)
+                            .with_schedule(StageSchedule::with_boundaries(vec![64, 128]))
+                            .with_threads(threads),
+                    )
+                    .run(&inputs)
+            };
+            let walker = run(SimEngine::Walker, 1);
+            for threads in [1, 2] {
+                let kernel = run(SimEngine::Kernel, threads);
+                let tag = format!("{} faults, {threads} threads", u.len());
+                assert_eq!(kernel.detection_cycle, walker.detection_cycle, "{tag}");
+                assert_eq!(kernel.total_cycles, walker.total_cycles, "{tag}");
+            }
+        }
     }
 
     #[test]
     fn engines_agree_in_signature_mode() {
-        let n = filterish(12);
-        let u = universe(&n);
-        let inputs = pseudo_inputs(192, 12);
-        let run = |engine| {
-            ParallelFaultSimulator::new(&n, &u)
-                .with_options(
-                    SimOptions::new()
-                        .with_engine(engine)
-                        .with_schedule(StageSchedule::with_boundaries(vec![96]))
-                        .with_threads(1)
-                        .with_signature(SIG16),
-                )
-                .run(&inputs)
-        };
-        let kernel = run(SimEngine::Kernel);
-        let walker = run(SimEngine::Walker);
-        assert_eq!(kernel.detection_cycle, walker.detection_cycle);
-        assert_eq!(kernel.signatures(), walker.signatures());
-        assert_eq!(kernel.aliased(), walker.aliased());
+        for (n, u) in width_cases() {
+            let inputs = pseudo_inputs(192, n.width());
+            let run = |engine, threads| {
+                ParallelFaultSimulator::new(&n, &u)
+                    .with_options(
+                        SimOptions::new()
+                            .with_engine(engine)
+                            .with_schedule(StageSchedule::with_boundaries(vec![96]))
+                            .with_threads(threads)
+                            .with_signature(SIG16),
+                    )
+                    .run(&inputs)
+            };
+            let walker = run(SimEngine::Walker, 1);
+            for threads in [1, 2] {
+                let kernel = run(SimEngine::Kernel, threads);
+                let tag = format!("{} faults, {threads} threads", u.len());
+                assert_eq!(kernel.detection_cycle, walker.detection_cycle, "{tag}");
+                assert_eq!(kernel.signatures(), walker.signatures(), "{tag}");
+                assert_eq!(kernel.aliased(), walker.aliased(), "{tag}");
+            }
+        }
     }
 }

@@ -1,6 +1,4 @@
-use crate::build::{
-    build_csa_fir, build_symmetric_fir, build_transposed_fir, BuiltFilter, TapStructure,
-};
+use crate::build::{build_csa_fir, build_symmetric_fir, build_transposed_fir, BuiltFilter};
 use crate::FilterError;
 use csd::QuantizedCoefficient;
 use dsp::firdesign::{BandKind, FirSpec};
@@ -280,11 +278,6 @@ impl FilterDesign {
     /// The output node.
     pub fn output(&self) -> NodeId {
         self.built.output
-    }
-
-    /// Per-tap structure records.
-    pub fn tap_structures(&self) -> &[TapStructure] {
-        &self.built.taps
     }
 
     /// The accumulation adder of tap `k`, if it has one.

@@ -163,11 +163,6 @@ impl Fx {
         let n = n.min(63);
         Fx { raw: self.raw >> n, format: self.format }
     }
-
-    /// Absolute value as a float (useful for range analysis).
-    pub fn abs_value(self) -> f64 {
-        self.to_f64().abs()
-    }
 }
 
 impl PartialOrd for Fx {

@@ -342,14 +342,6 @@ pub struct FaultClass {
     pub detecting_tests: u8,
 }
 
-impl FaultClass {
-    /// `true` if the difficult test `Tt` (paper Section 4.1 numbering) is
-    /// the *only* way to detect this class within the cell.
-    pub fn requires_test(&self, t: u8) -> bool {
-        self.detecting_tests == 1 << t
-    }
-}
-
 /// Computes the collapsed fault classes of one cell.
 ///
 /// `ci_constraint` restricts the reachable input combinations: the LSB

@@ -152,12 +152,6 @@ impl<'n> NetlistEncoder<'n> {
         self.depth
     }
 
-    /// Number of good-machine frames built so far.
-    #[must_use]
-    pub fn frames_built(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Free input-window literals of frame `t` (LSB of the window first).
     #[must_use]
     pub fn input_lits(&self, frame: usize) -> &[GLit] {

@@ -65,11 +65,6 @@ pub struct CollapsedUniverse {
 }
 
 impl CollapsedUniverse {
-    /// Sites removed by structural collapsing.
-    pub fn merged_sites(&self) -> usize {
-        self.class_map.len() - self.representatives.len()
-    }
-
     /// Number of prime (non-dominated) classes — the classical
     /// collapsed-universe size quoted against the raw line count.
     pub fn prime_count(&self) -> usize {
@@ -566,11 +561,9 @@ mod tests {
             } else {
                 sim.set_faults(site.node, vec![member_fault]);
             }
-            let mut state = 0x1234_5678u64;
+            let mut rng = testkit::Rng::new(0x1234_5678);
             for _ in 0..256 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let raw = (state >> 40) & ((1u64 << n.width()) - 1);
-                sim.step(n.format().sign_extend(raw));
+                sim.step(rng.signed(n.width()));
                 for out in n.output_ids() {
                     assert_eq!(
                         sim.lane_value(out, 1),

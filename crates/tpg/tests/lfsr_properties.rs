@@ -7,31 +7,19 @@
 //! stores such captured states as its compressed seeds, so any
 //! divergence here silently corrupts every expanded top-off block.
 //!
-//! No property-testing dependency: cases are drawn from a fixed-seed
-//! splitmix64 stream, so failures replay byte-identically.
+//! Cases are drawn from the workspace's seeded driver (`testkit`): a
+//! failure names its seed, and `BIST_RANDOM_SEED=<seed>` replays it.
 
 use bist_tpg::{polynomials, Lfsr1, Lfsr2, ShiftDirection};
+use testkit::{for_each_seed, Rng};
 
-/// Deterministic case generator (splitmix64, fixed seed).
-struct Cases(u64);
-
-impl Cases {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A nonzero `width`-bit seed.
-    fn seed(&mut self, width: u32) -> u64 {
-        let mask = (1u64 << width) - 1;
-        loop {
-            let s = self.next() & mask;
-            if s != 0 {
-                return s;
-            }
+/// A nonzero `width`-bit LFSR seed.
+fn nonzero_seed(rng: &mut Rng, width: u32) -> u64 {
+    let mask = (1u64 << width) - 1;
+    loop {
+        let s = rng.next_u64() & mask;
+        if s != 0 {
+            return s;
         }
     }
 }
@@ -40,13 +28,14 @@ const DIRECTIONS: [ShiftDirection; 2] = [ShiftDirection::LsbToMsb, ShiftDirectio
 
 #[test]
 fn extracted_state_reloaded_as_seed_continues_the_sequence() {
-    let mut cases = Cases(0x5EED);
-    for width in 4..=24 {
-        let poly = polynomials::primitive(width).expect("tabulated width");
-        for direction in DIRECTIONS {
-            for _ in 0..8 {
-                let seed = cases.seed(width);
-                let run = (cases.next() % 5000) as usize;
+    // Eight cases per width and direction, one per driver seed.
+    for_each_seed(0x5EED, 8, |case| {
+        let mut rng = Rng::new(case);
+        for width in 4..=24 {
+            let poly = polynomials::primitive(width).expect("tabulated width");
+            for direction in DIRECTIONS {
+                let seed = nonzero_seed(&mut rng, width);
+                let run = rng.below(5000);
                 let mut a = Lfsr1::with_polynomial(width, poly, seed, direction).unwrap();
                 for _ in 0..run {
                     a.step();
@@ -64,17 +53,17 @@ fn extracted_state_reloaded_as_seed_continues_the_sequence() {
                 }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn state_stays_nonzero_and_within_width_for_every_polynomial() {
-    let mut cases = Cases(0xF00D);
+    let mut rng = Rng::new(0xF00D);
     for width in 4..=24 {
         let poly = polynomials::primitive(width).expect("tabulated width");
         let mask = (1u64 << width) - 1;
         for direction in DIRECTIONS {
-            let seed = cases.seed(width);
+            let seed = nonzero_seed(&mut rng, width);
             let mut g = Lfsr1::with_polynomial(width, poly, seed, direction).unwrap();
             for step in 0..2000 {
                 let s = g.step();
@@ -89,12 +78,13 @@ fn state_stays_nonzero_and_within_width_for_every_polynomial() {
 fn small_widths_reach_the_full_maximal_period_from_any_seed() {
     // Exhaustive period walk is O(2^width); gate it to the widths
     // where that stays milliseconds even unoptimized.
-    let mut cases = Cases(0xCAFE);
+    let mut rng = Rng::new(0xCAFE);
     for width in 4..=14 {
         let poly = polynomials::primitive(width).expect("tabulated width");
         let maximal = (1u64 << width) - 1;
         for direction in DIRECTIONS {
-            let g = Lfsr1::with_polynomial(width, poly, cases.seed(width), direction).unwrap();
+            let seed = nonzero_seed(&mut rng, width);
+            let g = Lfsr1::with_polynomial(width, poly, seed, direction).unwrap();
             assert_eq!(
                 g.period(),
                 maximal,
@@ -106,11 +96,11 @@ fn small_widths_reach_the_full_maximal_period_from_any_seed() {
 
 #[test]
 fn type2_round_trips_and_reaches_the_maximal_period() {
-    let mut cases = Cases(0xB157);
     let poly = polynomials::PAPER_TYPE2_POLY;
-    for _ in 0..8 {
-        let seed = cases.seed(12);
-        let run = (cases.next() % 3000) as usize;
+    for_each_seed(0xB157, 8, |case| {
+        let mut rng = Rng::new(case);
+        let seed = nonzero_seed(&mut rng, 12);
+        let run = rng.below(3000);
         let mut a = Lfsr2::with_seed(12, poly, seed).unwrap();
         for _ in 0..run {
             a.step();
@@ -119,19 +109,19 @@ fn type2_round_trips_and_reaches_the_maximal_period() {
         for k in 0..64 {
             assert_eq!(a.step(), b.step(), "Type 2 seed {seed:#x}: diverged at step {k}");
         }
-    }
+    });
     assert_eq!(Lfsr2::with_seed(12, poly, 1).unwrap().period(), (1 << 12) - 1);
 }
 
 #[test]
 fn reciprocal_polynomials_validate_and_round_trip_too() {
-    let mut cases = Cases(0x1DEA);
+    let mut rng = Rng::new(0x1DEA);
     for width in 4..=24 {
         let poly = polynomials::primitive(width).expect("tabulated width");
         let recip = polynomials::reciprocal(poly, width);
         polynomials::validate(recip, width).expect("reciprocal of a valid polynomial is valid");
         assert_eq!(polynomials::reciprocal(recip, width), poly, "reciprocal is an involution");
-        let seed = cases.seed(width);
+        let seed = nonzero_seed(&mut rng, width);
         let mut a = Lfsr1::with_polynomial(width, recip, seed, ShiftDirection::LsbToMsb).unwrap();
         for _ in 0..100 {
             a.step();
