@@ -16,8 +16,10 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: bistd [options]
   --tcp <host:port>     listen on TCP (e.g. 127.0.0.1:4817; port 0 = ephemeral)
   --unix <path>         listen on a Unix domain socket
-  --workers <n>         worker threads (default 2)
-  --queue-cap <n>       job queue capacity (default 16)
+  --workers <n>         worker threads, 1 to 64 (default 2)
+  --queue-cap <n>       how many jobs may wait for a worker, at least 1
+                        (default 16); running jobs do not count, and a
+                        cancelled job frees its slot
   --cache-cap <n>       result cache capacity in artifacts (default 64)
   --spill <path>        JSONL cache spill file (loaded at start, written at shutdown)
   --deadline-ms <ms>    default per-job deadline for submits without one
@@ -87,12 +89,10 @@ fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if config.tcp.is_none() && config.unix.is_none() {
-        return Err("need --tcp and/or --unix".into());
-    }
     if config.workers == 0 {
         return Err("--workers must be at least 1".into());
     }
+    config.validate().map_err(|e| e.to_string())?;
     Ok(config)
 }
 

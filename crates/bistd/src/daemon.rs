@@ -2,9 +2,9 @@
 //!
 //! A [`Daemon`] listens on TCP (localhost) and/or a Unix domain
 //! socket, speaks the framed protocol of [`crate::frame`] /
-//! [`crate::proto`], and drives submitted campaigns through the
-//! bounded queue and worker pool. Shutdown is graceful by
-//! construction: the accept loops stop, the queue closes (refusing new
+//! [`crate::proto`], and drives submitted campaigns through the job
+//! table's bounded queue and the worker pool. Shutdown is graceful by
+//! construction: the accept loops stop, the table closes (refusing new
 //! work while still draining everything queued), workers finish their
 //! in-flight jobs, and the result cache spills to disk.
 //!
@@ -15,11 +15,10 @@
 
 use crate::cache::ResultCache;
 use crate::frame::{self, FrameError};
-use crate::jobs::{JobState, JobTable};
+use crate::jobs::{JobState, JobTable, Refused};
 use crate::proto::{codes, Request, Response};
-use crate::queue::{JobQueue, PushError};
 use crate::worker;
-use bist_core::campaign::CampaignSpec;
+use bist_core::campaign::{CampaignSpec, MAX_THREADS};
 use faultsim::CancelToken;
 use obs::Registry;
 use std::io::{self, BufRead, BufReader, Write};
@@ -75,9 +74,12 @@ pub struct DaemonConfig {
     pub tcp: Option<String>,
     /// Unix domain socket path; `None` disables the Unix listener.
     pub unix: Option<PathBuf>,
-    /// Worker threads executing campaigns (min 1).
+    /// Worker threads executing campaigns (0 runs 1, at most
+    /// [`MAX_THREADS`]).
     pub workers: usize,
-    /// Job queue capacity; submits beyond it get `queue_full`.
+    /// How many jobs may wait for a worker (at least 1). Running jobs
+    /// do not count, and a cancelled job frees its slot at once; a
+    /// submit beyond it gets `queue_full`.
     pub queue_capacity: usize,
     /// Result cache capacity, in artifacts.
     pub cache_capacity: usize,
@@ -104,8 +106,28 @@ impl Default for DaemonConfig {
     }
 }
 
+impl DaemonConfig {
+    /// Checks the config without binding or spawning anything.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] for a config with no listener, a
+    /// queue capacity of 0, or more than [`MAX_THREADS`] workers.
+    pub fn validate(&self) -> io::Result<()> {
+        let problem = if self.tcp.is_none() && self.unix.is_none() {
+            "daemon config needs a tcp address or a unix socket path".to_string()
+        } else if self.queue_capacity == 0 {
+            "the job queue capacity must be at least 1".to_string()
+        } else if self.workers > MAX_THREADS {
+            format!("at most {MAX_THREADS} workers, not {}", self.workers)
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, problem))
+    }
+}
+
 struct Shared {
-    queue: Arc<JobQueue<u64>>,
     jobs: Arc<JobTable>,
     cache: Arc<Mutex<ResultCache>>,
     metrics: Arc<Registry>,
@@ -125,20 +147,16 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Binds the configured listeners, reloads the cache spill (if
-    /// any), and spawns the worker pool and accept loops.
+    /// Validates the config, binds the configured listeners, reloads
+    /// the cache spill (if any), and spawns the worker pool and accept
+    /// loops.
     ///
     /// # Errors
     ///
-    /// Propagates bind/spawn failures; a config with no listener at
-    /// all is [`io::ErrorKind::InvalidInput`].
+    /// [`DaemonConfig::validate`]'s [`io::ErrorKind::InvalidInput`]
+    /// before anything is bound or spawned; bind/spawn failures.
     pub fn start(config: DaemonConfig) -> io::Result<Daemon> {
-        if config.tcp.is_none() && config.unix.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "daemon config needs a tcp address or a unix socket path",
-            ));
-        }
+        config.validate()?;
         let metrics = Arc::new(Registry::new());
         let mut cache = ResultCache::new(config.cache_capacity);
         if let Some(path) = &config.spill {
@@ -149,21 +167,15 @@ impl Daemon {
             }
         }
         let shared = Arc::new(Shared {
-            queue: Arc::new(JobQueue::new(config.queue_capacity)),
-            jobs: Arc::new(JobTable::new()),
+            jobs: Arc::new(JobTable::new(config.queue_capacity, Arc::clone(&metrics))),
             cache: Arc::new(Mutex::new(cache)),
             metrics,
             shutdown: AtomicBool::new(false),
             default_deadline_ms: config.default_deadline_ms,
             lint: config.lint,
         });
-        let worker_handles = worker::spawn_workers(
-            config.workers,
-            &shared.queue,
-            &shared.jobs,
-            &shared.cache,
-            &shared.metrics,
-        );
+        let worker_handles =
+            worker::spawn_workers(config.workers, &shared.jobs, &shared.cache, &shared.metrics);
 
         let mut accept_handles = Vec::new();
         let mut tcp_addr = None;
@@ -239,7 +251,7 @@ impl Daemon {
     }
 
     /// Initiates shutdown exactly as a `shutdown` request would: stop
-    /// accepting, close the queue (which still drains).
+    /// accepting, close the job table (whose queue still drains).
     pub fn begin_shutdown(&self) {
         self.shared.begin_shutdown();
     }
@@ -356,7 +368,7 @@ fn serve_connection(
 impl Shared {
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::AcqRel) {
-            self.queue.close();
+            self.jobs.close();
         }
     }
 
@@ -393,11 +405,7 @@ impl Shared {
 
     fn submit(&self, spec: CampaignSpec, deadline_ms: Option<u64>) -> Response {
         if self.shutdown.load(Ordering::Acquire) {
-            return Response::Error {
-                code: codes::SHUTTING_DOWN.into(),
-                message: "daemon is draining and accepts no new campaigns".into(),
-                retry_after_ms: None,
-            };
+            return shutting_down();
         }
         if let Err(e) = spec.validate() {
             self.metrics.counter("bistd.bad_requests").inc();
@@ -471,46 +479,23 @@ impl Shared {
         if let Some(ms) = effective_deadline {
             token = token.with_deadline(Instant::now() + Duration::from_millis(ms));
         }
-        let job = self.jobs.create(spec, key.clone(), token, JobState::Queued);
-        self.jobs.set_lint(job, lint);
-        match self.queue.push(job) {
-            Ok(()) => {
+        match self.jobs.submit(spec, key.clone(), token, lint) {
+            Ok(job) => {
                 self.metrics.counter("bistd.jobs_submitted").inc();
                 Response::Submitted { job, cached: false, key, mode, lint: reply }
             }
-            Err(PushError::Full) => {
-                self.jobs.finish(
-                    job,
-                    JobState::Failed,
-                    Some("rejected: job queue full".into()),
-                    None,
-                );
+            Err(Refused::Full { queued }) => {
                 self.metrics.counter("bistd.queue_rejections").inc();
-                // Heuristic backpressure hint: a slot frees when a
-                // worker finishes, so scale the wait with the backlog.
-                let backlog = self.queue.len() as u64;
+                // Heuristic backpressure hint: a slot frees when a job
+                // starts or is cancelled, so scale the wait with the
+                // backlog, which at refusal is the capacity.
                 Response::Error {
                     code: codes::QUEUE_FULL.into(),
-                    message: format!(
-                        "job queue is at capacity ({}); retry later",
-                        self.queue.capacity()
-                    ),
-                    retry_after_ms: Some(250 * (backlog + 1)),
+                    message: format!("job queue is at capacity ({queued}); retry later"),
+                    retry_after_ms: Some(250 * (queued as u64 + 1)),
                 }
             }
-            Err(PushError::Closed) => {
-                self.jobs.finish(
-                    job,
-                    JobState::Failed,
-                    Some("rejected: daemon shutting down".into()),
-                    None,
-                );
-                Response::Error {
-                    code: codes::SHUTTING_DOWN.into(),
-                    message: "daemon is draining and accepts no new campaigns".into(),
-                    retry_after_ms: None,
-                }
-            }
+            Err(Refused::Closed) => shutting_down(),
         }
     }
 
@@ -540,11 +525,20 @@ impl Shared {
     }
 
     fn refresh_gauges(&self) {
-        self.metrics.set_gauge("bistd.queue_depth", self.queue.len() as f64);
+        let counts = self.jobs.counts();
+        self.metrics.set_gauge("bistd.queue_depth", counts[0].1 as f64);
         self.metrics.set_gauge("bistd.cache.entries", crate::lock(&self.cache).len() as f64);
-        for (state, count) in self.jobs.counts() {
+        for (state, count) in counts {
             self.metrics.set_gauge(&format!("bistd.jobs.{state}"), count as f64);
         }
+    }
+}
+
+fn shutting_down() -> Response {
+    Response::Error {
+        code: codes::SHUTTING_DOWN.into(),
+        message: "daemon is draining and accepts no new campaigns".into(),
+        retry_after_ms: None,
     }
 }
 
@@ -570,6 +564,26 @@ mod tests {
             Err(err) => assert_eq!(err.kind(), io::ErrorKind::InvalidInput),
             Ok(_) => panic!("a daemon with no listeners must not start"),
         }
+    }
+
+    #[test]
+    fn out_of_bound_configs_fail_before_any_bind_or_spawn() {
+        let socket = std::env::temp_dir().join(format!("bistd-bounds-{}.sock", std::process::id()));
+        let base = DaemonConfig { unix: Some(socket.clone()), ..DaemonConfig::default() };
+        for config in [
+            DaemonConfig { queue_capacity: 0, ..base.clone() },
+            DaemonConfig { workers: MAX_THREADS + 1, ..base.clone() },
+            DaemonConfig { workers: usize::MAX, ..base.clone() },
+        ] {
+            match Daemon::start(config.clone()) {
+                Err(err) => assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{config:?}"),
+                Ok(_) => panic!("{config:?} must not start"),
+            }
+            assert!(!socket.exists(), "{config:?} bound its socket");
+        }
+        // The library clamps zero workers to one rather than refusing.
+        assert!(DaemonConfig { workers: 0, ..base.clone() }.validate().is_ok());
+        assert!(DaemonConfig { workers: MAX_THREADS, ..base }.validate().is_ok());
     }
 
     #[test]

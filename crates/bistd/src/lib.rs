@@ -9,11 +9,12 @@
 //!   cap; every malformed input is a structured error, never a panic.
 //! * [`proto`] — the request/response messages and their JSON wire
 //!   forms, built on `obs::json`.
-//! * [`queue`] — a bounded FIFO with blocking consumers and
-//!   reject-fast producers (the `queue_full` backpressure path).
 //! * [`jobs`] — the job table: every submission's lifecycle from
-//!   `queued` to a terminal state, with race-free cancellation; it
-//!   keeps every live job and a bounded number of finished ones.
+//!   `queued` to a terminal state, and under the same lock the bounded
+//!   FIFO of queued jobs that workers block on; a full queue refuses
+//!   at once (the `queue_full` backpressure path), cancellation is
+//!   race-free, and the table keeps every live job and a bounded
+//!   number of finished ones.
 //! * [`cache`] — FNV-1a content addressing of canonical campaign keys
 //!   to completed artifacts, LRU-bounded, with JSONL spill/reload.
 //!   Hits replay artifacts bit-identically to the run that made them,
@@ -41,7 +42,6 @@ pub mod daemon;
 pub mod frame;
 pub mod jobs;
 pub mod proto;
-pub mod queue;
 pub mod worker;
 
 pub use client::{CampaignResult, Client, ClientError, ServerAddr, Submission};
@@ -55,9 +55,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// because no critical section can leave a wrong answer behind:
 ///
 /// * the job table changes a job with one insert or one group of field
-///   writes, so a panic can at worst skip an id or leave one job short
-///   of its terminal state, which `finish` or `cancel` still set;
-/// * the queue pushes or pops one id, or sets its closed flag;
+///   writes, and its queue with one push, pop or removal of an id, or
+///   the closed flag; so a panic can at worst skip an id, or leave one
+///   job short of its terminal state or queued but out of the queue,
+///   which `finish` or `cancel` still end;
 /// * every cache entry carries its own canonical key and `get` matches
 ///   it exactly, so no key can serve another key's artifact; a panic
 ///   inside `insert` can at worst miscount the entries, which only moves

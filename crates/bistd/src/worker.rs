@@ -1,8 +1,8 @@
-//! The worker pool: N threads draining the job queue through
+//! The worker pool: N threads draining the job table's queue through
 //! `CampaignSpec::run_linted`, so admission-time diagnostics ride into
 //! the run's artifact.
 //!
-//! Workers claim jobs through [`JobTable::claim`] (which atomically
+//! Workers start jobs through [`JobTable::next`] (which atomically
 //! loses races against cancellation), execute the campaign with the
 //! job's [`faultsim::CancelToken`] attached — so `CancelJob` and deadlines take
 //! effect at the fault simulator's next stage boundary — and publish
@@ -12,34 +12,32 @@
 //! long-lived registry bounded (no per-run span accumulation).
 
 use crate::cache::ResultCache;
-use crate::jobs::{JobState, JobTable};
-use crate::queue::JobQueue;
+use crate::jobs::{JobRecord, JobState, JobTable};
 use bist_core::SessionError;
 use obs::Registry;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Spawns `count` worker threads. Each exits when the queue is closed
-/// and drained; callers join the returned handles during shutdown.
+/// Spawns `count` worker threads (at least one). Each exits when the
+/// table is closed and its queue drained; callers join the returned
+/// handles during shutdown.
 pub fn spawn_workers(
     count: usize,
-    queue: &Arc<JobQueue<u64>>,
     jobs: &Arc<JobTable>,
     cache: &Arc<Mutex<ResultCache>>,
     metrics: &Arc<Registry>,
 ) -> Vec<JoinHandle<()>> {
     (0..count.max(1))
         .map(|i| {
-            let queue = Arc::clone(queue);
             let jobs = Arc::clone(jobs);
             let cache = Arc::clone(cache);
             let metrics = Arc::clone(metrics);
             std::thread::Builder::new()
                 .name(format!("bistd-worker-{i}"))
                 .spawn(move || {
-                    while let Some(id) = queue.pop() {
-                        run_one(id, &jobs, &cache, &metrics);
+                    while let Some(job) = jobs.next() {
+                        run_one(job, &jobs, &cache, &metrics);
                     }
                 })
                 .expect("spawn worker thread")
@@ -47,17 +45,12 @@ pub fn spawn_workers(
         .collect()
 }
 
-fn run_one(id: u64, jobs: &JobTable, cache: &Mutex<ResultCache>, metrics: &Registry) {
-    let Some((spec, token, lint)) = jobs.claim(id) else {
-        // Cancelled between submit and claim; `claim` already recorded
-        // the terminal state.
-        metrics.counter("bistd.jobs_cancelled").inc();
-        return;
-    };
+fn run_one(job: JobRecord, jobs: &JobTable, cache: &Mutex<ResultCache>, metrics: &Registry) {
+    let JobRecord { id, spec, cancel, lint, .. } = job;
     let started = Instant::now();
     // Each outcome is counted before the job turns terminal, so a
     // client that has seen the job end also sees it in the metrics.
-    match spec.run_linted(Some(token), lint) {
+    match spec.run_linted(Some(cancel), lint.to_vec()) {
         Ok(run) => {
             let artifact = Arc::new(run.artifact.to_json());
             crate::lock(cache).insert(&spec.canonical(), Arc::clone(&artifact));
@@ -91,7 +84,6 @@ mod tests {
     use faultsim::CancelToken;
 
     struct Harness {
-        queue: Arc<JobQueue<u64>>,
         jobs: Arc<JobTable>,
         cache: Arc<Mutex<ResultCache>>,
         metrics: Arc<Registry>,
@@ -99,24 +91,28 @@ mod tests {
     }
 
     fn harness(workers: usize) -> Harness {
-        let queue = Arc::new(JobQueue::new(16));
-        let jobs = Arc::new(JobTable::new());
-        let cache = Arc::new(Mutex::new(ResultCache::new(16)));
         let metrics = Arc::new(Registry::new());
-        let handles = spawn_workers(workers, &queue, &jobs, &cache, &metrics);
-        Harness { queue, jobs, cache, metrics, handles }
+        let jobs = Arc::new(JobTable::new(16, Arc::clone(&metrics)));
+        let cache = Arc::new(Mutex::new(ResultCache::new(16)));
+        let handles = spawn_workers(workers, &jobs, &cache, &metrics);
+        Harness { jobs, cache, metrics, handles }
     }
 
     fn mini_spec(vectors: usize) -> CampaignSpec {
         CampaignSpec { threads: 1, ..CampaignSpec::new("LP-MINI", "LFSR-D", vectors) }
     }
 
+    /// Submits `spec` straight to the table, skipping admission.
+    fn submit(jobs: &JobTable, spec: CampaignSpec, token: CancelToken) -> u64 {
+        let key = spec.canonical();
+        jobs.submit(spec, key, token, Arc::new([])).unwrap()
+    }
+
     #[test]
     fn workers_complete_jobs_and_populate_the_cache() {
-        let Harness { queue, jobs, cache, metrics, handles } = harness(2);
+        let Harness { jobs, cache, metrics, handles } = harness(2);
         let spec = mini_spec(32);
-        let id = jobs.create(spec.clone(), spec.canonical(), CancelToken::new(), JobState::Queued);
-        queue.push(id).unwrap();
+        let id = submit(&jobs, spec.clone(), CancelToken::new());
         let record = jobs.wait_terminal(id, std::time::Duration::from_secs(120)).unwrap();
         assert_eq!(record.state, JobState::Done, "{:?}", record.detail);
         assert!(record.artifact.is_some());
@@ -125,33 +121,28 @@ mod tests {
             record.artifact.map(|a| a.to_json()),
             "cache holds the same artifact bytes"
         );
-        queue.close();
+        jobs.close();
         for h in handles {
             h.join().unwrap();
         }
         let snap = metrics.snapshot();
         assert_eq!(snap.counters["bistd.jobs_completed"], 1);
+        assert_eq!(snap.histograms["bistd.wait_ms"].count, 1, "one queue wait per started job");
         assert!(snap.histograms.contains_key("bistd.stage.session.fault_sim"));
         assert_eq!(snap.spans.len(), 0, "daemon registry stays span-free");
     }
 
     #[test]
     fn failures_and_cancellations_are_classified() {
-        let Harness { queue, jobs, metrics, handles, .. } = harness(1);
-        // A spec that skipped admission (pushed straight onto the
-        // queue) and fails in the run: MISR width without a tabulated
-        // polynomial.
-        let bad = CampaignSpec { misr_width: 63, ..mini_spec(16) };
+        let Harness { jobs, metrics, handles, .. } = harness(1);
+        // A spec that skipped admission and fails in the run: MISR
+        // width without a tabulated polynomial.
         let failed =
-            jobs.create(bad.clone(), bad.canonical(), CancelToken::new(), JobState::Queued);
-        queue.push(failed).unwrap();
-        // A job whose token fires before any worker claims it.
+            submit(&jobs, CampaignSpec { misr_width: 63, ..mini_spec(16) }, CancelToken::new());
+        // A job whose token fired before any worker starts it.
         let token = CancelToken::new();
-        let spec = mini_spec(16);
-        let cancelled =
-            jobs.create(spec.clone(), spec.canonical(), token.clone(), JobState::Queued);
         token.cancel();
-        queue.push(cancelled).unwrap();
+        let cancelled = submit(&jobs, mini_spec(16), token);
 
         let record = jobs.wait_terminal(failed, std::time::Duration::from_secs(120)).unwrap();
         assert_eq!(record.state, JobState::Failed);
@@ -159,7 +150,7 @@ mod tests {
         let record = jobs.wait_terminal(cancelled, std::time::Duration::from_secs(120)).unwrap();
         assert_eq!(record.state, JobState::Cancelled);
 
-        queue.close();
+        jobs.close();
         for h in handles {
             h.join().unwrap();
         }

@@ -106,6 +106,10 @@ fn unix_socket_serves_the_same_protocol() {
     let result = client.run_campaign(&mini_spec(32), None).unwrap();
     assert!(!result.cached);
     assert_eq!(result.artifact.get("vectors").and_then(JsonValue::as_u64), Some(32));
+    // The one miss waited in the queue once.
+    let metrics = client.metrics().unwrap();
+    let wait = metrics.get("histograms").and_then(|h| h.get("bistd.wait_ms"));
+    assert_eq!(wait.and_then(|w| w.get("count")).and_then(JsonValue::as_u64), Some(1));
     client.shutdown().unwrap();
     daemon.join().unwrap();
     assert!(!socket.exists(), "socket file removed on clean shutdown");
@@ -293,18 +297,54 @@ fn deadline_expires_a_job_with_deadline_detail() {
     daemon.join().unwrap();
 }
 
-#[test]
-fn full_queue_rejects_with_retry_hint_and_keeps_serving() {
+/// Polls `job`'s status until a worker has started it.
+fn wait_until_running(client: &mut Client, job: u64) {
+    let started = Instant::now();
+    loop {
+        let (state, detail) = client.status(job).unwrap();
+        match state.as_str() {
+            "running" => return,
+            "queued" => {}
+            other => panic!("job {job} ended {other} before it ran: {detail:?}"),
+        }
+        assert!(started.elapsed().as_secs() < 120, "job {job} never started");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+/// A one-worker daemon with a one-slot queue, and a client whose first
+/// slow job (returned) is running, so the queue's one slot is free.
+fn one_slot_daemon() -> (Daemon, Client, u64) {
     let (daemon, addr) =
         tcp_daemon(DaemonConfig { workers: 1, queue_capacity: 1, ..DaemonConfig::default() });
     let mut client = Client::connect(&addr).unwrap();
-    // With one worker and a one-slot queue, three instant submissions
-    // of distinct slow campaigns cannot all be accepted.
-    let specs: Vec<CampaignSpec> =
-        (0..3).map(|i| CampaignSpec { vectors: 200_000 + i, ..slow_spec() }).collect();
-    let mut accepted = Vec::new();
+    let running = client.submit(&slow_spec(), None).unwrap().job;
+    wait_until_running(&mut client, running);
+    (daemon, client, running)
+}
+
+/// Distinct slow campaigns, each its own cache key.
+fn slow_specs(n: usize) -> Vec<CampaignSpec> {
+    (0..n).map(|i| CampaignSpec { vectors: 200_000 + i, ..slow_spec() }).collect()
+}
+
+/// Cancels `jobs`, then shuts the daemon down.
+fn cancel_and_shut_down(daemon: Daemon, mut client: Client, jobs: &[u64]) {
+    for job in jobs {
+        client.cancel(*job).unwrap();
+    }
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
+fn full_queue_rejects_with_retry_hint_and_keeps_serving() {
+    // With the one worker busy and a one-slot queue, of two more
+    // distinct slow campaigns exactly one is accepted.
+    let (daemon, mut client, running) = one_slot_daemon();
+    let mut accepted = vec![running];
     let mut rejected = 0;
-    for spec in &specs {
+    for spec in &slow_specs(2) {
         match client.submit(spec, None) {
             Ok(sub) => accepted.push(sub.job),
             Err(ClientError::Server { code, retry_after_ms, .. }) => {
@@ -315,14 +355,49 @@ fn full_queue_rejects_with_retry_hint_and_keeps_serving() {
             Err(other) => panic!("unexpected failure: {other}"),
         }
     }
-    assert!(rejected >= 1, "at least one submit must hit backpressure");
+    assert_eq!(rejected, 1, "exactly the submit beyond the one free slot hits backpressure");
     // The daemon still answers after rejecting.
-    for job in &accepted {
-        client.cancel(*job).unwrap();
-    }
     assert!(client.metrics().is_ok());
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
+    cancel_and_shut_down(daemon, client, &accepted);
+}
+
+#[test]
+fn a_cancelled_queued_job_frees_its_slot_at_once() {
+    let (daemon, mut client, running) = one_slot_daemon();
+    let specs = slow_specs(2);
+    let queued = client.submit(&specs[0], None).unwrap().job;
+    assert_eq!(client.status(queued).unwrap().0, "queued");
+    client.cancel(queued).unwrap();
+    assert_eq!(client.status(queued).unwrap().0, "cancelled");
+    let next = match client.submit(&specs[1], None) {
+        Ok(sub) => sub.job,
+        Err(e) => panic!("the cancelled job still holds the only slot: {e}"),
+    };
+    assert_eq!(counter(&mut client, "bistd.jobs_cancelled"), 1, "counted when cancelled");
+    cancel_and_shut_down(daemon, client, &[running, next]);
+}
+
+#[test]
+fn a_refused_submit_makes_no_job_record() {
+    let (daemon, mut client, running) = one_slot_daemon();
+    let specs = slow_specs(2);
+    let queued = client.submit(&specs[0], None).unwrap().job;
+    match client.submit(&specs[1], None) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "queue_full"),
+        other => panic!("expected queue_full, got {other:?}"),
+    }
+    // Once the queued job starts, the slot is free again, and the next
+    // accepted job takes the id after the queued one's.
+    client.cancel(running).unwrap();
+    wait_until_running(&mut client, queued);
+    let next = client.submit(&specs[1], None).unwrap().job;
+    assert_eq!(next, queued + 1, "the refusal burnt no id");
+    let metrics = client.metrics().unwrap();
+    let gauge =
+        |name: &str| metrics.get("gauges").and_then(|g| g.get(name)).and_then(JsonValue::as_f64);
+    assert_eq!(gauge("bistd.jobs.failed"), Some(0.0), "the refusal left no failed record");
+    assert_eq!(gauge("bistd.queue_depth"), gauge("bistd.jobs.queued"));
+    cancel_and_shut_down(daemon, client, &[queued, next]);
 }
 
 #[test]

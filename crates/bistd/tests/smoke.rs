@@ -1,11 +1,14 @@
 //! Smoke test of the real `bistd` and `bistctl` binaries, once over a
 //! Unix socket and once over TCP: a daemon must serve a campaign,
 //! answer the identical resubmission from its result cache, keep the
-//! historical cache key of a default spec, and exit 0 on `shutdown`.
+//! historical cache key of a default spec, and exit 0 on `shutdown`;
+//! and a queue capacity or worker count out of bounds must exit 2
+//! before it listens.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// A running `bistd` and its stdout. Dropping it kills the daemon if it
 /// has not exited, so a failing test leaves no process behind.
@@ -109,4 +112,32 @@ fn daemon_serves_caches_and_shuts_down_over_tcp() {
         .unwrap_or_else(|| panic!("bistd never reported its tcp address: {log:?}"))
         .to_string();
     daemon.check_and_shut_down(&addr);
+}
+
+#[test]
+fn out_of_bound_queue_capacity_and_worker_count_exit_2_before_listening() {
+    for bad in [["--queue-cap", "0"], ["--workers", "65"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_bistd"))
+            .args(["--tcp", "127.0.0.1:0"])
+            .args(bad)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("bistd runs");
+        // A daemon that started anyway is killed, so the test fails
+        // rather than waits for a shutdown that never comes.
+        let started = Instant::now();
+        while child.try_wait().expect("poll bistd").is_none() {
+            if started.elapsed() > Duration::from_secs(60) {
+                let _ = child.kill();
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("bistd output");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stdout} {stderr}");
+        assert!(!stdout.contains("listening"), "{bad:?} listened: {stdout}");
+        assert!(stderr.contains("usage: bistd"), "{bad:?} printed no usage: {stderr}");
+    }
 }

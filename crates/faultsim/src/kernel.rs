@@ -468,17 +468,6 @@ impl Tape {
         self.kind.len()
     }
 
-    /// Number of sum-producing cell ops (`Full`/`FullN`/`SumOnly`/
-    /// `SumOnlyN`) — one per full-adder cell of the design, excluding
-    /// the wiring `Copy`/`Not` ops and the `Carry` ops that re-address
-    /// carry-save cells from the paired carry node.
-    pub fn cell_op_count(&self) -> usize {
-        self.kind
-            .iter()
-            .filter(|k| !matches!(k, OpKind::Not | OpKind::Copy | OpKind::Carry))
-            .count()
-    }
-
     /// The tape ops a fault on `cell` of arithmetic node `node` patches:
     /// the cell's own op, plus, for a carry-save sum node, the paired
     /// carry node's op, because the cell's gates also drive that node's
@@ -495,11 +484,6 @@ impl Tape {
         let own = (cell <= info.top).then_some(info.base_op + cell);
         let carry = info.carry_base.filter(|_| cell < info.top).map(|base| base + cell);
         own.into_iter().chain(carry)
-    }
-
-    /// Number of uniform-kind segments the hot loop executes.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     /// A stable, human-readable rendering of the whole tape — slot
@@ -1499,8 +1483,7 @@ mod tests {
         let n = kitchen_sink(8);
         let tape = Tape::compile(&n);
         assert!(tape.op_count() > 0);
-        assert!(tape.segment_count() <= tape.op_count());
-        assert!(tape.cell_op_count() < tape.op_count(), "copy/not ops exist here");
+        assert!(tape.segments.len() <= tape.op_count());
         // SSA: no physical slot is written by two ops, and the
         // constant slots are never written.
         let mut written = std::collections::HashSet::new();

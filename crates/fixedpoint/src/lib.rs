@@ -34,28 +34,3 @@ mod value;
 pub use error::FixedPointError;
 pub use format::QFormat;
 pub use value::Fx;
-
-/// Convenience: the 16-bit Q1.15 datapath format used by the paper's filters.
-///
-/// # Example
-///
-/// ```
-/// let q = bist_fixedpoint::q1_15();
-/// assert_eq!(q.width(), 16);
-/// assert_eq!(q.frac_bits(), 15);
-/// ```
-pub fn q1_15() -> QFormat {
-    QFormat::new(16, 15).expect("static format is valid")
-}
-
-/// Convenience: the 12-bit Q1.11 input format used by the paper's filters.
-///
-/// # Example
-///
-/// ```
-/// let q = bist_fixedpoint::q1_11();
-/// assert_eq!(q.width(), 12);
-/// ```
-pub fn q1_11() -> QFormat {
-    QFormat::new(12, 11).expect("static format is valid")
-}

@@ -106,12 +106,6 @@ impl Misr {
         self.state
     }
 
-    /// Overwrites the state (used to resume a partially absorbed
-    /// stream, e.g. across staged-simulation boundaries).
-    pub fn set_signature(&mut self, state: u64) {
-        self.state = state & ((1u64 << self.width) - 1);
-    }
-
     /// Resets the signature to zero.
     pub fn reset(&mut self) {
         self.state = 0;
@@ -364,8 +358,5 @@ mod tests {
         let mut bank = MisrBank::with_polynomial(8, 0x11D).unwrap();
         bank.set_lane_signature(0, 0xFFFF);
         assert_eq!(bank.lane_signature(0), 0xFF);
-        let mut m = Misr::with_polynomial(8, 0x11D).unwrap();
-        m.set_signature(0xFFFF);
-        assert_eq!(m.signature(), 0xFF);
     }
 }
