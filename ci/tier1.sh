@@ -37,8 +37,18 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # SAT outcomes (redundant counts, top-off partitions), so a prover change
 # that moves a verdict fails here too. daemon-mix checks every hot reply
 # against its digest and every cache hit byte for byte against the first
-# reply for its key, which covers the daemon's submit and cache paths.
-for workload in sig-lp trace-grid proof-topoff daemon-mix; do
-    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+# reply for its key, which covers the daemon's submit and cache paths; it
+# runs at four seeds, because each seed draws its own generators and test
+# lengths. The benchmark is built once, and each run is bounded by
+# `timeout`, so a hung run fails the gate instead of stalling it.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+perfbench=perfbench/target/release/bist-perfbench
+run_digest() {
+    timeout 600 "$perfbench" --workload "$1" --seed "$2" --seconds 1 --trace 0 > /dev/null
+}
+for workload in sig-lp trace-grid proof-topoff; do
+    run_digest "$workload" 1
+done
+for seed in 1 2 3 4; do
+    run_digest daemon-mix "$seed"
 done

@@ -21,10 +21,11 @@ use crate::worker;
 use bist_core::campaign::{CampaignSpec, MAX_THREADS};
 use faultsim::CancelToken;
 use obs::Registry;
+use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -154,9 +155,36 @@ impl Daemon {
     /// # Errors
     ///
     /// [`DaemonConfig::validate`]'s [`io::ErrorKind::InvalidInput`]
-    /// before anything is bound or spawned; bind/spawn failures.
+    /// before anything is bound or spawned; bind failures, before
+    /// anything is spawned; spawn failures, after the threads already
+    /// spawned have been wound down.
     pub fn start(config: DaemonConfig) -> io::Result<Daemon> {
         config.validate()?;
+        // Bind every listener first: a failed bind returns here, with
+        // the other listener dropped and no thread started.
+        let tcp = match &config.tcp {
+            Some(addr) => {
+                let listener = TcpListener::bind(addr)?;
+                listener.set_nonblocking(true)?;
+                Some(listener)
+            }
+            None => None,
+        };
+        let tcp_addr = tcp.as_ref().map(TcpListener::local_addr).transpose()?;
+        let unix = match &config.unix {
+            Some(path) => {
+                // A previous unclean exit may have left the socket file.
+                let _ = std::fs::remove_file(path);
+                let listener = UnixListener::bind(path)?;
+                if let Err(e) = listener.set_nonblocking(true) {
+                    let _ = std::fs::remove_file(path);
+                    return Err(e);
+                }
+                Some(listener)
+            }
+            None => None,
+        };
+
         let metrics = Arc::new(Registry::new());
         let mut cache = ResultCache::new(config.cache_capacity);
         if let Some(path) = &config.spill {
@@ -174,17 +202,38 @@ impl Daemon {
             default_deadline_ms: config.default_deadline_ms,
             lint: config.lint,
         });
-        let worker_handles =
-            worker::spawn_workers(config.workers, &shared.jobs, &shared.cache, &shared.metrics);
+        let mut daemon = Daemon {
+            worker_handles: worker::spawn_workers(
+                config.workers,
+                &shared.jobs,
+                &shared.cache,
+                &shared.metrics,
+            ),
+            shared,
+            accept_handles: Vec::new(),
+            tcp_addr,
+            unix_path: config.unix.clone(),
+            spill: None,
+        };
+        if let Err(e) = daemon.spawn_accept_loops(tcp, unix) {
+            // Wind down what did start; the spill is left as it was.
+            daemon.begin_shutdown();
+            let _ = daemon.join();
+            return Err(e);
+        }
+        daemon.spill = config.spill;
+        Ok(daemon)
+    }
 
-        let mut accept_handles = Vec::new();
-        let mut tcp_addr = None;
-        if let Some(addr) = &config.tcp {
-            let listener = TcpListener::bind(addr)?;
-            tcp_addr = Some(listener.local_addr()?);
-            listener.set_nonblocking(true)?;
-            let shared = Arc::clone(&shared);
-            accept_handles.push(
+    /// Spawns one accept loop per bound listener.
+    fn spawn_accept_loops(
+        &mut self,
+        tcp: Option<TcpListener>,
+        unix: Option<UnixListener>,
+    ) -> io::Result<()> {
+        if let Some(listener) = tcp {
+            let shared = Arc::clone(&self.shared);
+            self.accept_handles.push(
                 std::thread::Builder::new().name("bistd-accept-tcp".into()).spawn(move || {
                     accept_loop(
                         &shared,
@@ -204,15 +253,9 @@ impl Daemon {
                 })?,
             );
         }
-        let mut unix_path = None;
-        if let Some(path) = &config.unix {
-            // A previous unclean exit may have left the socket file.
-            let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            unix_path = Some(path.clone());
-            let shared = Arc::clone(&shared);
-            accept_handles.push(
+        if let Some(listener) = unix {
+            let shared = Arc::clone(&self.shared);
+            self.accept_handles.push(
                 std::thread::Builder::new().name("bistd-accept-unix".into()).spawn(move || {
                     accept_loop(
                         &shared,
@@ -229,14 +272,7 @@ impl Daemon {
                 })?,
             );
         }
-        Ok(Daemon {
-            shared,
-            accept_handles,
-            worker_handles,
-            tcp_addr,
-            unix_path,
-            spill: config.spill,
-        })
+        Ok(())
     }
 
     /// The bound TCP address (with the real port when the config asked
@@ -272,14 +308,40 @@ impl Daemon {
             let _ = handle.join();
         }
         if let Some(path) = &self.spill {
-            let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-            let spilled = crate::lock(&self.shared.cache).spill(&mut file)? as u64;
+            let cache = &self.shared.cache;
+            let spilled = replace_file(path, |file| crate::lock(cache).spill(file))? as u64;
             self.shared.metrics.counter("bistd.cache.spilled").add(spilled);
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
+    }
+}
+
+/// Writes a file through `write` and puts it at `path` whole or not at
+/// all: `write` fills a sibling temporary file, which is synced and then
+/// renamed over `path`. A failed write removes the temporary file and
+/// leaves whatever `path` held before.
+fn replace_file<T>(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<File>) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let written = File::create(&tmp).and_then(|file| {
+        let mut writer = io::BufWriter::new(file);
+        let out = write(&mut writer)?;
+        writer.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
+        Ok(out)
+    });
+    match written.and_then(|out| std::fs::rename(&tmp, path).map(|()| out)) {
+        Ok(out) => Ok(out),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
     }
 }
 
@@ -584,6 +646,57 @@ mod tests {
         // The library clamps zero workers to one rather than refusing.
         assert!(DaemonConfig { workers: 0, ..base.clone() }.validate().is_ok());
         assert!(DaemonConfig { workers: MAX_THREADS, ..base }.validate().is_ok());
+    }
+
+    /// A writer that fails once `left` bytes have gone through.
+    struct FailAfter<W> {
+        inner: W,
+        left: usize,
+    }
+
+    impl<W: Write> Write for FailAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("disk gone"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            self.inner.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_spill_that_fails_halfway_leaves_the_previous_spill_whole() {
+        let dir = std::env::temp_dir().join(format!("bistd-spill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.jsonl");
+        let mut cache = ResultCache::new(8);
+        for key in ["a", "b", "c"] {
+            cache.insert(key, obs::JsonValue::object().push("key", key));
+        }
+        assert_eq!(replace_file(&path, |w| cache.spill(w)).unwrap(), 3);
+        let before = std::fs::read(&path).unwrap();
+
+        cache.insert("d", obs::JsonValue::object().push("key", "d"));
+        let half = before.len() / 2;
+        let failed = replace_file(&path, |w| cache.spill(&mut FailAfter { inner: w, left: half }));
+        assert!(failed.is_err(), "the writer failed");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "the previous spill is untouched");
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(entries.len(), 1, "no temporary file is left behind");
+        let mut reloaded = ResultCache::new(8);
+        let loaded = reloaded.load(BufReader::new(File::open(&path).unwrap()));
+        assert_eq!(loaded, (3, 0));
+
+        // A spill that succeeds replaces the file whole.
+        assert_eq!(replace_file(&path, |w| cache.spill(w)).unwrap(), 4);
+        let mut reloaded = ResultCache::new(8);
+        assert_eq!(reloaded.load(BufReader::new(File::open(&path).unwrap())), (4, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

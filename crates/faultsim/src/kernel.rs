@@ -126,7 +126,7 @@ pub enum OpKind {
 impl OpKind {
     /// `true` when the op complements its `b` operand on read (the
     /// subtractor's `a + !b + 1` form).
-    fn negates_b(self) -> bool {
+    pub(crate) fn negates_b(self) -> bool {
         matches!(self, OpKind::FullN | OpKind::SumOnlyN)
     }
 

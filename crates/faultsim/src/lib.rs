@@ -25,7 +25,10 @@
 //!   ([`FaultSimResult::aliased`]). A compare-mode tail too small to
 //!   fill every thread runs *cycle-lane* instead: one fault per word,
 //!   lane `t` being cycle `t` of a 64-cycle block, with the same
-//!   results.
+//!   results. A fault joins the stages only once its cell's fault-free
+//!   inputs first show a combination on which the fault changes the
+//!   cell; until then its machine is the good machine, so skipping it
+//!   changes no result.
 //! * [`kernel`] — the execution engine: the netlist compiled once into
 //!   a flat structure-of-arrays op tape ([`Tape`]) run by straight-line
 //!   machines, each restricted to one fault group's fanout cone. Tests
@@ -62,6 +65,7 @@
 
 #![forbid(unsafe_code)]
 
+mod activation;
 mod cone;
 mod cycle;
 mod fault;

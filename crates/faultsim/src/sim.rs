@@ -1,3 +1,4 @@
+use crate::activation::first_activations;
 use crate::cone::{input_planes, Cone, ConeIndex, GoodTrace, StageTrace};
 use crate::cycle::{LaneFault, LaneMachine, LaneProgram};
 use crate::fault::{FaultId, FaultUniverse};
@@ -235,12 +236,16 @@ impl SimOptions {
     ///
     /// `faultsim.stages`, `faultsim.shards` and `faultsim.groups` count,
     /// per stage entered, one stage, ⌈survivors / 63⌉ shards and
-    /// ⌈shards / 16⌉ groups: the fault-lane packing of the stage's
-    /// survivors, whichever executor runs the stage, so the three are a
-    /// function of the detection map alone.
+    /// ⌈shards / 16⌉ groups: the fault-lane packing of all the stage's
+    /// survivors, dormant ones included, whichever executor runs the
+    /// stage, so the three are a function of the detection map alone.
     /// `faultsim.stage<i>.survivors` counts the faults entering stage
-    /// `i`. A compare-mode tail stage that runs cycle-lane adds its
-    /// survivors to `faultsim.cycle_lane_faults`, its machines to
+    /// `i`, and `faultsim.stage<i>.simulated` the ones it runs: those
+    /// activated before its end. `faultsim.never_activated` counts the
+    /// faults the test never activates, and the `faultsim.activation_ms`
+    /// histogram times the pass that finds each fault's first
+    /// activation. A compare-mode tail stage that runs cycle-lane adds
+    /// its simulated faults to `faultsim.cycle_lane_faults`, its machines to
     /// `faultsim.cycle_lane_machines` and the 64-cycle blocks they run
     /// to `faultsim.cycle_lane_blocks`. `faultsim.group_buffer_words`
     /// samples each dispatched machine's bit-plane buffer in `u64`s,
@@ -634,8 +639,20 @@ impl<'a> ParallelFaultSimulator<'a> {
             response: self.good_response_of(|| Vec::with_capacity(inputs.len())),
         };
 
+        // Each fault's first activation (the `activation` module): before
+        // it the faulty machine is the good machine, so a fault enters
+        // the first stage that ends after it, from the good state.
+        let activation_started = metrics.map(|_| Instant::now());
+        let first_activation = first_activations(tape, &good_program, self.universe, inputs);
+        if let (Some(m), Some(t)) = (metrics, activation_started) {
+            m.histogram("faultsim.activation_ms").record(t.elapsed().as_secs_f64() * 1000.0);
+            let never = first_activation.iter().filter(|&&f| f >= total).count();
+            m.counter("faultsim.never_activated").add(never as u64);
+        }
+
         let mut detection: Vec<Option<u32>> = vec![None; self.universe.len()];
-        // Surviving faults and their machine states at stage start.
+        // Surviving faults and their machine states at stage start; a
+        // dormant survivor (not yet activated) carries no state.
         let mut active: Vec<FaultId> = self.universe.ids().collect();
         let mut states: Vec<Option<MachineState>> =
             std::iter::repeat_with(|| None).take(self.universe.len()).collect();
@@ -651,10 +668,16 @@ impl<'a> ParallelFaultSimulator<'a> {
                 return Err(Cancelled { at_cycle: start });
             }
             let stage_span = metrics.map(|m| obs::span!(m, "faultsim.stage{}", stage_index));
+            // The stage runs only the survivors activated before its end;
+            // the others stay dormant and keep the good machine's state.
+            let (simulated, dormant): (Vec<FaultId>, Vec<FaultId>) =
+                active.iter().partition(|fid| first_activation[fid.index()] < end);
             // The counters count shards and groups as the fault-lane
-            // scheduler packs them, whichever executor runs the stage,
-            // so they stay a pure function of the detection map.
-            let shards: Vec<&[FaultId]> = active.chunks(LANES_PER_PASS).collect();
+            // scheduler packs all survivors, dormant ones included,
+            // whichever executor runs the stage, so they stay a pure
+            // function of the detection map.
+            let shard_count = active.len().div_ceil(LANES_PER_PASS);
+            let shards: Vec<&[FaultId]> = simulated.chunks(LANES_PER_PASS).collect();
             let groups: Vec<&[&[FaultId]]> = shards.chunks(KERNEL_WORDS).collect();
             // A compare-mode tail too small to give every thread a full
             // group runs cycle-lane: one fault per word, 64 cycles per
@@ -664,15 +687,17 @@ impl<'a> ParallelFaultSimulator<'a> {
                 && self.options.signature.is_none()
                 && shards.len() < threads.saturating_mul(KERNEL_WORDS);
             let machines: Vec<&[FaultId]> =
-                if cycle_lane { active.chunks(KERNEL_WORDS).collect() } else { Vec::new() };
+                if cycle_lane { simulated.chunks(KERNEL_WORDS).collect() } else { Vec::new() };
             if let Some(m) = metrics {
                 m.counter("faultsim.stages").inc();
-                m.counter("faultsim.shards").add(shards.len() as u64);
-                m.counter("faultsim.groups").add(groups.len() as u64);
+                m.counter("faultsim.shards").add(shard_count as u64);
+                m.counter("faultsim.groups").add(shard_count.div_ceil(KERNEL_WORDS) as u64);
                 m.counter(&format!("faultsim.stage{stage_index}.survivors"))
                     .add(active.len() as u64);
+                m.counter(&format!("faultsim.stage{stage_index}.simulated"))
+                    .add(simulated.len() as u64);
                 if cycle_lane {
-                    m.counter("faultsim.cycle_lane_faults").add(active.len() as u64);
+                    m.counter("faultsim.cycle_lane_faults").add(simulated.len() as u64);
                     m.counter("faultsim.cycle_lane_machines").add(machines.len() as u64);
                 }
             }
@@ -734,10 +759,10 @@ impl<'a> ParallelFaultSimulator<'a> {
 
             // Stage-boundary merge, in shard (or machine) order.
             let merge_started = metrics.map(|_| Instant::now());
-            for &fid in &active {
+            for &fid in &simulated {
                 states[fid.index()] = None;
             }
-            let mut survivors: Vec<FaultId> = Vec::new();
+            let mut survivors = dormant;
             for outcome in outcomes {
                 for (fid, cycle) in outcome.detections {
                     // First detection wins: signature mode keeps detected
@@ -762,15 +787,15 @@ impl<'a> ParallelFaultSimulator<'a> {
         }
 
         // Signature readout: every fault survived to the end in
-        // signature mode, so its final MISR state sits in `states`; the
-        // fault-free signature is the trace's, even for an empty
-        // universe.
+        // signature mode, so a simulated fault's final MISR state sits in
+        // `states`, and a fault never activated carries no state and ends
+        // with the good signature. The fault-free signature is the
+        // trace's, even for an empty universe.
         good.take(&mut trace, total);
-        let signatures = good.misr.map(|misr| SignatureSet {
-            good: misr.signature(),
-            per_fault: (0..self.universe.len())
-                .map(|i| states[i].as_ref().map_or(0, |s| s.misr))
-                .collect(),
+        let signatures = good.misr.map(|misr| {
+            let good = misr.signature();
+            let per_fault = states.iter().map(|s| s.as_ref().map_or(good, |s| s.misr)).collect();
+            SignatureSet { good, per_fault }
         });
         let result = FaultSimResult {
             detection_cycle: detection,
@@ -1151,6 +1176,7 @@ impl GoodOutputs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::NEVER;
     use crate::fault::FaultUniverse;
     use rtl::range::{aligned_input_range, RangeAnalysis};
     use rtl::{Netlist, NetlistBuilder};
@@ -1288,17 +1314,26 @@ mod tests {
         );
         assert!(s.counters["faultsim.shards"] >= stages, "one shard minimum per stage");
         // Shards and groups are counted as the fault-lane scheduler packs
-        // each stage's survivors, whichever executor ran the stage. Every
-        // stage after the first is small enough to run cycle-lane here,
-        // in machines of up to 16 faults.
-        let survivors: Vec<u64> =
-            (0..stages).map(|i| s.counters[&format!("faultsim.stage{i}.survivors")]).collect();
+        // each stage's survivors, dormant ones included, whichever
+        // executor ran the stage. A stage simulates only the survivors
+        // activated before its end. Every stage after the first is small
+        // enough to run cycle-lane here, in machines of up to 16 faults.
+        let per_stage = |what: &str| -> Vec<u64> {
+            (0..stages).map(|i| s.counters[&format!("faultsim.stage{i}.{what}")]).collect()
+        };
+        let (survivors, simulated) = (per_stage("survivors"), per_stage("simulated"));
         assert_eq!(survivors[0], u.len() as u64);
+        assert!(simulated.iter().zip(&survivors).all(|(sim, all)| sim <= all), "{simulated:?}");
         let shards = |faults: u64| faults.div_ceil(LANES_PER_PASS as u64);
         let groups = |faults: u64| shards(faults).div_ceil(KERNEL_WORDS as u64);
         assert_eq!(s.counters["faultsim.shards"], survivors.iter().map(|&f| shards(f)).sum());
         assert_eq!(s.counters["faultsim.groups"], survivors.iter().map(|&f| groups(f)).sum());
-        let tail = &survivors[1..];
+        // A never-activated fault survives every stage dormant, so the
+        // last stage leaves exactly those dormant.
+        let last = stages as usize - 1;
+        let never = s.counters["faultsim.never_activated"];
+        assert_eq!(survivors[last] - simulated[last], never, "{survivors:?} {simulated:?}");
+        let tail = &simulated[1..];
         assert!(tail.iter().sum::<u64>() > 0, "some fault survives the first stage");
         assert_eq!(s.counters["faultsim.cycle_lane_faults"], tail.iter().sum());
         let machines: u64 = tail.iter().map(|&f| f.div_ceil(KERNEL_WORDS as u64)).sum();
@@ -1322,7 +1357,7 @@ mod tests {
         // The dispatch-latency histogram samples once per machine
         // dispatch — a fault-lane group of shards or a cycle-lane
         // machine — so it tracks those counters, not the shard one.
-        let dispatches = groups(survivors[0]) + machines;
+        let dispatches = groups(simulated[0]) + machines;
         assert_eq!(s.histograms["faultsim.shard_ms"].count, dispatches);
         assert!(s.counters["faultsim.groups"] <= s.counters["faultsim.shards"]);
         assert_eq!(s.histograms["faultsim.merge_ms"].count, stages);
@@ -1364,6 +1399,7 @@ mod tests {
         assert!(s.counters["faultsim.patched_ops"] > 0);
         // Signature mode keeps every fault and stays fault-lane.
         assert_eq!(s.counters["faultsim.stage1.survivors"], u.len() as u64);
+        assert!(s.counters["faultsim.stage1.simulated"] <= u.len() as u64);
         assert!(!s.counters.contains_key("faultsim.cycle_lane_faults"));
 
         // A delay line below a faulted adder: the first register reads
@@ -1392,10 +1428,11 @@ mod tests {
         let s = registry.snapshot();
         let group_steps = s.counters["faultsim.tape_ops"] / Tape::compile(&chain).op_count() as u64;
         assert_eq!(s.counters["faultsim.latch_copies"], 8 * group_steps);
-        assert_eq!(
-            s.histograms["faultsim.group_buffer_words"].count,
-            s.counters["faultsim.groups"]
-        );
+        // One machine per group of simulated shards.
+        let dispatched: u64 = (0..s.counters["faultsim.stages"])
+            .map(|i| groups(s.counters[&format!("faultsim.stage{i}.simulated")]))
+            .sum();
+        assert_eq!(s.histograms["faultsim.group_buffer_words"].count, dispatched);
     }
 
     #[test]
@@ -1426,7 +1463,7 @@ mod tests {
                     let counters = registry.snapshot().counters;
                     let count = |name: &str| counters.get(name).copied().unwrap_or(0);
                     let tail: u64 = (1..count("faultsim.stages"))
-                        .map(|i| count(&format!("faultsim.stage{i}.survivors")))
+                        .map(|i| count(&format!("faultsim.stage{i}.simulated")))
                         .sum();
                     assert_eq!(count("faultsim.cycle_lane_faults"), tail, "{tag}");
                     cycle_lane_faults += tail;
@@ -1666,6 +1703,43 @@ mod tests {
             assert_eq!(result.signatures().unwrap().per_fault, Vec::<u64>::new());
             assert_eq!(result.good_response(), None, "{engine:?}");
         }
+    }
+
+    #[test]
+    fn never_activated_faults_end_with_the_good_signature() {
+        // A constant stimulus shows each cell one combination, so many
+        // faults are never activated and never simulated; their
+        // signature is the good one, which is not the reset state.
+        let n = filterish(10);
+        let u = universe(&n);
+        let inputs = vec![0x135; 150];
+        let tape = Tape::compile(&n);
+        let index = ConeIndex::new(&n, &tape, &u);
+        let program = LaneProgram::compile(&index, &Cone::full(&tape));
+        let first = crate::activation::first_activations(&tape, &program, &u, &inputs);
+        let never: Vec<usize> = (0..u.len()).filter(|&i| first[i] == NEVER).collect();
+        assert!(!never.is_empty() && never.len() < u.len(), "{} of {}", never.len(), u.len());
+        let options = SimOptions::new()
+            .with_schedule(StageSchedule::with_boundaries(vec![16, 67]))
+            .with_signature(SIG16);
+        let registry = Arc::new(Registry::new());
+        let kernel = ParallelFaultSimulator::new(&n, &u)
+            .with_options(options.clone().with_threads(2).with_metrics(Arc::clone(&registry)))
+            .run(&inputs);
+        let sigs = kernel.signatures().unwrap();
+        assert_ne!(sigs.good, 0, "the good signature is not the reset state");
+        for &i in &never {
+            assert_eq!(sigs.per_fault[i], sigs.good, "{}", u.sites()[i]);
+            assert_eq!(kernel.detection_cycles()[i], None);
+        }
+        let s = registry.snapshot();
+        assert_eq!(s.counters["faultsim.never_activated"], never.len() as u64);
+        assert_eq!(s.histograms["faultsim.activation_ms"].count, 1);
+        let walker = ParallelFaultSimulator::new(&n, &u)
+            .with_options(options.with_engine(SimEngine::Walker))
+            .run(&inputs);
+        assert_eq!(kernel.signatures(), walker.signatures());
+        assert_eq!(kernel.detection_cycles(), walker.detection_cycles());
     }
 
     #[test]

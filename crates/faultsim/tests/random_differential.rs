@@ -28,11 +28,18 @@
 //! both thread counts. The second schedule cuts the test every few
 //! cycles, on odd cycles too, so cycle-lane stages open mid-block on
 //! carried state again and again; in most cases some stage that opens
-//! mid-block has survivors. A stage entry the machine gets wrong
+//! mid-block simulates faults. A stage entry the machine gets wrong
 //! only shows within the netlist's memory depth of the cut, which a
 //! single cut rarely exposes.
 //!
-//! The suite runs [`CASES`] seeded cases; a failure names its seed, and
+//! A stage simulates only the faults activated before its end. The
+//! qualifying rule counts those, and a second set of cases opens the
+//! stimulus with a long run of zero words, so that dormant faults cross
+//! several stage boundaries and enter stages that open mid-block from
+//! the good machine's state.
+//!
+//! The suite runs [`CASES`] seeded cases and [`ZERO_PREFIX_CASES`]
+//! zero-prefixed ones; a failure names its seed, and
 //! `BIST_RANDOM_SEED=<seed>` replays just that case.
 
 mod common;
@@ -52,6 +59,9 @@ use testkit::{for_each_seed, random_netlist, replay_seed, Rng};
 
 /// Seeded cases per run (about 5 s in the debug profile).
 const CASES: u64 = 40;
+
+/// Seeded zero-prefix cases per run.
+const ZERO_PREFIX_CASES: u64 = 20;
 
 /// A cut every 1 to 24 cycles, from a random odd first cut on.
 fn dense_schedule(rng: &mut Rng, len: usize) -> StageSchedule {
@@ -97,40 +107,80 @@ fn check_pruning(netlist: &Netlist, plain: &FaultUniverse, pruned: &FaultUnivers
 struct CycleLaneWork {
     /// Runs at 1 and at 3 threads that ran some fault cycle-lane.
     runs: [u64; 2],
-    /// Cases where a stage that opens mid-block had survivors.
+    /// Cases where a stage that opens mid-block simulated faults.
     mid_block: u64,
+    /// Kernel runs where a dormant fault entered a stage that opens
+    /// mid-block.
+    dormant_entries: u64,
 }
 
-/// Checks a kernel run's counters against the qualifying rule: in
-/// compare mode, every stage after the first whose survivors fill fewer
-/// than `threads * 16` 63-fault words runs cycle-lane, and nothing else
-/// does. Returns the faults it ran cycle-lane and whether a stage that
-/// opened mid-block had survivors and ran cycle-lane.
-fn cycle_lane_faults(
-    registry: &Registry,
-    schedule: &StageSchedule,
-    len: usize,
-    threads: usize,
-    signature: bool,
-) -> (u64, bool) {
+/// One stage's fault counts, read from a kernel run's counters.
+struct StageCounts {
+    start: u32,
+    /// Faults not yet detected at the stage's start.
+    survivors: u64,
+    /// Survivors activated before the stage's end, which it runs.
+    simulated: u64,
+}
+
+/// The stages a kernel run entered, with their counters.
+fn stage_counts(registry: &Registry, schedule: &StageSchedule, len: usize) -> Vec<StageCounts> {
     let counters = registry.snapshot().counters;
     let count = |name: &str| counters.get(name).copied().unwrap_or(0);
     let mut starts: Vec<u32> = schedule.clone().into_boundaries();
     starts.retain(|&c| c > 0 && (c as usize) < len);
     starts.insert(0, 0);
+    let stages = count("faultsim.stages") as usize;
+    starts
+        .into_iter()
+        .take(stages)
+        .enumerate()
+        .map(|(i, start)| StageCounts {
+            start,
+            survivors: count(&format!("faultsim.stage{i}.survivors")),
+            simulated: count(&format!("faultsim.stage{i}.simulated")),
+        })
+        .collect()
+}
+
+/// Checks a kernel run's counters against the qualifying rule: in
+/// compare mode, every stage after the first whose simulated faults
+/// fill fewer than `threads * 16` 63-fault words runs cycle-lane, and
+/// nothing else does. Returns the faults it ran cycle-lane and whether a
+/// stage that opened mid-block simulated faults and ran cycle-lane.
+fn cycle_lane_faults(
+    registry: &Registry,
+    stages: &[StageCounts],
+    threads: usize,
+    signature: bool,
+) -> (u64, bool) {
     let (mut expected, mut mid_block) = (0, false);
-    for (i, &start) in starts.iter().enumerate().take(count("faultsim.stages") as usize).skip(1) {
-        let survivors = count(&format!("faultsim.stage{i}.survivors"));
-        if !signature && survivors.div_ceil(63) < threads as u64 * 16 {
-            expected += survivors;
-            mid_block |= survivors > 0 && start % 64 != 0;
+    for stage in stages.iter().skip(1) {
+        let simulated = stage.simulated;
+        if !signature && simulated.div_ceil(63) < threads as u64 * 16 {
+            expected += simulated;
+            mid_block |= simulated > 0 && stage.start % 64 != 0;
         }
     }
-    assert_eq!(count("faultsim.cycle_lane_faults"), expected, "faults run cycle-lane");
+    let counters = registry.snapshot().counters;
+    let counted = counters.get("faultsim.cycle_lane_faults").copied().unwrap_or(0);
+    assert_eq!(counted, expected, "faults run cycle-lane");
     (expected, mid_block)
 }
 
-fn check_case(seed: u64, work: &mut CycleLaneWork) {
+/// Whether a fault left dormant by one stage entered the next one, and
+/// that stage opened mid-block. A dormant survivor is never detected, so
+/// it survives into the next stage, and the faults entering stage `i`
+/// are the previous stage's dormant ones less its own.
+fn enters_mid_block(stages: &[StageCounts]) -> bool {
+    let dormant = |s: &StageCounts| s.survivors - s.simulated;
+    stages.windows(2).any(|w| dormant(&w[0]) > dormant(&w[1]) && w[1].start % 64 != 0)
+}
+
+/// Runs one seeded case. With `zero_prefix`, the stimulus opens with a
+/// long run of zero words, which activates few faults, so dormant faults
+/// cross several stage boundaries before the random tail activates them.
+fn check_case(seed: u64, work: &mut CycleLaneWork, zero_prefix: bool) {
     let mut rng = Rng::new(seed);
     let width = 4 + rng.below(7) as u32; // 4..=10
     let nodes = 3 + rng.below(16);
@@ -141,8 +191,14 @@ fn check_case(seed: u64, work: &mut CycleLaneWork) {
     let pruned =
         FaultUniverse::enumerate_pruned(&netlist, &ranges, &Reachability::analyze(&netlist, width));
     let universe = if rng.chance(2) { &plain } else { &pruned };
-    let len = 1 + rng.below(300);
-    let inputs: Vec<i64> = (0..len).map(|_| rng.signed(width)).collect();
+    let (zeros, len) = if zero_prefix {
+        let zeros = 65 + rng.below(200);
+        (zeros, zeros + 1 + rng.below(150))
+    } else {
+        (0, 1 + rng.below(300))
+    };
+    let inputs: Vec<i64> =
+        (0..len).map(|i| if i < zeros { 0 } else { rng.signed(width) }).collect();
     let misr_width = 1 + rng.below(20) as u32;
     let cfg = SignatureConfig { width: misr_width, poly: rng.next_u64() & ((1 << misr_width) - 1) };
     let schedules = [random_schedule(&mut rng, len), dense_schedule(&mut rng, len)];
@@ -171,10 +227,11 @@ fn check_case(seed: u64, work: &mut CycleLaneWork) {
                 .with_threads(threads)
                 .with_schedule(schedule.clone())
                 .with_metrics(Arc::clone(&registry)));
-            let (lane_faults, mid) =
-                cycle_lane_faults(&registry, schedule, len, threads, signature);
+            let stages = stage_counts(&registry, schedule, len);
+            let (lane_faults, mid) = cycle_lane_faults(&registry, &stages, threads, signature);
             work.runs[t] += u64::from(lane_faults > 0);
             mid_block |= mid;
+            work.dormant_entries += u64::from(enters_mid_block(&stages));
             assert_eq!(kernel.detection_cycles(), &serial.detection[..], "{tag}: detection map");
             assert_eq!(kernel.signatures(), reference.signatures(), "{tag}: signatures");
             assert_eq!(kernel.good_response(), reference.good_response(), "{tag}: response");
@@ -190,11 +247,25 @@ fn check_case(seed: u64, work: &mut CycleLaneWork) {
 #[test]
 fn kernel_matches_walker_and_serial_on_random_netlists() {
     let mut work = CycleLaneWork::default();
-    for_each_seed(0xD1F7_0000, CASES, |seed| check_case(seed, &mut work));
+    for_each_seed(0xD1F7_0000, CASES, |seed| check_case(seed, &mut work, false));
     // A replay runs one case, which need not exercise cycle-lane.
     if replay_seed().is_none() {
         let [one, three] = work.runs;
         assert!(2 * one > CASES && 2 * three > CASES, "cycle-lane runs: {one} and {three}");
         assert!(2 * work.mid_block > CASES, "mid-block cycle-lane entries: {}", work.mid_block);
+    }
+}
+
+#[test]
+fn dormant_faults_match_walker_and_serial_across_stage_boundaries() {
+    // Zero-prefixed stimuli: most faults stay dormant through several
+    // stages and enter late, some of them at a stage that opens
+    // mid-block, where the entry state is the good machine's.
+    let mut work = CycleLaneWork::default();
+    for_each_seed(0x2E20_0000, ZERO_PREFIX_CASES, |seed| check_case(seed, &mut work, true));
+    if replay_seed().is_none() {
+        // Four kernel runs per case: two modes at two thread counts.
+        let entries = work.dormant_entries;
+        assert!(entries > ZERO_PREFIX_CASES, "mid-block entries of dormant faults: {entries}");
     }
 }

@@ -26,10 +26,12 @@
 //! handles is exercised on real elaborated datapaths.
 
 use bist_bench::generator;
+use bist_core::campaign::{build_generator, KNOWN_GENERATORS};
 use bist_core::misr::Misr;
 use bist_core::session::{BistSession, ResponseCheck, RunConfig};
 use faultsim::{
-    FaultSimResult, ParallelFaultSimulator, SignatureConfig, SimEngine, SimOptions, StageSchedule,
+    FaultId, FaultSimResult, ParallelFaultSimulator, SignatureConfig, SimEngine, SimOptions,
+    StageSchedule,
 };
 use filters::FilterDesign;
 use obs::Registry;
@@ -135,4 +137,55 @@ fn engines_agree_under_threading_and_stage_boundaries() {
     // of them mid-block on an odd cycle; the late ones stage the longer
     // runs of the variants.
     assert_kernel_matches_reference(&StageSchedule::with_boundaries(vec![32, 65, 128, 384]));
+}
+
+#[test]
+fn gated_kernel_matches_the_walker_on_every_generator_at_ragged_lengths() {
+    // LP-MINI under each registry generator, at test lengths that end
+    // mid-block: faults enter stages only once activated (generators
+    // that activate some cells late or never), and the last block's
+    // lanes past the end must not count as activations. A compare-mode
+    // walker run over the longest test gives every shorter one's
+    // detection map: the detections before its end. Every other fault
+    // of the universe keeps the file test-suite cheap in debug builds.
+    let design = filters::designs::lowpass_mini().expect("LP-MINI");
+    let session = BistSession::new(&design).expect("session");
+    let ids: Vec<FaultId> = session.universe().ids().step_by(2).collect();
+    let universe = session.universe().subset(&ids);
+    let walker = |inputs: &[i64], mode: ResponseCheck| -> FaultSimResult {
+        ParallelFaultSimulator::new(design.netlist(), &universe)
+            .with_options(mode_options(mode).with_engine(SimEngine::Walker))
+            .run(inputs)
+    };
+    for name in KNOWN_GENERATORS {
+        let mut gen = build_generator(name).expect("registry generator");
+        let stream: Vec<i64> = (0..1023).map(|_| design.align_input(gen.next_word())).collect();
+        let longest = walker(&stream, ResponseCheck::Trace);
+        for len in [961, 1000, 1023] {
+            let inputs = &stream[..len];
+            let within: Vec<Option<u32>> = longest
+                .detection_cycles()
+                .iter()
+                .map(|d| d.filter(|&c| (c as usize) < len))
+                .collect();
+            for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
+                let reference = match mode {
+                    ResponseCheck::Trace => None,
+                    ResponseCheck::Signature => Some(walker(inputs, mode)),
+                };
+                for threads in [1usize, 2] {
+                    let tag = format!("{name} x {len} x {mode:?}, threads={threads}");
+                    let kernel = ParallelFaultSimulator::new(design.netlist(), &universe)
+                        .with_options(mode_options(mode).with_threads(threads))
+                        .run(inputs);
+                    assert_eq!(kernel.detection_cycles(), &within[..], "{tag}");
+                    if let Some(reference) = &reference {
+                        assert_eq!(reference.detection_cycles(), &within[..], "{tag}");
+                        assert_eq!(reference.signatures(), kernel.signatures(), "{tag}");
+                        assert_eq!(reference.aliased(), kernel.aliased(), "{tag}");
+                    }
+                }
+            }
+        }
+    }
 }
